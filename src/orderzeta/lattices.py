@@ -86,23 +86,7 @@ class LatticeHNF:
     def columns(self, precision):
         """Basis columns as raw coefficient tuples at the stated window.
         The scale is NOT applied; callers track it separately."""
-        cols = []
-        for j in range(self.n):
-            col = []
-            for i in range(self.n):
-                if i == j:
-                    c = [0] * precision
-                    if self.diag[j] < precision:
-                        c[self.diag[j]] = 1
-                    col.append(tuple(c))
-                elif i < j:
-                    digits = self.off[j][i]
-                    col.append(tuple(digits[:precision]) +
-                               (0,) * max(0, precision - len(digits)))
-                else:
-                    col.append((0,) * precision)
-            cols.append(tuple(col))
-        return cols
+        return _basis_columns(self.diag, self.off, precision)
 
     def sort_key(self):
         q = self.fq.q
@@ -158,6 +142,22 @@ class LatticeHNF:
     def __repr__(self):
         return (f"LatticeHNF(scale={self.scale}, diag={self.diag}, "
                 f"off={self.off})")
+
+
+def _basis_columns(diag, off, width):
+    """Columns of the upper triangular basis with diagonal t^diag[j] and
+    off-diagonal digits off[j][i], each entry padded or cut to `width`
+    digits."""
+    n = len(diag)
+    zero = (0,) * width
+    cols = []
+    for j in range(n):
+        col = [digits[:width] + zero[len(digits):] for digits in off[j]]
+        a = diag[j]
+        col.append(zero[:a] + (1,) + zero[a + 1:] if a < width else zero)
+        col += [zero] * (n - 1 - j)
+        cols.append(tuple(col))
+    return cols
 
 
 def identity_lattice(fq, n, scale=0):
@@ -650,26 +650,12 @@ def _solve_upper(fq, diag, cols, b):
     return y
 
 
-def _compose_and_reduce(fq, node, pivot_rows, basis, n):
+def _compose_and_reduce(fq, pdiag, pcols, pivot_rows, basis, n):
     """Canonical form, relative to the enumeration base, of the child
-    lattice: the node composed with the preimage of the given stable
-    subspace of its mod-t fiber."""
-    pdiag, poff = node.diag, node.off
-    width = max(pdiag) + 3
-    pcols = []
-    for j in range(n):
-        col = []
-        for i in range(n):
-            if i == j:
-                c = [0] * width
-                c[pdiag[j]] = 1
-                col.append(tuple(c))
-            elif i < j:
-                digits = poff[j][i]
-                col.append(tuple(digits) + (0,) * (width - len(digits)))
-            else:
-                col.append((0,) * width)
-        pcols.append(col)
+    lattice: the node (diagonal pdiag, basis columns pcols) composed with
+    the preimage of the given stable subspace of its mod-t fiber."""
+    width = len(pcols[0][0])
+    zero = (0,) * width
 
     # child basis in node coordinates: pivot rows carry the subspace
     # basis vectors (constant entries), other rows carry t * e_row;
@@ -681,17 +667,16 @@ def _compose_and_reduce(fq, node, pivot_rows, basis, n):
     for j in range(n):
         if j in in_pivot:
             v = basis[in_pivot[j]]
-            col = [(0,) * width for _ in range(n)]
+            col = [zero] * n
             for i in range(j + 1):
                 if v[i]:
                     src = pcols[i]
                     for k in range(i + 1):
                         col[k] = ser_add(fq, col[k],
                                          ser_scale(fq, v[i], src[k]))
-            col = [tuple(e) for e in col]
             cdiag.append(pdiag[j])
         else:
-            col = [(0,) + tuple(pcols[j][k][:width - 1]) for k in range(n)]
+            col = [(0,) + e[:-1] for e in pcols[j]]
             cdiag.append(pdiag[j] + 1)
         ccols.append(col)
     _reduce_upper(fq, ccols, cdiag)
@@ -701,9 +686,10 @@ def _compose_and_reduce(fq, node, pivot_rows, basis, n):
     return tuple(cdiag), tuple(off)
 
 
-def _relative_action(fq, root_mats, diag, off, n, digits):
+def _relative_action(fq, root_mats, diag, off, width, digits):
     """Action matrices rewritten in the canonical basis (diag, off)
-    relative to the enumeration base, truncated to `digits` t-digits.
+    relative to the enumeration base, truncated to `digits` t-digits;
+    `width` is the shortest entry of the root matrices.
 
     The node key is a reduced Hermite form, so the matrices must be
     expressed in that exact basis: conjugating incrementally through
@@ -711,22 +697,7 @@ def _relative_action(fq, root_mats, diag, off, n, digits):
     The triangular solve consumes at most sum(diag) digits of the root
     matrices, which the caller budgets for.
     """
-    width = min(len(e) for mat in root_mats for col in mat for e in col)
-    cols = []
-    for j in range(n):
-        col = []
-        for i in range(n):
-            if i == j:
-                c = [0] * width
-                if diag[j] < width:
-                    c[diag[j]] = 1
-                col.append(tuple(c))
-            elif i < j:
-                d = off[j][i]
-                col.append(tuple(d[:width]) + (0,) * max(0, width - len(d)))
-            else:
-                col.append((0,) * width)
-        cols.append(tuple(col))
+    cols = _basis_columns(diag, off, width)
     out = []
     for amat in root_mats:
         ycols = []
@@ -773,6 +744,7 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
             root_mats.append(tuple(tuple(tuple(e[:root_digits]) for e in col)
                                    for col in mat))
         root_mats = tuple(root_mats)
+        width = min(len(e) for mat in root_mats for col in mat for e in col)
     else:
         root_mats = ()
 
@@ -792,6 +764,7 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
                     for g in range(len(node.mats)))
             else:
                 mats_mod_t = ()
+            pcols = _basis_columns(node.diag, node.off, max(node.diag) + 3)
             for c in range(1, n + 1):
                 tgt = level + c
                 if tgt > jmax:
@@ -811,8 +784,8 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
                     levels.append({})
                 bucket = levels[tgt]
                 for pivot_rows, basis in subs:
-                    cdiag, coff = _compose_and_reduce(fq, node, pivot_rows,
-                                                      basis, n)
+                    cdiag, coff = _compose_and_reduce(fq, node.diag, pcols,
+                                                      pivot_rows, basis, n)
                     key = (cdiag, coff)
                     if key in bucket:
                         continue
@@ -822,7 +795,7 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
                             continue
                     if node.mats:
                         mats = _relative_action(fq, root_mats, cdiag, coff,
-                                                n, max(2, jmax - tgt + 1))
+                                                width, max(2, jmax - tgt + 1))
                     else:
                         mats = ()
                     bucket[key] = _Node(cdiag, coff, mats)

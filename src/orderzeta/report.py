@@ -10,8 +10,8 @@ rendering lives in the cli module.
 import json
 
 from . import __version__
-from .errors import (NonIntegralInput, NotSquarefree, ParseError,
-                     PreconditionViolated)
+from .errors import (NonIntegralInput, NotSquarefree, OrderZetaError,
+                     ParseError, PreconditionViolated)
 from .fq import Fq, FqSpec
 from .lattices import enumeration_ceiling
 from .orbital import (cross_validated_orbital, elliptic_ideal_formula,
@@ -495,6 +495,11 @@ def selftest_report(quick=False, seed=0, ceiling=None):
             status = "pass"
         except _CheckFailure as exc:
             detail = str(exc)
+            status = "fail"
+            failed += 1
+        except OrderZetaError as exc:
+            # a library error fails this check only; the others still run
+            detail = f"{type(exc).__name__}: {exc}"
             status = "fail"
             failed += 1
         results.append({"name": name, "status": status, "detail": detail})

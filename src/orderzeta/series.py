@@ -15,77 +15,71 @@ directly.  `TruncatedSeries` (elements of F_q[[t]]) and `LaurentSeries`
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import getitem
+
 from .errors import PrecisionExhausted
 
 
 # ---------------------------------------------------------------------------
 # raw tuple kernel
 # ---------------------------------------------------------------------------
-
-def ser_zero(n):
-    return (0,) * n
-
-def ser_one(n):
-    return (1,) + (0,) * (n - 1)
+#
+# Most digits of the series the lattice layer feeds in are zero, and most
+# sums add to an all-zero accumulator, so the kernels return a zero
+# operand's partner as it is, find the nonzero positions with
+# itertools.compress, and run the remaining per-digit loops through map
+# over the Fq table rows.
 
 def ser_val(a):
     """Index of the first nonzero coefficient, or None if all stored
     coefficients vanish."""
-    for i, c in enumerate(a):
-        if c:
-            return i
-    return None
+    return next(compress(count(), a), None)
 
 def ser_add(fq, a, b):
-    n = min(len(a), len(b))
-    add = fq._add
-    return tuple(add[a[i]][b[i]] for i in range(n))
+    if not any(a):
+        return tuple(b[:len(a)])
+    if not any(b):
+        return tuple(a[:len(b)])
+    return tuple(map(getitem, map(fq._add.__getitem__, a), b))
 
 def ser_sub(fq, a, b):
-    n = min(len(a), len(b))
-    sub = fq._sub
-    return tuple(sub[a[i]][b[i]] for i in range(n))
+    if not any(b):
+        return tuple(a[:len(b)])
+    return tuple(map(getitem, map(fq._sub.__getitem__, a), b))
 
 def ser_neg(fq, a):
-    neg = fq._neg
-    return tuple(neg[c] for c in a)
+    return tuple(map(fq._neg.__getitem__, a))
 
 def ser_scale(fq, c, a):
     if c == 0:
         return (0,) * len(a)
     if c == 1:
         return tuple(a)
-    row = fq._mul[c]
-    return tuple(row[x] for x in a)
+    return tuple(map(fq._mul[c].__getitem__, a))
 
 def ser_mul(fq, a, b, n=None):
     """Product truncated to n terms (default: min of the input precisions)."""
     if n is None:
         n = min(len(a), len(b))
+    b_nonzero = list(compress(range(min(len(b), n)), b))
+    if not b_nonzero:
+        return (0,) * n
     out = [0] * n
     add = fq._add
     mul = fq._mul
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= n:
-            continue
-        row = mul[ai]
-        top = min(len(b), n - i)
-        for j in range(top):
-            bj = b[j]
-            if bj:
-                out[i + j] = add[out[i + j]][row[bj]]
+    for i in compress(range(min(len(a), n)), a):
+        row = mul[a[i]]
+        for j in b_nonzero:
+            k = i + j
+            if k >= n:
+                break
+            out[k] = add[out[k]][row[b[j]]]
     return tuple(out)
 
 def ser_shift_up(a, k):
     """Multiply by t^k; gains k digits of absolute precision."""
     return (0,) * k + tuple(a)
-
-def ser_shift_down(a, k):
-    """Divide by t^k; requires the first k stored coefficients to vanish
-    and loses k digits of absolute precision."""
-    if any(a[:k]):
-        raise ValueError("series not divisible by t^k")
-    return tuple(a[k:])
 
 def ser_unit_inv(fq, a):
     """Inverse of a unit series (nonzero constant term), same precision."""
@@ -93,20 +87,22 @@ def ser_unit_inv(fq, a):
         raise ZeroDivisionError("series is not a unit")
     n = len(a)
     inv0 = fq._inv[a[0]]
-    sub = fq._sub
-    mul = fq._mul
     out = [inv0] + [0] * (n - 1)
+    mul = fq._mul
+    a_terms = [(i, mul[a[i]]) for i in compress(range(1, n), a[1:])]
+    if not a_terms:
+        return tuple(out)
+    add = fq._add
+    # out[k] = -inv0 * sum_{i>=1} a[i] out[k-i]
+    neg_inv0 = mul[fq._neg[inv0]]
     for k in range(1, n):
         acc = 0
-        for i in range(1, min(k, len(a) - 1) + 1):
-            ai = a[i]
-            if ai:
-                acc = fq._add[acc][mul[ai][out[k - i]]]
-        out[k] = mul[inv0][fq._neg[acc]]
+        for i, row in a_terms:
+            if i > k:
+                break
+            acc = add[acc][row[out[k - i]]]
+        out[k] = neg_inv0[acc]
     return tuple(out)
-
-def ser_truncate(a, n):
-    return tuple(a[:n])
 
 def ser_is_zero(a):
     return not any(a)

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from orderzeta.cli import main
-from orderzeta.errors import ParseError
+from orderzeta import report
+from orderzeta.errors import ParseError, PrecisionExhausted
 from orderzeta.fq import Fq, FqSpec
 from orderzeta.parsing import format_order_description, parse_order_description
 from orderzeta.report import analyze_report, mnpoly_report, nlines_report
@@ -199,6 +200,31 @@ def test_selftest_quick_is_deterministic(capsys):
     _, first, _ = run(capsys, "selftest", "--quick", "--seed", "42")
     _, second, _ = run(capsys, "selftest", "--quick", "--seed", "42")
     assert first == second
+
+
+def test_selftest_reports_a_library_error_as_one_failed_check(
+        capsys, monkeypatch):
+    # every check is stubbed so the test is fast; one raises the error
+    monkeypatch.setattr(report, "_battery_results", lambda qs, ceiling: [])
+    for name in [n for n in vars(report) if n.startswith("_check_")]:
+        monkeypatch.setattr(report, name, lambda *args: "stubbed")
+
+    def exhausted(*args):
+        raise PrecisionExhausted("need 24 digits, have 22")
+    monkeypatch.setattr(report, "_check_per_class", exhausted)
+
+    code, out, _ = run(capsys, "selftest", "--quick", "--format", "json")
+    assert code == 1
+    result = json.loads(out)
+    assert (result["passed"], result["failed"]) == (9, 1)
+    failed = [c for c in result["checks"] if c["status"] == "fail"]
+    assert failed == [{"name": "per_class_pairing", "status": "fail",
+                       "detail": "PrecisionExhausted: need 24 digits, "
+                                 "have 22"}]
+    code, out, _ = run(capsys, "selftest", "--quick")
+    assert code == 1
+    assert out.count("PASS") == 9
+    assert "FAIL  per_class_pairing" in out
 
 
 # ---------------------------------------------------------------------------

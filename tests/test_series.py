@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from orderzeta.errors import PrecisionExhausted
 from orderzeta.fq import Fq, FqSpec
-from orderzeta.series import (LaurentSeries, TruncatedSeries, ser_mul,
+from orderzeta.series import (LaurentSeries, TruncatedSeries, ser_add,
+                              ser_mul, ser_neg, ser_scale, ser_sub,
                               ser_unit_inv, ser_val)
 
 F3 = Fq(FqSpec.parse("3"))
@@ -141,3 +142,102 @@ def test_extension_field_products_associate_with_raw_kernel(a, b):
         inv = ser_unit_inv(F4, tuple(a))
         assert ser_mul(F4, tuple(a), inv)[0] == 1
         assert ser_val(ser_mul(F4, tuple(a), inv)[1:]) is None
+
+
+# ---------------------------------------------------------------------------
+# raw kernels against digit-by-digit references
+# ---------------------------------------------------------------------------
+
+KERNEL_FIELDS = {q: Fq(FqSpec.parse(q)) for q in ("2", "5", "4", "9")}
+
+
+@st.composite
+def _series(draw, q, unit=False):
+    """A digit tuple of length 0..12 (1..12 for a unit) that is constant,
+    sparse (at most three nonzero digits) or dense."""
+    n = draw(st.integers(1 if unit else 0, 12))
+    kind = draw(st.sampled_from(("constant", "sparse", "dense")))
+    digits = [0] * n
+    if kind == "dense":
+        digits = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    elif n and kind == "sparse":
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            digits[i] = draw(st.integers(1, q - 1))
+    elif n:
+        digits[0] = draw(st.integers(0, q - 1))
+    if unit and not digits[0]:
+        digits[0] = draw(st.integers(1, q - 1))
+    return tuple(digits)
+
+
+@st.composite
+def _field_and_pair(draw):
+    fq = draw(st.sampled_from(list(KERNEL_FIELDS.values())))
+    return fq, draw(_series(fq.q)), draw(_series(fq.q))
+
+
+@st.composite
+def _field_and_unit(draw):
+    fq = draw(st.sampled_from(list(KERNEL_FIELDS.values())))
+    return fq, draw(_series(fq.q, unit=True))
+
+
+def _ref_mul(fq, a, b, n):
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] = fq.add(out[i + j], fq.mul(x, y))
+    return tuple(out)
+
+
+def _ref_unit_inv(fq, a):
+    # solve a * x = 1 digit by digit: sum_{i<=k} a[i] x[k-i] = [k == 0]
+    x = []
+    for k in range(len(a)):
+        acc = 1 if k == 0 else 0
+        for i in range(1, k + 1):
+            acc = fq.sub(acc, fq.mul(a[i], x[k - i]))
+        x.append(fq.mul(fq.inv(a[0]), acc))
+    return tuple(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_field_and_pair(), c=st.integers(0, 8))
+def test_digitwise_kernels_match_references(data, c):
+    fq, a, b = data
+    c %= fq.q
+    pairs = list(zip(a, b))                  # the shorter input decides
+    assert ser_add(fq, a, b) == tuple(fq.add(x, y) for x, y in pairs)
+    assert ser_sub(fq, a, b) == tuple(fq.sub(x, y) for x, y in pairs)
+    assert ser_neg(fq, a) == tuple(fq.neg(x) for x in a)
+    assert ser_scale(fq, c, a) == tuple(fq.mul(c, x) for x in a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_field_and_pair(), extra=st.integers(-3, 4))
+def test_ser_mul_matches_schoolbook(data, extra):
+    fq, a, b = data
+    assert ser_mul(fq, a, b) == _ref_mul(fq, a, b, min(len(a), len(b)))
+    n = max(0, min(len(a), len(b)) + extra)
+    assert ser_mul(fq, a, b, n) == _ref_mul(fq, a, b, n)
+    # a window wider than both inputs holds the whole polynomial product
+    n = len(a) + len(b) + extra + 4
+    assert ser_mul(fq, a, b, n) == _ref_mul(fq, a, b, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_field_and_unit())
+def test_ser_unit_inv_matches_digitwise_solve(data):
+    fq, a = data
+    inv = ser_unit_inv(fq, a)
+    assert inv == _ref_unit_inv(fq, a)
+    assert ser_mul(fq, a, inv) == (1,) + (0,) * (len(a) - 1)
+
+
+@pytest.mark.parametrize("q", sorted(KERNEL_FIELDS))
+def test_ser_unit_inv_rejects_non_units(q):
+    fq = KERNEL_FIELDS[q]
+    for a in ((), (0,), (0, 1, 1)):
+        with pytest.raises(ZeroDivisionError):
+            ser_unit_inv(fq, a)
