@@ -25,6 +25,13 @@ chain of such steps.  Candidates found along different chains merge by
 canonical form.  The deterministic order of each level is: diagonal
 shape compared colexicographically, then off-diagonal digits read
 column by column as one little-endian number.
+
+Expanding a node reads only its action mod t, so that is all the
+enumerator keeps per node: each level maps the canonical key
+(diag, off) to the action's constant terms as row tuples, and equal
+actions are interned so that nodes share one tuple.  Each child's
+action is computed from the root's action matrices (cut to jmax + 2
+digits) in the child's own reduced basis.
 """
 
 from __future__ import annotations
@@ -602,31 +609,30 @@ def stable_subspaces_mod_t(fq, mats_rows, n, dim):
 # stable sublattice enumeration
 # ---------------------------------------------------------------------------
 
-class _Node:
-    __slots__ = ("diag", "off", "mats")
-
-    def __init__(self, diag, off, mats):
-        self.diag = diag      # diagonal exponents relative to the base
-        self.off = off        # off-diagonal digit tuples, off[j][i]
-        self.mats = mats      # action matrices in node coordinates
+def _conjugated(fq, mats, diag, cols, width, unstable):
+    """Each matrix (columns in ambient coordinates) rewritten in the
+    upper triangular basis with diagonal t^diag and columns `cols`, at
+    `width` t-digits; raises InvariantViolation(unstable) when the
+    lattice is not stable under a matrix."""
+    out = []
+    for amat in mats:
+        ycols = []
+        for c in cols:
+            image = mat_vec(fq, amat, c, width)
+            y = _solve_upper(fq, diag, cols, list(image))
+            if y is None:
+                raise InvariantViolation(unstable)
+            ycols.append(y)
+        out.append(ycols)
+    return out
 
 
 def _action_on_lattice(fq, lattice, ambient_mats, precision):
     """Action matrices rewritten in the lattice's own basis coordinates;
     raises when the lattice is not stable under them."""
-    cols = lattice.columns(precision)
-    out = []
-    for amat in ambient_mats:
-        ycols = []
-        for c in cols:
-            image = mat_vec(fq, amat, c, precision)
-            y = _solve_upper(fq, lattice.diag, cols, list(image))
-            if y is None:
-                raise InvariantViolation(
-                    "action does not stabilize the base lattice")
-            ycols.append(tuple(y))
-        out.append(tuple(ycols))
-    return tuple(out)
+    return _conjugated(fq, ambient_mats, lattice.diag,
+                       lattice.columns(precision), precision,
+                       "action does not stabilize the base lattice")
 
 
 def _solve_upper(fq, diag, cols, b):
@@ -648,6 +654,12 @@ def _solve_upper(fq, diag, cols, b):
                 b[k] = ser_sub(fq, b[k], ser_mul(fq, quo, col[k]))
         b[i] = (0,) * width
     return y
+
+
+def _mod_t(mats):
+    """Constant terms of matrices given as columns, as row tuples."""
+    return tuple(tuple(zip(*[[e[0] for e in col] for col in mat]))
+                 for mat in mats)
 
 
 def _compose_and_reduce(fq, pdiag, pcols, pivot_rows, basis, n):
@@ -686,30 +698,20 @@ def _compose_and_reduce(fq, pdiag, pcols, pivot_rows, basis, n):
     return tuple(cdiag), tuple(off)
 
 
-def _relative_action(fq, root_mats, diag, off, width, digits):
-    """Action matrices rewritten in the canonical basis (diag, off)
-    relative to the enumeration base, truncated to `digits` t-digits;
+def _relative_action(fq, root_mats, diag, off, width):
+    """The action mod t in the canonical basis (diag, off) relative to
+    the enumeration base: one tuple of rows over F_q per root matrix.
     `width` is the shortest entry of the root matrices.
 
-    The node key is a reduced Hermite form, so the matrices must be
+    The node key is a reduced Hermite form, so the action must be
     expressed in that exact basis: conjugating incrementally through
     the unreduced child step would drift away from the stored key.
     The triangular solve consumes at most sum(diag) digits of the root
     matrices, which the caller budgets for.
     """
-    cols = _basis_columns(diag, off, width)
-    out = []
-    for amat in root_mats:
-        ycols = []
-        for c in cols:
-            image = mat_vec(fq, amat, c, width)
-            y = _solve_upper(fq, diag, cols, list(image))
-            if y is None:
-                raise InvariantViolation(
-                    "unstable candidate escaped the subspace filter")
-            ycols.append(tuple(e[:digits] for e in y))
-        out.append(tuple(ycols))
-    return tuple(out)
+    return _mod_t(_conjugated(
+        fq, root_mats, diag, _basis_columns(diag, off, width), width,
+        "unstable candidate escaped the subspace filter"))
 
 
 def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
@@ -738,74 +740,61 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
         if precision < need:
             raise PrecisionExhausted(
                 f"need {need} digits of the action matrices, have "
-                f"{precision}")
-        root_mats = []
-        for mat in _action_on_lattice(fq, base, ambient_mats, precision):
-            root_mats.append(tuple(tuple(tuple(e[:root_digits]) for e in col)
-                                   for col in mat))
-        root_mats = tuple(root_mats)
+                f"{precision} (stable sublattices to jmax={jmax} of the "
+                f"base lattice with diagonal {base.diag})")
+        root_mats = tuple(
+            tuple(tuple(e[:root_digits] for e in col) for col in mat)
+            for mat in _action_on_lattice(fq, base, ambient_mats, precision))
         width = min(len(e) for mat in root_mats for col in mat for e in col)
     else:
         root_mats = ()
 
-    root = _Node((0,) * n, tuple(tuple(() for _ in range(j))
-                                 for j in range(n)), root_mats)
-    levels = [{(root.diag, root.off): root}]
+    shared = {}      # interned actions mod t; see the module docstring
+    root_key = ((0,) * n, tuple(tuple(() for _ in range(j))
+                                for j in range(n)))
+    levels = [{} for _ in range(jmax + 1)]
+    levels[0][root_key] = _mod_t(root_mats)
     work = 0
     memo = {}
     for level in range(jmax):
-        while len(levels) <= level:
-            levels.append({})
-        for node in list(levels[level].values()):
-            if node.mats:
-                mats_mod_t = tuple(
-                    tuple(tuple(node.mats[g][j][i][0] for j in range(n))
-                          for i in range(n))
-                    for g in range(len(node.mats)))
-            else:
-                mats_mod_t = ()
-            pcols = _basis_columns(node.diag, node.off, max(node.diag) + 3)
+        for (diag, off), action in levels[level].items():
+            pcols = _basis_columns(diag, off, max(diag) + 3)
             for c in range(1, n + 1):
                 tgt = level + c
                 if tgt > jmax:
                     break
-                mkey = (mats_mod_t, n - c)
+                mkey = (action, n - c)
                 subs = memo.get(mkey)
                 if subs is None:
-                    subs = stable_subspaces_mod_t(fq, mats_mod_t, n, n - c)
+                    subs = stable_subspaces_mod_t(fq, action, n, n - c)
                     memo[mkey] = subs
                 work += max(1, len(subs))
                 if work > cap:
                     raise CeilingExceeded(
                         f"enumeration exceeded the work ceiling {cap}")
-                if not subs:
-                    continue
-                while len(levels) <= tgt:
-                    levels.append({})
                 bucket = levels[tgt]
                 for pivot_rows, basis in subs:
-                    cdiag, coff = _compose_and_reduce(fq, node.diag, pcols,
-                                                      pivot_rows, basis, n)
-                    key = (cdiag, coff)
+                    key = _compose_and_reduce(fq, diag, pcols, pivot_rows,
+                                              basis, n)
                     if key in bucket:
                         continue
                     if containing is not None:
-                        child = LatticeHNF(fq, 0, cdiag, coff)
+                        child = LatticeHNF(fq, 0, *key)
                         if not child.contains_lattice(containing):
                             continue
-                    if node.mats:
-                        mats = _relative_action(fq, root_mats, cdiag, coff,
-                                                width, max(2, jmax - tgt + 1))
+                    if root_mats:
+                        child_action = _relative_action(fq, root_mats, *key,
+                                                        width)
+                        child_action = shared.setdefault(child_action,
+                                                         child_action)
                     else:
-                        mats = ()
-                    bucket[key] = _Node(cdiag, coff, mats)
-    while len(levels) <= jmax:
-        levels.append({})
+                        child_action = ()
+                    bucket[key] = child_action
 
     out = []
-    for level in range(jmax + 1):
-        lats = [_build_canonical(fq, 0, diag, off)
-                for (diag, off) in levels[level].keys()]
+    for level in levels:
+        lats = [_build_canonical(fq, 0, diag, off) for (diag, off) in level]
+        level.clear()
         lats.sort(key=LatticeHNF.sort_key)
         out.append(lats)
     return out

@@ -34,9 +34,6 @@ def up_trim(a):
         n -= 1
     return a[:n]
 
-def up_deg(a):
-    return len(a) - 1
-
 def up_add(fq, a, b):
     if len(a) < len(b):
         a, b = b, a
@@ -242,12 +239,6 @@ def tp_divexact(fq, a, b):
         raise ArithmeticError("inexact polynomial division")
     return q
 
-def tp_to_series(fq, a, precision):
-    return TruncatedSeries.from_poly(fq, a, precision)
-
-def tp_text_degree(a):
-    return len(up_trim(a)) - 1
-
 
 # ---------------------------------------------------------------------------
 # X-polynomials with exact F_q[t] coefficients
@@ -259,20 +250,11 @@ def xp_trim(f):
         f.pop()
     return tuple(f)
 
-def xp_deg(f):
-    return len(f) - 1
-
 def xp_add(fq, f, g):
     n = max(len(f), len(g))
     f = list(f) + [()] * (n - len(f))
     g = list(g) + [()] * (n - len(g))
     return xp_trim([tp_add(fq, a, b) for a, b in zip(f, g)])
-
-def xp_sub(fq, f, g):
-    n = max(len(f), len(g))
-    f = list(f) + [()] * (n - len(f))
-    g = list(g) + [()] * (n - len(g))
-    return xp_trim([tp_sub(fq, a, b) for a, b in zip(f, g)])
 
 def xp_mul(fq, f, g):
     if not f or not g:
@@ -312,10 +294,6 @@ def xp_mod_monic(fq, f, m):
         f.pop()
     return xp_trim(f)
 
-def xp_scale_t(fq, f, k):
-    """Multiply every coefficient by t^k."""
-    return tuple((0,) * k + tuple(c) if c else () for c in f)
-
 def xp_subst_x_shift(fq, f, s):
     """f(X + s) for s an exact F_q[t] polynomial."""
     out = ()
@@ -332,23 +310,6 @@ def xp_subst_x_scale(fq, f, a):
     for i, c in enumerate(f):
         out.append((0,) * (a * i) + tuple(c) if c else ())
     return xp_trim(out)
-
-def xp_reverse_weights(f):
-    """(t-valuation, X-degree) pairs of the nonzero coefficients."""
-    pts = []
-    for i, c in enumerate(f):
-        v = tp_val(c)
-        if v is not None:
-            pts.append((i, v))
-    return pts
-
-def xp_to_series_poly(fq, f, precision):
-    return SeriesPoly(fq, [TruncatedSeries.from_poly(fq, c, precision) for c in f])
-
-def xp_content_tval(f):
-    """Minimum t-valuation over the nonzero coefficients (None if f = 0)."""
-    vals = [tp_val(c) for c in f if tp_val(c) is not None]
-    return min(vals) if vals else None
 
 
 def resultant_exact(fq, f, g):
@@ -426,10 +387,6 @@ class SeriesPoly:
 
     def coefficient(self, i):
         return self.coeffs[i]
-
-    def is_monic(self):
-        lead = self.coeffs[-1]
-        return lead.coeffs[0] == 1 and ser_val(lead.coeffs[1:]) is None
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
