@@ -14,7 +14,9 @@ window sizes below are chosen so that all stored digits and all
 branching decisions fall inside it whenever the inputs are exact.
 Inputs of limited precision (duals and other series-derived lattices)
 instead carry a validity budget, and PrecisionExhausted is raised when
-a decision would depend on unknown digits.
+a decision would depend on unknown digits.  Matrix inverses (behind
+the trace duals and colon lattices) eliminate on Laurent series held as
+raw (shift, digits) pairs rather than series objects.
 
 The enumerator for stable sublattices descends colength by colength:
 every maximal stable sublattice of M contains tM (the quotient is a
@@ -31,7 +33,8 @@ enumerator keeps per node: each level maps the canonical key
 (diag, off) to the action's constant terms as row tuples, and equal
 actions are interned so that nodes share one tuple.  Each child's
 action is computed from the root's action matrices (cut to jmax + 2
-digits) in the child's own reduced basis.
+digits, each column's nonzero entries listed once per enumeration) in
+the child's own reduced basis.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from itertools import combinations
 
 from .errors import (CeilingExceeded, InvariantViolation, PrecisionExhausted,
                      RankDeficient)
-from .series import (LaurentSeries, ser_add, ser_mul, ser_scale, ser_sub,
-                     ser_unit_inv, ser_val)
+from .series import (ser_add, ser_mul, ser_scale, ser_sub, ser_unit_inv,
+                     ser_val)
 
 DEFAULT_CEILING = 10 ** 8
 
@@ -428,7 +431,10 @@ def laurent_matrix_inverse(fq, cols, precision):
 
     Common t powers are factored out of every column and row first;
     keeping the Gaussian pivots near valuation zero preserves the
-    working window when the matrix has large elementary divisors.
+    working window when the matrix has large elementary divisors.  The
+    elimination runs on Laurent series held as raw (shift, digits)
+    pairs: the digits start at exponent shift and are known up to
+    exponent shift + len(digits).
     """
     n = len(cols)
     col_v = []
@@ -443,17 +449,20 @@ def laurent_matrix_inverse(fq, cols, precision):
         vs = [v for v in (ser_val(red[j][i]) for j in range(n))
               if v is not None]
         row_v.append(min(vs) if vs else 0)
-    grid = [[LaurentSeries(fq, 0, red[j][i][row_v[i]:]) for j in range(n)]
-            for i in range(n)]
-    inv = [[LaurentSeries.one(fq, precision) if i == j
-            else LaurentSeries.zero(fq, precision) for j in range(n)]
-           for i in range(n)]
+    grid = [[(0, red[j][i][row_v[i]:]) for j in range(n)] for i in range(n)]
+    if not all(digits for row in grid for _, digits in row):
+        raise ValueError("empty coefficient window")
+    start = min(0, precision - 1)
+    one = (0, (1,) + (0,) * (precision - 1))
+    zero = (start, (0,) * (precision - start))
+    inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for k in range(n):
         best = None
         for i in range(k, n):
-            v = grid[i][k].valuation()
-            if v is not None and (best is None or v < best[0]):
-                best = (v, i)
+            shift, digits = grid[i][k]
+            v = ser_val(digits)
+            if v is not None and (best is None or shift + v < best[0]):
+                best = (shift + v, i)
         if best is None:
             raise PrecisionExhausted(
                 "matrix pivot is zero to working precision")
@@ -461,40 +470,72 @@ def laurent_matrix_inverse(fq, cols, precision):
         if piv != k:
             grid[k], grid[piv] = grid[piv], grid[k]
             inv[k], inv[piv] = inv[piv], inv[k]
-        pinv = grid[k][k].inverse()
-        grid[k] = [e * pinv for e in grid[k]]
-        inv[k] = [e * pinv for e in inv[k]]
+        shift, digits = grid[k][k]
+        v = ser_val(digits)
+        pinv = (-(shift + v), ser_unit_inv(fq, digits[v:]))
+        grid[k] = [_laurent_mul(fq, e, pinv) for e in grid[k]]
+        inv[k] = [_laurent_mul(fq, e, pinv) for e in inv[k]]
         for i in range(n):
             if i == k:
                 continue
             f = grid[i][k]
-            if f.is_zero():
+            if not any(f[1]):
                 continue
-            grid[i] = [grid[i][j] - f * grid[k][j] for j in range(n)]
-            inv[i] = [inv[i][j] - f * inv[k][j] for j in range(n)]
+            grid[i] = [_laurent_sub(fq, grid[i][j],
+                                    _laurent_mul(fq, f, grid[k][j]))
+                       for j in range(n)]
+            inv[i] = [_laurent_sub(fq, inv[i][j],
+                                   _laurent_mul(fq, f, inv[k][j]))
+                      for j in range(n)]
     # undo the row and column scalings: with M = Dr M' Dc we have
-    # M^-1[i][j] = t^(-col_v[i] - row_v[j]) M'^-1[i][j]
-    for i in range(n):
-        for j in range(n):
-            inv[i][j] = inv[i][j].shifted(-col_v[i] - row_v[j])
+    # M^-1[i][j] = t^(-col_v[i] - row_v[j]) M'^-1[i][j]; then push the
+    # known leading zeros of each entry into its shift
     shift = 0
     for i in range(n):
         for j in range(n):
-            e = inv[i][j].normalized()
-            inv[i][j] = e
-            v = e.valuation()
+            e_shift, digits = inv[i][j]
+            e_shift -= col_v[i] + row_v[j]
+            v = ser_val(digits)
+            if v:
+                e_shift += v
+                digits = digits[v:]
+            inv[i][j] = (e_shift, digits)
             if v is not None:
-                shift = min(shift, v)
-    out_prec = min(e.abs_prec for row in inv for e in row) - shift
+                shift = min(shift, e_shift)
+    out_prec = min(s + len(d) for row in inv for s, d in row) - shift
     if out_prec < 1:
         raise PrecisionExhausted("matrix inverse lost all precision")
+    # every nonzero entry now starts at or above t^shift, so each window
+    # below is integral and covers [0, out_prec)
     out_cols = []
     for j in range(n):
         col = []
         for i in range(n):
-            col.append(inv[i][j].shifted(-shift).to_truncated(out_prec).coeffs)
+            e_shift, digits = inv[i][j]
+            e_shift -= shift
+            if e_shift >= 0:
+                col.append(((0,) * e_shift + digits)[:out_prec])
+            else:
+                col.append(digits[-e_shift:out_prec - e_shift])
         out_cols.append(tuple(col))
     return tuple(out_cols), shift
+
+
+def _laurent_mul(fq, a, b):
+    """Product of two raw Laurent pairs, at the shorter digit window."""
+    return (a[0] + b[0], ser_mul(fq, a[1], b[1], min(len(a[1]), len(b[1]))))
+
+
+def _laurent_sub(fq, a, b):
+    """Difference of two raw Laurent pairs on the window that both know:
+    from the lower start up to the lower end of knowledge."""
+    lo = min(a[0], b[0])
+    hi = min(a[0] + len(a[1]), b[0] + len(b[1]))
+    if hi <= lo:
+        raise PrecisionExhausted("no common precision window")
+    width = hi - lo
+    return (lo, ser_sub(fq, ((0,) * (a[0] - lo) + a[1])[:width],
+                        ((0,) * (b[0] - lo) + b[1])[:width]))
 
 
 # ---------------------------------------------------------------------------
@@ -609,17 +650,31 @@ def stable_subspaces_mod_t(fq, mats_rows, n, dim):
 # stable sublattice enumeration
 # ---------------------------------------------------------------------------
 
-def _conjugated(fq, mats, diag, cols, width, unstable):
-    """Each matrix (columns in ambient coordinates) rewritten in the
-    upper triangular basis with diagonal t^diag and columns `cols`, at
-    `width` t-digits; raises InvariantViolation(unstable) when the
-    lattice is not stable under a matrix."""
+def _nonzero_entries(mats):
+    """Each matrix (columns of raw series) as, per column, the pairs
+    (row, entry) of its entries that are not all zero."""
+    return tuple(tuple(tuple((i, e) for i, e in enumerate(col) if any(e))
+                       for col in mat) for mat in mats)
+
+
+def _conjugated(fq, sparse_mats, diag, cols, width, unstable):
+    """Each matrix (in ambient coordinates, given by _nonzero_entries)
+    rewritten in the upper triangular basis with diagonal t^diag and
+    columns `cols`, at `width` t-digits; raises
+    InvariantViolation(unstable) when the lattice is not stable under a
+    matrix."""
+    zero = (0,) * width
     out = []
-    for amat in mats:
+    for entries in sparse_mats:
         ycols = []
         for c in cols:
-            image = mat_vec(fq, amat, c, width)
-            y = _solve_upper(fq, diag, cols, list(image))
+            image = [zero] * len(diag)
+            for x, col in zip(c, entries):
+                if any(x):
+                    for i, e in col:
+                        image[i] = ser_add(fq, image[i],
+                                           ser_mul(fq, x, e, width))
+            y = _solve_upper(fq, diag, cols, image)
             if y is None:
                 raise InvariantViolation(unstable)
             ycols.append(y)
@@ -630,7 +685,7 @@ def _conjugated(fq, mats, diag, cols, width, unstable):
 def _action_on_lattice(fq, lattice, ambient_mats, precision):
     """Action matrices rewritten in the lattice's own basis coordinates;
     raises when the lattice is not stable under them."""
-    return _conjugated(fq, ambient_mats, lattice.diag,
+    return _conjugated(fq, _nonzero_entries(ambient_mats), lattice.diag,
                        lattice.columns(precision), precision,
                        "action does not stabilize the base lattice")
 
@@ -698,10 +753,11 @@ def _compose_and_reduce(fq, pdiag, pcols, pivot_rows, basis, n):
     return tuple(cdiag), tuple(off)
 
 
-def _relative_action(fq, root_mats, diag, off, width):
+def _relative_action(fq, root_entries, diag, off, width):
     """The action mod t in the canonical basis (diag, off) relative to
     the enumeration base: one tuple of rows over F_q per root matrix.
-    `width` is the shortest entry of the root matrices.
+    `root_entries` are the root matrices as _nonzero_entries lists, and
+    `width` is their shortest entry.
 
     The node key is a reduced Hermite form, so the action must be
     expressed in that exact basis: conjugating incrementally through
@@ -710,8 +766,16 @@ def _relative_action(fq, root_mats, diag, off, width):
     matrices, which the caller budgets for.
     """
     return _mod_t(_conjugated(
-        fq, root_mats, diag, _basis_columns(diag, off, width), width,
+        fq, root_entries, diag, _basis_columns(diag, off, width), width,
         "unstable candidate escaped the subspace filter"))
+
+
+def action_digits_needed(base, jmax):
+    """Digits of the action matrices that enumerating the stable
+    sublattices of `base` to colength jmax needs: the root action is cut
+    to jmax + 2 digits and conjugating it into the base consumes
+    sum(base.diag) + 1 more."""
+    return sum(base.diag) + jmax + 3
 
 
 def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
@@ -736,7 +800,7 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
             precision = min(min(len(e) for col in m for e in col)
                             for m in ambient_mats)
         root_digits = jmax + 2
-        need = sum(base.diag) + root_digits + 1
+        need = action_digits_needed(base, jmax)
         if precision < need:
             raise PrecisionExhausted(
                 f"need {need} digits of the action matrices, have "
@@ -746,6 +810,7 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
             tuple(tuple(e[:root_digits] for e in col) for col in mat)
             for mat in _action_on_lattice(fq, base, ambient_mats, precision))
         width = min(len(e) for mat in root_mats for col in mat for e in col)
+        root_entries = _nonzero_entries(root_mats)
     else:
         root_mats = ()
 
@@ -783,8 +848,8 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
                         if not child.contains_lattice(containing):
                             continue
                     if root_mats:
-                        child_action = _relative_action(fq, root_mats, *key,
-                                                        width)
+                        child_action = _relative_action(fq, root_entries,
+                                                        *key, width)
                         child_action = shared.setdefault(child_action,
                                                          child_action)
                     else:
@@ -866,18 +931,41 @@ def is_homothetic(m1, m2, order):
     class of C/tC is therefore all witnesses or none, and scanning the
     q^n - 1 nonzero classes is a complete search.
 
+    The scan is bilinear: the product is F_q-bilinear and carry free, so
+    the generators x*m_k of a candidate x = sum_j c_j C_j are the same
+    combinations sum_j c_j (C_j * m_k) of the n^2 products of colon and
+    M1 basis columns, which are computed once, digit for digit.
+
+    Each candidate's Hermite form is computed at the witness's own
+    window w = sum(d) + max(d) + 1, where d_i = diag_i(M2) + scale(M2)
+    - scale(C) - scale(M1) are the exponents a witness's span has at the
+    generators' scale: elimination consumes sum(d) digits and the
+    reduction of the off-diagonal entries needs max(d) more, so a
+    witness certifies its form at w.  hnf_from_generators returns only
+    certified forms, so a non-witness never matches M2 (it fails to
+    certify or certifies a different form), and the first hit is the
+    same as at the full precision.
+
     The witness is returned as (coords, scale): the element is t^scale
-    times the vector with the given ambient coordinates.
+    times the vector with the given ambient coordinates, at the order's
+    full precision.
     """
     fq = order.fq
     n = m1.n
     if n != m2.n:
         raise ValueError("mismatched ranks")
     prec = order.precision
-    colon = colon_lattice(m2, m1, order.multiply_vectors,
-                          order.trace_gram_columns, prec)
+    mul = order.multiply_vectors
+    colon = colon_lattice(m2, m1, mul, order.trace_gram_columns, prec)
     ccols = colon.columns(prec)
     c1 = m1.columns(prec)
+    scale = colon.scale + m1.scale
+    d = [a + m2.scale - scale for a in m2.diag]
+    window = min(prec, sum(d) + max(d) + 1)
+    # products[j][k]: the product of colon column j and M1 column k
+    products = [[tuple(e[:window] for e in mul(cc, v, prec)) for v in c1]
+                for cc in ccols]
+    zero = (0,) * window
     q = fq.q
     target = m2.key
     for counter in range(1, q ** n):
@@ -886,20 +974,25 @@ def is_homothetic(m1, m2, order):
         for _ in range(n):
             coords.append(c % q)
             c //= q
-        x = [(0,) * prec for _ in range(n)]
-        for j in range(n):
-            if coords[j]:
-                for i in range(n):
-                    x[i] = ser_add(fq, x[i],
-                                   ser_scale(fq, coords[j], ccols[j][i]))
-        x = tuple(x)
-        gens = [order.multiply_vectors(x, v, prec) for v in c1]
+        gens = []
+        for k in range(n):
+            g = [zero] * n
+            for j in range(n):
+                if coords[j]:
+                    for i, e in enumerate(products[j][k]):
+                        g[i] = ser_add(fq, g[i], ser_scale(fq, coords[j], e))
+            gens.append(g)
         try:
-            cand = hnf_from_generators(fq, gens, n,
-                                       scale=colon.scale + m1.scale,
-                                       precision=prec)
+            cand = hnf_from_generators(fq, gens, n, scale=scale,
+                                       precision=window)
         except (RankDeficient, PrecisionExhausted):
             continue
         if cand.key == target:
-            return x, colon.scale
+            x = [(0,) * prec for _ in range(n)]
+            for j in range(n):
+                if coords[j]:
+                    for i in range(n):
+                        x[i] = ser_add(fq, x[i],
+                                       ser_scale(fq, coords[j], ccols[j][i]))
+            return tuple(x), colon.scale
     return None

@@ -20,8 +20,9 @@ from .orders import build_order, n_lines_order
 from .parsing import format_xpoly, parse_xpoly
 from .partitions import hilb_count_regular, m_poly, n_poly
 from .polynomials import IntPoly
-from .zeta import (nlines_closed_form, per_class_refinement, special_values,
-                   variant_zeta, zeta_polynomial)
+from .zeta import (nlines_closed_form, per_class_refinement,
+                   planned_nlines_order, special_values, variant_zeta,
+                   zeta_polynomial)
 
 
 def _poly_dict(poly, var):
@@ -182,10 +183,12 @@ def nlines_report(n, fq=None, j_max=None, ceiling=None, symbolic_only=False):
         if n > 6:
             raise PreconditionViolated(
                 "brute force is limited to n <= 6; use --symbolic-only")
-        order = n_lines_order(fq, n)
+        order, (sharp_plan, flat_plan) = planned_nlines_order(fq, n, j_max)
         z = zeta_polynomial(order, j_max=j_max, ceiling=ceiling)
-        sharp = variant_zeta(order, order.o_e_lattice, ceiling=ceiling)
-        flat = variant_zeta(order, order.r_lattice, ceiling=ceiling)
+        sharp = variant_zeta(order, order.o_e_lattice, ceiling=ceiling,
+                             plan=sharp_plan)
+        flat = variant_zeta(order, order.r_lattice, ceiling=ceiling,
+                            plan=flat_plan)
         j_used = len(z.quot_counts) - 1
         brute = {
             "coeffs": list(z.poly.coeffs),

@@ -19,9 +19,11 @@ from math import comb
 
 from .errors import (InvariantViolation, NonIntegralSpecialValue,
                      PreconditionViolated, TruncationFailure)
-from .lattices import (compose_lattice, is_homothetic, product_lattice,
-                       relative_length, sandwich_representatives,
-                       stable_sublattice_levels, trace_dual_lattice)
+from .lattices import (action_digits_needed, compose_lattice, is_homothetic,
+                       product_lattice, relative_length,
+                       sandwich_representatives, stable_sublattice_levels,
+                       trace_dual_lattice)
+from .orders import n_lines_order
 from .polynomials import BiPoly, IntPoly
 
 
@@ -97,6 +99,13 @@ def quot_series(order, j_max=None, ceiling=None):
     return tuple(len(level) for level in levels)
 
 
+def zeta_j_max(order, j_max=None):
+    """The tally length zeta_polynomial uses: the requested j_max raised
+    to the certification window and to the order's default."""
+    need = 2 * order.delta + sum(factor_periods(order)) + 2
+    return max(j_max if j_max is not None else 0, need, order.j_max)
+
+
 def zeta_polynomial(order, j_max=None, ceiling=None):
     """Assemble and verify the counting polynomial of an order.
 
@@ -107,9 +116,7 @@ def zeta_polynomial(order, j_max=None, ceiling=None):
     explicit j_max below the certification window is raised to it.
     """
     periods = factor_periods(order)
-    need = 2 * order.delta + sum(periods) + 2
-    j_max = max(j_max if j_max is not None else 0, need, order.j_max)
-    counts = quot_series(order, j_max, ceiling=ceiling)
+    counts = quot_series(order, zeta_j_max(order, j_max), ceiling=ceiling)
     numer = _collapse(counts, periods)
     top = 2 * order.delta
     bad = [k for k in range(top + 1, len(numer)) if numer[k]]
@@ -154,18 +161,12 @@ def special_values(z):
     return p_at_one, int(reflected)
 
 
-def variant_zeta(order, lattice, j_max=None, ceiling=None):
-    """Counting polynomial assembled from the stable sublattices of an
-    arbitrary stable lattice instead of the duality lattice.
-
-    The tally is invariant under scaling the lattice by powers of t, so
-    the lattice is first scaled to sit inside the duality lattice with
-    the smallest colength gap.  Only the value identity P(1) = number
-    of lattice classes is enforced; the degree and symmetry flags are
-    reported but usually fail.  The collapsed series must still show a
-    zero tail as wide as the periods margin (TruncationFailure
-    otherwise; rerun with a larger j_max).
-    """
+def variant_plan(order, lattice, j_max=None):
+    """Where variant_zeta enumerates: (base, j_max), with base the
+    lattice scaled by the power of t that puts it inside the duality
+    lattice with the smallest colength gap, and j_max raised to the
+    tally length that certifies the zero tail.  Neither depends on the
+    order's precision."""
     if lattice.n != order.n:
         raise PreconditionViolated("lattice rank differs from the order")
     spanned = product_lattice(order.r_lattice, lattice,
@@ -186,10 +187,26 @@ def variant_zeta(order, lattice, j_max=None, ceiling=None):
             raise InvariantViolation("unbounded overlattice")
     base = lattice.shifted(shift)
     gap = relative_length(dual, base)
+    need = 2 * order.delta + gap + sum(factor_periods(order)) + 2
+    return base, max(j_max if j_max is not None else 0, need)
+
+
+def variant_zeta(order, lattice, j_max=None, ceiling=None, plan=None):
+    """Counting polynomial assembled from the stable sublattices of an
+    arbitrary stable lattice instead of the duality lattice.
+
+    The tally is invariant under scaling the lattice by powers of t, so
+    the lattice is first scaled to sit inside the duality lattice with
+    the smallest colength gap (variant_plan; pass its result as `plan`
+    when it was computed beforehand).  Only the value identity P(1) =
+    number of lattice classes is enforced; the degree and symmetry
+    flags are reported but usually fail.  The collapsed series must
+    still show a zero tail as wide as the periods margin
+    (TruncationFailure otherwise; rerun with a larger j_max).
+    """
+    base, j_max = plan or variant_plan(order, lattice, j_max)
     periods = factor_periods(order)
     margin = sum(periods) + 2
-    need = 2 * order.delta + gap + margin
-    j_max = max(j_max if j_max is not None else 0, need)
     levels = stable_sublattice_levels(base, j_max, order.action_matrices,
                                       ceiling=ceiling)
     counts = tuple(len(level) for level in levels)
@@ -341,6 +358,33 @@ def _corner_coefficient(binom_power, geom_top, degree):
         for k in range(1, degree + 1):
             coeffs[k] = coeffs[k] + q_power * coeffs[k - 1]
     return coeffs[degree]
+
+
+def planned_nlines_order(fq, n, j_max=None):
+    """The lines order at a precision planned before any enumeration,
+    with the plans of its two variants: (order, (plan on the
+    normalization lattice, plan on the order lattice)).
+
+    The demand of each enumeration the nlines report runs (the tally of
+    zeta_polynomial at j_max, both variant tallies and the class
+    representatives) is known from its base lattice and length alone
+    (action_digits_needed), so the order is built at the default
+    precision 3n + 10 when that covers every demand and at the largest
+    demand otherwise.  The order-anchored variant needs about 6n digits
+    when the characteristic does not divide n, which exceeds the
+    default from n = 4 on.  The variant plans are lattices and lengths,
+    the same at either precision.
+    """
+    order = n_lines_order(fq, n)
+    plans = (variant_plan(order, order.o_e_lattice),
+             variant_plan(order, order.r_lattice))
+    depth = relative_length(order.o_e_lattice, order.conductor_lattice)
+    runs = ((order.dual_r_lattice, zeta_j_max(order, j_max)),
+            (order.o_e_lattice, depth)) + plans
+    demand = max(action_digits_needed(base, jmax) for base, jmax in runs)
+    if demand > order.precision:
+        order = n_lines_order(fq, n, precision=demand)
+    return order, plans
 
 
 def nlines_closed_form(n):

@@ -18,7 +18,8 @@ from orderzeta.errors import (CeilingExceeded, PrecisionExhausted,
                               RankDeficient)
 from orderzeta.fq import Fq, FqSpec
 from orderzeta.lattices import (LatticeHNF, _action_on_lattice,
-                                _relative_action, class_count_mod_lambda,
+                                _nonzero_entries, _relative_action,
+                                class_count_mod_lambda,
                                 colon_lattice, compose_lattice,
                                 element_scaled_lattice, enumeration_ceiling,
                                 hnf_from_generators, identity_lattice,
@@ -29,11 +30,15 @@ from orderzeta.lattices import (LatticeHNF, _action_on_lattice,
                                 stable_sublattice_levels, stable_sublattices,
                                 trace_dual_lattice)
 from orderzeta.orders import build_order, n_lines_order
-from orderzeta.series import ser_add, ser_mul
+from orderzeta.parsing import parse_xpoly
+from orderzeta.series import (LaurentSeries, ser_add, ser_mul, ser_scale,
+                              ser_val)
 
 F2 = Fq(FqSpec(2))
 F3 = Fq(FqSpec(3))
 F5 = Fq(FqSpec(5))
+F4 = Fq(FqSpec.parse("4"))
+F9 = Fq(FqSpec.parse("9"))
 
 
 def pad(coeffs, n):
@@ -252,6 +257,103 @@ def test_laurent_matrix_inverse_known_2x2():
     assert prod[0][1][:w] == pad((), w)
     assert prod[1][0][:w] == pad((), w)
     assert prod[1][1][:w] == pad((1,), w)
+
+
+def reference_laurent_inverse(fq, cols, precision):
+    """Gauss-Jordan inverse on LaurentSeries objects, the elimination
+    laurent_matrix_inverse performs on raw (shift, digits) pairs."""
+    n = len(cols)
+    col_v = []
+    red = []
+    for j in range(n):
+        vs = [v for v in (ser_val(e) for e in cols[j]) if v is not None]
+        v = min(vs) if vs else 0
+        col_v.append(v)
+        red.append([e[v:] for e in cols[j]])
+    row_v = []
+    for i in range(n):
+        vs = [v for v in (ser_val(red[j][i]) for j in range(n))
+              if v is not None]
+        row_v.append(min(vs) if vs else 0)
+    grid = [[LaurentSeries(fq, 0, red[j][i][row_v[i]:]) for j in range(n)]
+            for i in range(n)]
+    inv = [[LaurentSeries.one(fq, precision) if i == j
+            else LaurentSeries.zero(fq, precision) for j in range(n)]
+           for i in range(n)]
+    for k in range(n):
+        best = None
+        for i in range(k, n):
+            v = grid[i][k].valuation()
+            if v is not None and (best is None or v < best[0]):
+                best = (v, i)
+        if best is None:
+            raise PrecisionExhausted(
+                "matrix pivot is zero to working precision")
+        _, piv = best
+        grid[k], grid[piv] = grid[piv], grid[k]
+        inv[k], inv[piv] = inv[piv], inv[k]
+        pinv = grid[k][k].inverse()
+        grid[k] = [e * pinv for e in grid[k]]
+        inv[k] = [e * pinv for e in inv[k]]
+        for i in range(n):
+            f = grid[i][k]
+            if i == k or f.is_zero():
+                continue
+            grid[i] = [grid[i][j] - f * grid[k][j] for j in range(n)]
+            inv[i] = [inv[i][j] - f * inv[k][j] for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            inv[i][j] = inv[i][j].shifted(-col_v[i] - row_v[j]).normalized()
+    shift = min([0] + [e.valuation() for row in inv for e in row
+                       if e.valuation() is not None])
+    out_prec = min(e.abs_prec for row in inv for e in row) - shift
+    if out_prec < 1:
+        raise PrecisionExhausted("matrix inverse lost all precision")
+    return tuple(tuple(inv[i][j].shifted(-shift).to_truncated(out_prec).coeffs
+                       for i in range(n)) for j in range(n)), shift
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PrecisionExhausted, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def laurent_inverse_inputs(draw):
+    """A square matrix of raw series over F2, F3, F4 or F9 with common
+    t powers in rows and columns and, often, two columns that agree to
+    a high power of t (a large elementary divisor)."""
+    fq = draw(st.sampled_from([F2, F3, F4, F9]))
+    n = draw(st.integers(1, 3))
+    width = draw(st.integers(2, 12))
+    digit = st.integers(0, fq.q - 1)
+    cols = [[draw(st.lists(digit, min_size=width, max_size=width))
+             for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        # invertible mod t before the scalings below
+        for j in range(n):
+            for i in range(n):
+                cols[j][i][0] = draw(st.integers(1, fq.q - 1)) if i == j else 0
+    if n > 1 and draw(st.booleans()):
+        e = draw(st.integers(1, width))
+        cols[1] = [a[:e] + b[e:] for a, b in zip(cols[0], cols[1])]
+    shifts = st.lists(st.integers(0, width // 3), min_size=n, max_size=n)
+    row_shift = draw(shifts)
+    col_shift = draw(shifts)
+    mat = tuple(tuple(tuple(([0] * (row_shift[i] + col_shift[j])
+                             + cols[j][i])[:width]) for i in range(n))
+                for j in range(n))
+    return fq, mat, draw(st.integers(1, width + 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(laurent_inverse_inputs())
+def test_laurent_matrix_inverse_matches_laurent_series_elimination(case):
+    fq, mat, precision = case
+    want = outcome(reference_laurent_inverse, fq, mat, precision)
+    assert outcome(laurent_matrix_inverse, fq, mat, precision) == want
 
 
 def test_trace_dual_of_cusp_order():
@@ -518,7 +620,8 @@ def test_relative_action_is_the_child_action_mod_t(make):
                         assert y is not None
                         for i in range(n):
                             want[g][i][j] = y[i][0]
-                got = _relative_action(fq, root_mats, *key, jmax + 2)
+                got = _relative_action(fq, _nonzero_entries(root_mats), *key,
+                                       jmax + 2)
                 assert got == tuple(tuple(map(tuple, rows)) for rows in want)
 
 
@@ -632,3 +735,51 @@ def test_homothety_in_split_algebra_respects_components():
     x, scale = got
     assert element_scaled_lattice(x, scale, a, order.multiply_vectors,
                                   order.precision) == b
+
+
+def reference_homothety(m1, m2, order):
+    """The homothety scan with n products and a full-precision Hermite
+    form per candidate, the bilinear scan of is_homothetic unrolled."""
+    fq = order.fq
+    n = m1.n
+    prec = order.precision
+    colon = colon_lattice(m2, m1, order.multiply_vectors,
+                          order.trace_gram_columns, prec)
+    ccols = colon.columns(prec)
+    c1 = m1.columns(prec)
+    for counter in range(1, fq.q ** n):
+        coords = [counter // fq.q ** j % fq.q for j in range(n)]
+        x = [(0,) * prec for _ in range(n)]
+        for j in range(n):
+            for i in range(n):
+                x[i] = ser_add(fq, x[i], ser_scale(fq, coords[j],
+                                                   ccols[j][i]))
+        x = tuple(x)
+        gens = [order.multiply_vectors(x, v, prec) for v in c1]
+        try:
+            cand = hnf_from_generators(fq, gens, n,
+                                       scale=colon.scale + m1.scale,
+                                       precision=prec)
+        except (RankDeficient, PrecisionExhausted):
+            continue
+        if cand == m2:
+            return x, colon.scale
+    return None
+
+
+@pytest.mark.parametrize("q,f", [
+    ("3", "X^2-t^5"), ("5", "(X-t)*(X-t^3)"), ("2", "X^3-t^4"),
+    ("2^2:u^2+u+1", "X^2+t*X")])
+def test_homothety_matches_the_full_precision_scan(q, f):
+    fq = Fq(FqSpec.parse(q))
+    order = build_order(fq, parse_xpoly(fq, f))
+    reps = sandwich_representatives(order)
+    hits = 0
+    for m1 in reps:
+        for m2 in reps:
+            got = is_homothetic(m1, m2, order)
+            assert got == reference_homothety(m1, m2, order)
+            hits += got is not None
+    # every class is found from each of its members, and not all pairs
+    # are in one class
+    assert len(reps) <= hits < len(reps) ** 2

@@ -22,13 +22,15 @@ from hypothesis import strategies as st
 from orderzeta.errors import (NotSquarefree, BadFactorization,
                               PreconditionViolated)
 from orderzeta.fq import Fq, FqSpec
-from orderzeta.lattices import (class_count_mod_lambda, hnf_from_generators,
+from orderzeta.lattices import (action_digits_needed, class_count_mod_lambda,
+                                hnf_from_generators, relative_length,
                                 stable_sublattices)
 from orderzeta.orders import build_order, n_lines_order
 from orderzeta.polynomials import IntPoly
 from orderzeta.zeta import (check_functional_equation, factor_periods,
                             nlines_closed_form, per_class_refinement,
-                            quot_series, special_values, variant_zeta,
+                            planned_nlines_order, quot_series, special_values,
+                            variant_plan, variant_zeta, zeta_j_max,
                             zeta_polynomial)
 
 F2 = Fq(FqSpec(2))
@@ -263,6 +265,39 @@ def test_closed_form_value_at_one_four_lines():
 def test_closed_form_matches_enumeration(fq, n):
     closed = nlines_closed_form(n).at_q(fq.q)
     assert closed == zeta_polynomial(n_lines_order(fq, n)).poly
+
+
+# precision each (n, q) needs, worked out without enumerating: the
+# order-anchored variant asks for more than 3n + 10 digits from n = 4 on
+# when the characteristic does not divide n
+PLANNED_PRECISION = {4: (22, 24, 22, 24), 5: (30, 30, 30, 25),
+                     6: (30, 30, 30, 36)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_nlines_precision_is_planned(n):
+    for k, q in enumerate((2, 3, 4, 5)):
+        fq = Fq(FqSpec.parse(str(q)))
+        for j_max in (None, 3 * n + 9):
+            order, plans = planned_nlines_order(fq, n, j_max)
+            # the plans hold at the planned precision too
+            assert plans == (variant_plan(order, order.o_e_lattice),
+                             variant_plan(order, order.r_lattice))
+            depth = relative_length(order.o_e_lattice,
+                                    order.conductor_lattice)
+            runs = ((order.dual_r_lattice, zeta_j_max(order, j_max)),
+                    (order.o_e_lattice, depth)) + plans
+            demand = max(action_digits_needed(base, jmax)
+                         for base, jmax in runs)
+            assert order.precision == max(3 * n + 10, demand)
+            if j_max is None:
+                want = PLANNED_PRECISION.get(n, (3 * n + 10,) * 4)[k]
+                assert order.precision == want
+            else:
+                # a long zeta tally raises the precision past the default
+                zeta_demand = action_digits_needed(order.dual_r_lattice,
+                                                   j_max)
+                assert order.precision >= zeta_demand > 3 * n + 10
 
 
 def test_closed_form_guard():
