@@ -396,84 +396,6 @@ class Fq:
         return f"Fq({self.spec.to_text()})"
 
 
-class FqElement:
-    """Boxed field element for API-level code (parsing, display, tests)."""
-
-    __slots__ = ("fq", "code")
-
-    def __init__(self, fq, code):
-        self.fq = fq
-        self.code = code % fq.q if code >= 0 else fq.neg((-code) % fq.q)
-
-    def _coerce(self, other):
-        if isinstance(other, FqElement):
-            if other.fq is not self.fq:
-                raise ValueError("elements from different fields")
-            return other.code
-        if isinstance(other, int):
-            return self.fq.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.fq, self.fq.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.fq, self.fq.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.fq, self.fq.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.fq, self.fq.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FqElement(self.fq, self.fq.neg(self.code))
-
-    def __pow__(self, k):
-        return FqElement(self.fq, self.fq.pow(self.code, k))
-
-    def inverse(self):
-        return FqElement(self.fq, self.fq.inv(self.code))
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.fq, self.fq.mul(self.code, self.fq.inv(c)))
-
-    def __eq__(self, other):
-        if isinstance(other, FqElement):
-            return self.fq is other.fq and self.code == other.code
-        if isinstance(other, int):
-            return self.code == self.fq.from_int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.fq), self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"FqElement({self.fq.spec.to_text()}, {self.fq.element_text(self.code)})"
-
-
 def embedding(small, big):
     """Map of element codes F_q -> F_{q^d} for compatible fields.
 

@@ -111,32 +111,7 @@ class LatticeHNF:
 
     def contains_vector(self, vec, vec_scale=0):
         """Membership test for a vector with exact polynomial entries."""
-        shift = vec_scale - self.scale
-        maxdeg = max((len(e) for e in vec), default=0)
-        need = maxdeg + sum(self.diag) + abs(shift) + 2
-        v = [tuple(e[:need]) + (0,) * max(0, need - len(e)) for e in vec]
-        if shift > 0:
-            v = [(0,) * shift + e[:need - shift] for e in v]
-        elif shift < 0:
-            k = -shift
-            for e in v:
-                if any(e[:k]):
-                    return False
-            v = [e[k:] + (0,) * k for e in v]
-        cols = self.columns(need)
-        fq = self.fq
-        for i in range(self.n - 1, -1, -1):
-            a = self.diag[i]
-            e = v[i]
-            if any(e[:a]):
-                return False
-            quo = e[a:] + (0,) * a
-            if any(quo):
-                col = cols[i]
-                for k in range(i):
-                    v[k] = ser_sub(fq, v[k], ser_mul(fq, quo, col[k]))
-            v[i] = (0,) * need
-        return True
+        return _solve_vector(self, vec, vec_scale) is not None
 
     def contains_lattice(self, other):
         cols = other.columns(other.max_exponent() + 1)
@@ -307,8 +282,14 @@ def solve_in_basis(base, vec, vec_scale=0):
     """Coordinates of a polynomial vector in the basis of `base`, or None
     when the vector is not in the lattice.  The coordinates are for the
     integral part (the base scale is already accounted for)."""
-    fq = base.fq
-    n = base.n
+    y = _solve_vector(base, vec, vec_scale)
+    return None if y is None else tuple(y)
+
+
+def _solve_vector(base, vec, vec_scale):
+    """solve_in_basis as a list: the vector t^vec_scale * vec, with exact
+    polynomial entries, is brought to the scale of `base` and padded to a
+    window that no digit of the solve can leave."""
     shift = vec_scale - base.scale
     maxdeg = max((len(e) for e in vec), default=0)
     need = maxdeg + sum(base.diag) + abs(shift) + 2
@@ -317,25 +298,10 @@ def solve_in_basis(base, vec, vec_scale=0):
         v = [(0,) * shift + e[:need - shift] for e in v]
     elif shift < 0:
         k = -shift
-        for e in v:
-            if any(e[:k]):
-                return None
-        v = [e[k:] + (0,) * k for e in v]
-    cols = base.columns(need)
-    y = [None] * n
-    for i in range(n - 1, -1, -1):
-        a = base.diag[i]
-        e = v[i]
-        if any(e[:a]):
+        if any(any(e[:k]) for e in v):
             return None
-        quo = e[a:] + (0,) * a
-        y[i] = quo
-        if any(quo):
-            col = cols[i]
-            for k in range(i):
-                v[k] = ser_sub(fq, v[k], ser_mul(fq, quo, col[k]))
-        v[i] = (0,) * need
-    return tuple(y)
+        v = [e[k:] + (0,) * k for e in v]
+    return _solve_upper(base.fq, base.diag, base.columns(need), v)
 
 
 def relative_to(base, other):
@@ -403,24 +369,47 @@ def _reduce_upper(fq, cols, diag):
                     col[k] = ser_sub(fq, col[k], ser_mul(fq, hi, src[k]))
 
 
+def _solve_upper(fq, diag, cols, b):
+    """Solve (upper triangular basis) * y = b; None when b is outside the
+    span over O to working precision.  Consumes the list b."""
+    n = len(diag)
+    width = len(b[0])
+    y = [None] * n
+    for i in range(n - 1, -1, -1):
+        a = diag[i]
+        e = b[i]
+        if any(e[:a]):
+            return None
+        quo = e[a:] + (0,) * a
+        y[i] = quo
+        if any(quo):
+            col = cols[i]
+            for k in range(i):
+                b[k] = ser_sub(fq, b[k], ser_mul(fq, quo, col[k]))
+        b[i] = (0,) * width
+    return y
+
+
 # ---------------------------------------------------------------------------
 # matrix helpers (matrices are tuples of columns of raw coefficient tuples)
 # ---------------------------------------------------------------------------
 
-def mat_vec(fq, cols, vec, precision):
-    out = [(0,) * precision for _ in range(len(cols[0]))]
-    for j, x in enumerate(vec):
-        if not any(x):
-            continue
-        col = cols[j]
-        for i in range(len(col)):
-            if any(col[i]):
-                out[i] = ser_add(fq, out[i], ser_mul(fq, x, col[i], precision))
-    return tuple(out)
+def _nonzero_entries(mat):
+    """A square matrix (columns of raw series) as, per column, the pairs
+    (row, entry) of its entries that are not all zero."""
+    return tuple(tuple((i, e) for i, e in enumerate(col) if any(e))
+                 for col in mat)
 
 
-def mat_mul(fq, a_cols, b_cols, precision):
-    return tuple(mat_vec(fq, a_cols, b, precision) for b in b_cols)
+def mat_vec(fq, entries, vec, width):
+    """The product of a square matrix, given by _nonzero_entries, with a
+    vector of raw series, at `width` t-digits, as a list of rows."""
+    out = [(0,) * width] * len(entries)
+    for x, col in zip(vec, entries):
+        if any(x):
+            for i, e in col:
+                out[i] = ser_add(fq, out[i], ser_mul(fq, x, e, width))
+    return out
 
 
 def laurent_matrix_inverse(fq, cols, precision):
@@ -567,8 +556,9 @@ def trace_dual_lattice(h, gram_cols, precision):
     basis) has the given columns: {y : <y, M> integral}."""
     fq = h.fq
     n = h.n
-    cols = h.columns(precision)
-    prod = mat_mul(fq, gram_cols, cols, precision)       # T * C
+    gram = _nonzero_entries(gram_cols)
+    prod = [mat_vec(fq, gram, c, precision)                # T * C
+            for c in h.columns(precision)]
     # the dual basis matrix is the transpose of (T C)^{-1}: T is
     # symmetric and the dual of t^s C O^n is t^{-s} (C^T T)^{-1} O^n
     inv_cols, shift = laurent_matrix_inverse(fq, prod, precision)
@@ -650,31 +640,17 @@ def stable_subspaces_mod_t(fq, mats_rows, n, dim):
 # stable sublattice enumeration
 # ---------------------------------------------------------------------------
 
-def _nonzero_entries(mats):
-    """Each matrix (columns of raw series) as, per column, the pairs
-    (row, entry) of its entries that are not all zero."""
-    return tuple(tuple(tuple((i, e) for i, e in enumerate(col) if any(e))
-                       for col in mat) for mat in mats)
-
-
 def _conjugated(fq, sparse_mats, diag, cols, width, unstable):
     """Each matrix (in ambient coordinates, given by _nonzero_entries)
     rewritten in the upper triangular basis with diagonal t^diag and
     columns `cols`, at `width` t-digits; raises
     InvariantViolation(unstable) when the lattice is not stable under a
     matrix."""
-    zero = (0,) * width
     out = []
     for entries in sparse_mats:
         ycols = []
         for c in cols:
-            image = [zero] * len(diag)
-            for x, col in zip(c, entries):
-                if any(x):
-                    for i, e in col:
-                        image[i] = ser_add(fq, image[i],
-                                           ser_mul(fq, x, e, width))
-            y = _solve_upper(fq, diag, cols, image)
+            y = _solve_upper(fq, diag, cols, mat_vec(fq, entries, c, width))
             if y is None:
                 raise InvariantViolation(unstable)
             ycols.append(y)
@@ -685,30 +661,9 @@ def _conjugated(fq, sparse_mats, diag, cols, width, unstable):
 def _action_on_lattice(fq, lattice, ambient_mats, precision):
     """Action matrices rewritten in the lattice's own basis coordinates;
     raises when the lattice is not stable under them."""
-    return _conjugated(fq, _nonzero_entries(ambient_mats), lattice.diag,
-                       lattice.columns(precision), precision,
+    return _conjugated(fq, [_nonzero_entries(m) for m in ambient_mats],
+                       lattice.diag, lattice.columns(precision), precision,
                        "action does not stabilize the base lattice")
-
-
-def _solve_upper(fq, diag, cols, b):
-    """Solve (upper triangular basis) * y = b; None when b is outside the
-    span over O to working precision."""
-    n = len(diag)
-    width = len(b[0])
-    y = [None] * n
-    for i in range(n - 1, -1, -1):
-        a = diag[i]
-        e = b[i]
-        if any(e[:a]):
-            return None
-        quo = e[a:] + (0,) * a
-        y[i] = quo
-        if any(quo):
-            col = cols[i]
-            for k in range(i):
-                b[k] = ser_sub(fq, b[k], ser_mul(fq, quo, col[k]))
-        b[i] = (0,) * width
-    return y
 
 
 def _mod_t(mats):
@@ -810,7 +765,7 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
             tuple(tuple(e[:root_digits] for e in col) for col in mat)
             for mat in _action_on_lattice(fq, base, ambient_mats, precision))
         width = min(len(e) for mat in root_mats for col in mat for e in col)
-        root_entries = _nonzero_entries(root_mats)
+        root_entries = tuple(_nonzero_entries(m) for m in root_mats)
     else:
         root_mats = ()
 

@@ -21,9 +21,10 @@ from itertools import product as iproduct
 from .errors import (BadFactorization, CeilingExceeded, InvariantViolation,
                      MethodDisagreement, NotSquarefree, PrecisionExhausted,
                      PreconditionViolated, RankDeficient)
-from .lattices import (class_count_mod_lambda, enumeration_ceiling,
+from .lattices import (LatticeHNF, _nonzero_entries, class_count_mod_lambda,
+                       compose_lattice, enumeration_ceiling,
                        hnf_from_generators, identity_lattice, mat_vec,
-                       stable_sublattices)
+                       stable_sublattice_levels)
 from .orders import base_change_order, build_order
 from .partitions import m_poly, n_poly
 from .series import ser_add, ser_mul
@@ -197,9 +198,8 @@ def elliptic_ideal_formula(order, ceiling=None):
             "the ideal-tally formula needs the residue field of the "
             "order to match the base field")
     delta, r, q = order.delta, fd.r, order.fq.q
-    tally = [len(stable_sublattices(order.r_lattice, j,
-                                    order.action_matrices, ceiling=ceiling))
-             for j in range(delta + 1)]
+    tally = [len(level) for level in stable_sublattice_levels(
+        order.r_lattice, delta, order.action_matrices, ceiling=ceiling)]
 
     def h(j):
         return tally[j] if 0 <= j <= delta else 0
@@ -255,12 +255,13 @@ def _integral_columns(lattice, width):
     return out
 
 
-def _fiber_size(fq, gamma_cols, b1, b2, m1, m2, depth, width, ceiling):
+def _fiber_size(fq, gamma, b1, b2, m1, m2, depth, width, ceiling):
     """Honest count of the stable lattices whose intersection with the
     first block is spanned by b1 and whose image in the second block is
     spanned by b2.  Candidates add to the b2 lifts a correction from
     t^(-depth) times the b1 span; every candidate lattice is built and
-    its stability under the flag action is tested vector by vector."""
+    its stability under the flag action (gamma, as _nonzero_entries) is
+    tested vector by vector."""
     n = m1 + m2
     q = fq.q
     cells = depth * m1 * m2
@@ -294,7 +295,7 @@ def _fiber_size(fq, gamma_cols, b1, b2, m1, m2, depth, width, ceiling):
         lattice = hnf_from_generators(fq, gens, n, scale=-depth, exact=True)
         stable = True
         for g in gens:
-            img = mat_vec(fq, gamma_cols, g, width)
+            img = mat_vec(fq, gamma, g, width)
             if not lattice.contains_vector(img, vec_scale=-depth):
                 stable = False
                 break
@@ -332,15 +333,19 @@ def levi_fiber_check(order, sample, seed=0, ceiling=None):
     m1, m2 = sub1.n, sub2.n
     depth = order.rho + 1
     width = max(sub1.precision, sub2.precision) + depth + 8
-    gamma_cols = _flag_action(fq, sub1.action_matrices[0],
-                              sub2.action_matrices[0], m1, m2, width)
+    gamma = _nonzero_entries(_flag_action(fq, sub1.action_matrices[0],
+                                          sub2.action_matrices[0], m1, m2,
+                                          width))
     expected = fq.q ** order.rho
     pools = []
     for sub in (sub1, sub2):
-        levels = [stable_sublattices(identity_lattice(fq, sub.n), j,
-                                     sub.action_matrices, ceiling=ceiling)
-                  for j in range(3)]
-        pools.append([lat for level in levels for lat in level])
+        base = identity_lattice(fq, sub.n)
+        pool = []
+        for level in stable_sublattice_levels(base, 2, sub.action_matrices,
+                                              ceiling=ceiling):
+            pool += sorted((compose_lattice(base, rel) for rel in level),
+                           key=LatticeHNF.sort_key)
+        pools.append(pool)
     if sample is None:
         pairs = [(u1, u2) for u1 in pools[0] for u2 in pools[1]]
     else:
@@ -351,7 +356,7 @@ def levi_fiber_check(order, sample, seed=0, ceiling=None):
     for u1, u2 in pairs:
         b1 = _integral_columns(u1, width)
         b2 = _integral_columns(u2, width)
-        size = _fiber_size(fq, gamma_cols, b1, b2, m1, m2, depth, width,
+        size = _fiber_size(fq, gamma, b1, b2, m1, m2, depth, width,
                            ceiling)
         if size != expected:
             return False

@@ -33,7 +33,7 @@ from .lattices import (colon_lattice, element_scaled_lattice,
 from .polynomials import (SeriesPoly, hensel_split, resultant_exact,
                           resultant_series, tp_val, up_divmod, up_factor,
                           up_pow, up_roots, up_trim, xp_derivative,
-                          xp_is_monic, xp_mul, xp_subst_x_shift, xp_trim)
+                          xp_mul, xp_subst_x_shift, xp_trim)
 from .series import TruncatedSeries, ser_add, ser_mul, ser_neg, ser_sub
 
 
@@ -819,19 +819,6 @@ class OrderData:
     def trace_of(self, vec, prec=None):
         width = min(prec or self.precision, self.precision)
         return _trace_of(self.fq, self._tau, vec, width)
-
-    def twisted_dual_lattice(self, lattice, unit_vec):
-        """Dual of a lattice under the pairing twisted by unit_vec times
-        the stored twist; unit choices change the dual by a unit multiple
-        and leave every colength count unchanged."""
-        w = self.build_precision
-        unit = tuple(tuple(e[:w]) + (0,) * max(0, w - len(e))
-                     for e in unit_vec)
-        twisted = self.multiply_vectors(unit, self.c_inv, w)
-        cols = _modified_gram(self.fq, self._tau, twisted,
-                              self.c_inv_scale, self.n, w)
-        wg = min(len(e) for col in cols for e in col)
-        return trace_dual_lattice(lattice, cols, wg)
 
     def signature(self):
         return (self.delta, self.rho, self.valres,

@@ -17,8 +17,6 @@ polynomials and their two-variable symbolic forms.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import PrecisionExhausted
 from .series import (LaurentSeries, TruncatedSeries, ser_mul, ser_val)
 
@@ -108,12 +106,6 @@ def up_monic(fq, a):
         return a
     return up_scale(fq, fq._inv[a[-1]], a)
 
-def up_gcd(fq, a, b):
-    a, b = up_trim(a), up_trim(b)
-    while b:
-        a, b = b, up_mod(fq, a, b)
-    return up_monic(fq, a)
-
 def up_ext_euclid(fq, a, b):
     """(g, u, v) with u*a + v*b = g = monic gcd(a, b)."""
     r0, r1 = up_trim(a), up_trim(b)
@@ -136,11 +128,6 @@ def up_eval(fq, a, x):
     for c in reversed(a):
         acc = add[mul[acc][x]][c]
     return acc
-
-def up_derivative(fq, a):
-    p = fq.p
-    out = [fq.mul(fq.from_int(i % p), a[i]) for i in range(1, len(a))]
-    return up_trim(out)
 
 def up_pow(fq, a, k):
     out = (1,)
@@ -268,9 +255,6 @@ def xp_mul(fq, f, g):
                 out[i + j] = tp_add(fq, out[i + j], tp_mul(fq, a, b))
     return xp_trim(out)
 
-def xp_is_monic(f):
-    return bool(f) and f[-1] == (1,)
-
 def xp_derivative(fq, f):
     p = fq.p
     out = []
@@ -278,21 +262,6 @@ def xp_derivative(fq, f):
         k = i % p
         out.append(tp_scale(fq, fq.from_int(k), f[i]) if k else ())
     return xp_trim(out)
-
-def xp_mod_monic(fq, f, m):
-    """Remainder of f modulo a monic m, staying inside F_q[t][X]."""
-    if not xp_is_monic(m):
-        raise ValueError("modulus must be monic in X")
-    f = list(f)
-    dm = len(m) - 1
-    while len(f) - 1 >= dm:
-        lead = f[-1]
-        top = len(f) - 1
-        if lead:
-            for j in range(dm):
-                f[top - dm + j] = tp_sub(fq, f[top - dm + j], tp_mul(fq, lead, m[j]))
-        f.pop()
-    return xp_trim(f)
 
 def xp_subst_x_shift(fq, f, s):
     """f(X + s) for s an exact F_q[t] polynomial."""
@@ -302,13 +271,6 @@ def xp_subst_x_shift(fq, f, s):
     for c in reversed(f):
         out = xp_mul(fq, out, xs)
         out = xp_add(fq, out, ((tuple(c),) if c else ((),)))
-    return xp_trim(out)
-
-def xp_subst_x_scale(fq, f, a):
-    """f(t^a * X), coefficients gain t^(a*i)."""
-    out = []
-    for i, c in enumerate(f):
-        out.append((0,) * (a * i) + tuple(c) if c else ())
     return xp_trim(out)
 
 
@@ -430,14 +392,6 @@ class SeriesPoly:
             k = fq.from_int(i % p)
             out.append(self.coeffs[i].scale(k))
         return SeriesPoly(fq, out or [TruncatedSeries.zero(fq, self.precision)])
-
-    def evaluate(self, x):
-        """Evaluate at a truncated series x."""
-        prec = min(self.precision, x.precision)
-        acc = TruncatedSeries.zero(self.fq, prec)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c.truncate(prec)
-        return acc
 
     def divmod_unit_lead(self, g):
         """Division with remainder; g's leading coefficient must be a unit."""
@@ -681,13 +635,6 @@ class IntPoly:
         """Multiply by the variable to the k-th power."""
         return IntPoly((0,) * k + self.coeffs)
 
-    def reversed_degree(self, n):
-        """Coefficient reversal treating self as having degree n."""
-        if self.degree > n:
-            raise ValueError("polynomial degree exceeds the reversal degree")
-        c = list(self.coeffs) + [0] * (n + 1 - len(self.coeffs))
-        return IntPoly(reversed(c))
-
     def text(self, var="t"):
         if not self.coeffs:
             return "0"
@@ -722,14 +669,6 @@ class BiPoly:
         while c and c[-1].is_zero():
             c.pop()
         self.coeffs = tuple(c)
-
-    @classmethod
-    def constant(cls, q_poly):
-        return cls((q_poly,))
-
-    @property
-    def t_degree(self):
-        return len(self.coeffs) - 1
 
     def coefficient(self, k):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else IntPoly()

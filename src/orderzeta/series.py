@@ -11,6 +11,9 @@ Module-level `ser_*` functions work on raw coefficient tuples and carry
 the Fq context as the first argument; the hot lattice loops use these
 directly.  `TruncatedSeries` (elements of F_q[[t]]) and `LaurentSeries`
 (elements of F_q((t)), with a t-power shift) wrap them for general use.
+The series resultant eliminates on `LaurentSeries`, and it is kept as
+the object reference that the test of the lattice layer's raw-pair
+matrix inverse compares against.
 """
 
 from __future__ import annotations
@@ -77,10 +80,6 @@ def ser_mul(fq, a, b, n=None):
             out[k] = add[out[k]][row[b[j]]]
     return tuple(out)
 
-def ser_shift_up(a, k):
-    """Multiply by t^k; gains k digits of absolute precision."""
-    return (0,) * k + tuple(a)
-
 def ser_unit_inv(fq, a):
     """Inverse of a unit series (nonzero constant term), same precision."""
     if not a or a[0] == 0:
@@ -103,10 +102,6 @@ def ser_unit_inv(fq, a):
             acc = add[acc][row[out[k - i]]]
         out[k] = neg_inv0[acc]
     return tuple(out)
-
-def ser_is_zero(a):
-    return not any(a)
-
 
 class TruncatedSeries:
     """Element of F_q[[t]] known modulo t^precision."""
@@ -154,7 +149,7 @@ class TruncatedSeries:
 
     def is_zero(self):
         """True when zero to stored precision (which is all we can know)."""
-        return ser_is_zero(self.coeffs)
+        return not any(self.coeffs)
 
     def is_unit(self):
         return self.coeffs[0] != 0
@@ -187,14 +182,6 @@ class TruncatedSeries:
 
     def scale(self, c):
         return TruncatedSeries(self.fq, ser_scale(self.fq, c, self.coeffs))
-
-    def shift_up(self, k):
-        return TruncatedSeries(self.fq, ser_shift_up(self.coeffs, k))
-
-    def shift_down(self, k):
-        if any(self.coeffs[:k]):
-            raise PrecisionExhausted("division by t^k of a series with smaller valuation")
-        return TruncatedSeries(self.fq, self.coeffs[k:])
 
     def unit_inverse(self):
         return TruncatedSeries(self.fq, ser_unit_inv(self.fq, self.coeffs))
@@ -243,7 +230,7 @@ class LaurentSeries:
         return None if v is None else self.shift + v
 
     def is_zero(self):
-        return ser_is_zero(self.coeffs)
+        return not any(self.coeffs)
 
     def _aligned(self, other):
         """Common window [lo, hi) covering both operands' knowledge."""

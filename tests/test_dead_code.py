@@ -1,0 +1,67 @@
+"""Dead-code guard for the package, using nothing but the ast module.
+
+Every module-level function and class of src/orderzeta must be used
+somewhere in the package or the tests outside its own definition, and no
+module but __init__.py (which re-exports the public API) may import a
+name it never uses.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "orderzeta"
+
+
+def _parsed(directory):
+    return [(path, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(directory.glob("*.py"))]
+
+
+def _names_used(node):
+    """Identifiers and attribute names read anywhere in the subtree."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_definition_has_a_use():
+    defined = []              # (module path, name)
+    uses = {}                 # name -> the definitions it is used inside
+    for path, tree in _parsed(PACKAGE) + _parsed(ROOT / "tests"):
+        for stmt in tree.body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
+                    path.parent == PACKAGE:
+                owner = (path, stmt.name)
+                defined.append(owner)
+            names = list(_names_used(stmt))
+            if path.name == "__init__.py" and \
+                    isinstance(stmt, ast.ImportFrom):
+                names += [alias.name for alias in stmt.names]
+            for name in names:
+                uses.setdefault(name, set()).add(owner)
+    dead = [f"{path.name}: {name}" for path, name in defined
+            if not uses.get(name, set()) - {(path, name)}]
+    assert not dead, f"defined but never used: {dead}"
+
+
+def test_no_unused_imports():
+    unused = []
+    for path, tree in _parsed(PACKAGE):
+        if path.name == "__init__.py":
+            continue
+        imported = []
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.ImportFrom) and \
+                    stmt.module != "__future__":
+                imported += [a.asname or a.name for a in stmt.names]
+            elif isinstance(stmt, ast.Import):
+                imported += [(a.asname or a.name).partition(".")[0]
+                             for a in stmt.names]
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported
+                   if name not in read]
+    assert not unused, f"imported but never used: {unused}"

@@ -24,7 +24,7 @@ from orderzeta.lattices import (LatticeHNF, _action_on_lattice,
                                 element_scaled_lattice, enumeration_ceiling,
                                 hnf_from_generators, identity_lattice,
                                 is_homothetic, laurent_matrix_inverse,
-                                mat_mul, mat_vec, multiplier_ring,
+                                mat_vec, multiplier_ring,
                                 product_lattice, relative_length, relative_to,
                                 sandwich_representatives, solve_in_basis,
                                 stable_sublattice_levels, stable_sublattices,
@@ -209,6 +209,64 @@ def test_solve_in_basis_round_trip():
     assert solve_in_basis(h, ((1, 0, 0), (0, 0, 0))) is None
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_solve_in_basis_multiplies_back_to_the_shifted_vector(data):
+    # canonical lattices with scale != 0 over F2, F3 and F4, and vectors
+    # at vec_scale - scale in -2..2, drawn as members or at random.  A
+    # returned y multiplied out is the vector at the lattice's scale; a
+    # nonzero digit below a negative shift is never a member; and
+    # membership agrees with contains_vector and with adding the vector
+    # to the basis, which leaves the Hermite form of the span unchanged
+    # exactly for members
+    fq = data.draw(st.sampled_from([F2, F3, F4]), label="field")
+    digit = st.integers(0, fq.q - 1)
+    n = data.draw(st.integers(1, 3), label="n")
+    diag = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n),
+                     label="diag")
+    diag[data.draw(st.integers(0, n - 1), label="unit column")] = 0
+    off = [[tuple(data.draw(digit) for _ in range(diag[i]))
+            for i in range(j)] for j in range(n)]
+    scale = data.draw(st.integers(-3, 3).filter(bool), label="scale")
+    lat = LatticeHNF(fq, scale, diag, off)
+    shift = data.draw(st.integers(-2, 2), label="shift")
+    if data.draw(st.booleans(), label="member"):
+        v = [(0,) * 5] * n
+        for col in lat.columns(5):
+            c = pad(data.draw(st.lists(digit, max_size=2)), 5)
+            v = [ser_add(fq, v[i], ser_mul(fq, c, col[i])) for i in range(n)]
+        vec = [(0,) * max(0, -shift) + e for e in v]
+    else:
+        vec = [tuple(data.draw(st.lists(digit, max_size=4)))
+               for _ in range(n)]
+    if shift < 0 and data.draw(st.booleans(), label="low digit"):
+        i = data.draw(st.integers(0, n - 1))
+        e = list(pad(vec[i], -shift))
+        e[data.draw(st.integers(0, -shift - 1))] = 1
+        vec[i] = tuple(e)
+    vec_scale = scale + shift
+
+    y = solve_in_basis(lat, vec, vec_scale)
+    assert lat.contains_vector(vec, vec_scale) == (y is not None)
+    s0 = min(scale, vec_scale)
+    gens = [tuple((0,) * (scale - s0) + e for e in col)
+            for col in lat.columns(max(diag) + 1)]
+    gens.append(tuple((0,) * (vec_scale - s0) + e for e in vec))
+    span = hnf_from_generators(fq, gens, n, scale=s0, exact=True)
+    assert (y is not None) == (span == lat)
+    if shift < 0 and any(any(e[:-shift]) for e in vec):
+        assert y is None
+    if y is not None:
+        width = len(y[0])
+        got = [(0,) * width] * n
+        for yj, col in zip(y, lat.columns(width)):
+            got = [ser_add(fq, got[i], ser_mul(fq, yj, col[i]))
+                   for i in range(n)]
+        want = [pad((0,) * shift + e if shift >= 0 else e[-shift:], width)
+                for e in vec]
+        assert got == want
+
+
 def test_relative_to_and_compose_round_trip():
     base_gens = [vec([(0, 1), ()], 10), vec([(1,), (1,)], 10)]
     base = hnf_from_generators(F3, base_gens, 2, precision=10)
@@ -252,7 +310,8 @@ def test_laurent_matrix_inverse_known_2x2():
     inv_cols, shift = laurent_matrix_inverse(F3, cols, n)
     assert shift == 0
     w = len(inv_cols[0][0])
-    prod = mat_mul(F3, cols, inv_cols, w)
+    entries = _nonzero_entries(cols)
+    prod = [mat_vec(F3, entries, c, w) for c in inv_cols]
     assert prod[0][0][:w] == pad((1,), w)
     assert prod[0][1][:w] == pad((), w)
     assert prod[1][0][:w] == pad((), w)
@@ -615,13 +674,16 @@ def test_relative_action_is_the_child_action_mod_t(make):
                 ccols = child.columns(prec)
                 want = [[[None] * n for _ in range(n)] for _ in full]
                 for g, amat in enumerate(full):
+                    entries = _nonzero_entries(amat)
                     for j, c in enumerate(ccols):
-                        y = solve_in_basis(child, mat_vec(fq, amat, c, prec))
+                        image = mat_vec(fq, entries, c, prec)
+                        y = solve_in_basis(child, image)
                         assert y is not None
                         for i in range(n):
                             want[g][i][j] = y[i][0]
-                got = _relative_action(fq, _nonzero_entries(root_mats), *key,
-                                       jmax + 2)
+                got = _relative_action(
+                    fq, [_nonzero_entries(m) for m in root_mats], *key,
+                    jmax + 2)
                 assert got == tuple(tuple(map(tuple, rows)) for rows in want)
 
 

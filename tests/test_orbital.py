@@ -9,6 +9,8 @@ battery-wide consistency statements (agreement, bracketing, tightness).
 
 import pytest
 
+import orderzeta.lattices
+import orderzeta.orbital
 from orderzeta.errors import PreconditionViolated
 from orderzeta.fq import Fq, FqSpec
 from orderzeta.lattices import stable_sublattices
@@ -43,6 +45,7 @@ TWOLINES = {
     3: ((0, 0, 0, 1), (0, 2, 2), (1,)),
 }
 RAMP5_3 = ((0, 0, 0, 0, 0, 2), (), (1,))           # X^2 - t^5 over F_3
+RAMP7_3 = ((0, 0, 0, 0, 0, 0, 0, 2), (), (1,))     # X^2 - t^7 over F_3
 MIX3 = ((0, 0, 0, 0, 1), (0, 0, 0, 2), (0, 2), (1,))  # (X - t)(X^2 - t^3)
 CUBIC4_2 = ((0, 0, 0, 0, 1), (), (), (1,))         # X^3 - t^4 over F_2
 TRIPLE2 = ((), (0, 0, 0, 1), (0, 1, 1), (1,))      # X(X + t)(X + t^2)
@@ -135,6 +138,27 @@ def test_tally_formula_matches_direct_counts():
 def test_tally_formula_literals():
     assert elliptic_ideal_formula(build_order(F3, CUSP[3])) == 4
     assert elliptic_ideal_formula(build_order(F3, RAMP5_3)) == 13
+
+
+def test_tally_formula_enumerates_once(monkeypatch):
+    # the tallies H_0..H_delta are the level sizes of one enumeration to
+    # colength delta, not one enumeration per colength
+    calls = []
+    levels = orderzeta.lattices.stable_sublattice_levels
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return levels(*args, **kwargs)
+
+    monkeypatch.setattr(orderzeta.lattices, "stable_sublattice_levels",
+                        counted)
+    monkeypatch.setattr(orderzeta.orbital, "stable_sublattice_levels",
+                        counted, raising=False)
+    o = build_order(F3, RAMP7_3)
+    assert o.delta == 3
+    value = elliptic_ideal_formula(o)
+    assert calls == [o.delta]
+    assert value == orbital_integral(o, "zeta")
 
 
 def test_tally_formula_with_residue_degree_two_unit_group():

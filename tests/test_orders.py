@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from orderzeta.errors import (BadFactorization, NotSquarefree,
                               PrecisionExhausted)
 from orderzeta.fq import Fq, FqSpec
-from orderzeta.lattices import (class_count_mod_lambda, identity_lattice,
-                                mat_vec, relative_length,
+from orderzeta.lattices import (_nonzero_entries, class_count_mod_lambda,
+                                identity_lattice, mat_vec, relative_length,
                                 stable_sublattice_levels, stable_sublattices,
                                 trace_dual_lattice)
 from orderzeta.orders import (auto_factor, base_change_order, build_order,
@@ -173,19 +173,6 @@ def test_dual_is_involution_on_stable_lattices(f):
         for b, db in seen:
             if b.contains_lattice(a):
                 assert da.contains_lattice(db)
-
-
-def test_unit_twist_changes_nothing_countable():
-    o = build_order(F3, CUSP3)
-    w = o.precision
-    unit = ((1, 1) + (0,) * (w - 2), (0,) * w)   # the unit 1 + t
-    twisted = o.twisted_dual_lattice(o.r_lattice, unit)
-    assert twisted.colength() == o.dual_r_lattice.colength()
-    plain = stable_sublattice_levels(o.dual_r_lattice, 3,
-                                     o.action_matrices, o.precision)
-    other = stable_sublattice_levels(twisted, 3,
-                                     o.action_matrices, o.precision)
-    assert [len(l) for l in plain] == [len(l) for l in other]
 
 
 def test_class_counts_of_small_orders():
@@ -395,8 +382,9 @@ def test_n_lines_order(fq, n):
     w = o.precision
     cols = o.r_lattice.columns(w)
     for mat in o.action_matrices:
+        entries = _nonzero_entries(mat)
         for c in cols:
-            img = mat_vec(fq, mat, c, w)
+            img = mat_vec(fq, entries, c, w)
             assert o.r_lattice.contains_vector(img, o.r_lattice.scale)
 
 

@@ -57,17 +57,6 @@ def test_unit_inverse_round_trip_over_f9():
     assert (a * a.unit_inverse()) == TruncatedSeries.one(f9, 12)
 
 
-def test_shifts():
-    s = TruncatedSeries.from_poly(F3, (1, 2), 4)
-    up = s.shift_up(2)
-    assert up.coeffs == (0, 0, 1, 2, 0, 0)
-    assert up.precision == 6
-    down = up.shift_down(2)
-    assert down.coeffs == (1, 2, 0, 0)
-    with pytest.raises(PrecisionExhausted):
-        s.shift_down(1)
-
-
 def test_agrees_with_compares_common_prefix():
     a = TruncatedSeries.from_poly(F3, (1, 2, 1), 3)
     b = TruncatedSeries.from_poly(F3, (1, 2, 1, 2), 6)
