@@ -352,23 +352,9 @@ class Fq:
             raise ZeroDivisionError("inverse of zero in F_q")
         return self._inv[a]
 
-    def pow(self, a, k):
-        if k < 0:
-            a, k = self.inv(a), -k
-        out = 1
-        while k:
-            if k & 1:
-                out = self._mul[out][a]
-            a = self._mul[a][a]
-            k >>= 1
-        return out
-
     def from_int(self, n):
         """Image of the rational integer n in the prime subfield."""
         return n % self.p
-
-    def elements(self):
-        return range(self.q)
 
     def decode(self, code):
         """Base-p digit tuple (coefficients of the residue polynomial)."""

@@ -15,8 +15,10 @@ branching decisions fall inside it whenever the inputs are exact.
 Inputs of limited precision (duals and other series-derived lattices)
 instead carry a validity budget, and PrecisionExhausted is raised when
 a decision would depend on unknown digits.  Matrix inverses (behind
-the trace duals and colon lattices) eliminate on Laurent series held as
-raw (shift, digits) pairs rather than series objects.
+the trace duals and colon lattices) and resultant valuations (behind the
+discriminant and the pairwise resultants of order construction) are one
+elimination with one pivot rule, on Laurent series held as raw
+(shift, digits) pairs.
 
 The enumerator for stable sublattices descends colength by colength:
 every maximal stable sublattice of M contains tM (the quotient is a
@@ -44,8 +46,8 @@ from itertools import combinations
 
 from .errors import (CeilingExceeded, InvariantViolation, PrecisionExhausted,
                      RankDeficient)
-from .series import (ser_add, ser_mul, ser_scale, ser_sub, ser_unit_inv,
-                     ser_val)
+from .series import (ser_add, ser_mul, ser_pad, ser_scale, ser_sub,
+                     ser_unit_inv, ser_val)
 
 DEFAULT_CEILING = 10 ** 8
 
@@ -187,14 +189,16 @@ def hnf_from_generators(fq, vectors, n, scale=0, precision=None, exact=False):
     bounds what is known and PrecisionExhausted is raised when a pivot
     or a reduction cannot be certified.
     """
-    vecs = []
-    for v in vectors:
-        entries = [tuple(e) for e in v]
-        if any(any(e) for e in entries):
-            vecs.append(entries)
+    given = [[tuple(e) for e in v] for v in vectors]
+    vecs = [v for v in given if any(any(e) for e in v)]
     if len(vecs) < n:
-        raise RankDeficient(
-            f"need {n} independent generators, got {len(vecs)} nonzero")
+        if exact or len(given) < n:
+            raise RankDeficient(
+                f"need {n} independent generators, got {len(vecs)} nonzero")
+        # a generator that is zero to its window may be nonzero beyond it
+        raise PrecisionExhausted(
+            f"need {n} independent generators, {len(given) - len(vecs)} of "
+            f"{len(given)} vanish to the working window; raise the precision")
     if exact:
         maxdeg = max(len(e) for v in vecs for e in v)
         window = (n + 1) * maxdeg + 4
@@ -204,10 +208,7 @@ def hnf_from_generators(fq, vectors, n, scale=0, precision=None, exact=False):
             window = min(window, precision)
         if window < 1:
             raise PrecisionExhausted("no working precision at all")
-    work = []
-    for v in vecs:
-        work.append([tuple(e[:window]) + (0,) * max(0, window - len(e))
-                     for e in v])
+    work = [[ser_pad(e, window) for e in v] for v in vecs]
     valid = [window] * len(work)
 
     pivots = [None] * n
@@ -238,6 +239,13 @@ def hnf_from_generators(fq, vectors, n, scale=0, precision=None, exact=False):
                     v[k] = ser_sub(fq, v[k], ser_mul(fq, quo, piv[k]))
                 valid[pos] = min(valid[pos] - a, pval)
                 if valid[pos] < 1 and not exact:
+                    raise PrecisionExhausted(
+                        "elimination consumed the precision")
+            elif not exact:
+                # the entry is zero to its window, but eliminating its
+                # unknown tail against the pivot t^a * unit costs a digits
+                valid[pos] -= a
+                if valid[pos] < 1:
                     raise PrecisionExhausted(
                         "elimination consumed the precision")
             v[row] = (0,) * window
@@ -293,7 +301,7 @@ def _solve_vector(base, vec, vec_scale):
     shift = vec_scale - base.scale
     maxdeg = max((len(e) for e in vec), default=0)
     need = maxdeg + sum(base.diag) + abs(shift) + 2
-    v = [tuple(e[:need]) + (0,) * max(0, need - len(e)) for e in vec]
+    v = [ser_pad(e, need) for e in vec]
     if shift > 0:
         v = [(0,) * shift + e[:need - shift] for e in v]
     elif shift < 0:
@@ -337,8 +345,7 @@ def compose_lattice(base, rel):
         for i in range(j):
             digits = rel.off[j][i]
             if any(digits):
-                rcol_entries.append(
-                    (i, tuple(digits) + (0,) * (window - len(digits))))
+                rcol_entries.append((i, ser_pad(digits, window)))
         for i, entry in rcol_entries:
             src = bcols[i]
             for k in range(i + 1):
@@ -446,22 +453,14 @@ def laurent_matrix_inverse(fq, cols, precision):
     zero = (start, (0,) * (precision - start))
     inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
     for k in range(n):
-        best = None
-        for i in range(k, n):
-            shift, digits = grid[i][k]
-            v = ser_val(digits)
-            if v is not None and (best is None or shift + v < best[0]):
-                best = (shift + v, i)
-        if best is None:
+        piv = _pivot_row(grid, k)
+        if piv is None:
             raise PrecisionExhausted(
                 "matrix pivot is zero to working precision")
-        _, piv = best
         if piv != k:
             grid[k], grid[piv] = grid[piv], grid[k]
             inv[k], inv[piv] = inv[piv], inv[k]
-        shift, digits = grid[k][k]
-        v = ser_val(digits)
-        pinv = (-(shift + v), ser_unit_inv(fq, digits[v:]))
+        pinv = _laurent_inv(fq, grid[k][k])
         grid[k] = [_laurent_mul(fq, e, pinv) for e in grid[k]]
         inv[k] = [_laurent_mul(fq, e, pinv) for e in inv[k]]
         for i in range(n):
@@ -508,6 +507,82 @@ def laurent_matrix_inverse(fq, cols, precision):
                 col.append(digits[-e_shift:out_prec - e_shift])
         out_cols.append(tuple(col))
     return tuple(out_cols), shift
+
+
+def resultant_valuation(fq, f, g):
+    """Valuation of the resultant of two X-polynomials with series
+    coefficients (digit tuples, lowest degree first), or None when the
+    resultant is zero to the window that the elimination keeps.
+
+    Leading coefficients that are zero to their window are dropped.  The
+    Sylvester matrix, its entries raw Laurent pairs, is brought to
+    triangular form with the pivot rule of laurent_matrix_inverse, and
+    the resultant is, up to sign, the product of the pivots at their
+    shortest window.  Raises PrecisionExhausted when a pivot cannot be
+    certified nonzero.
+    """
+    fc, gc = list(f), list(g)
+    for cs in (fc, gc):
+        while len(cs) > 1 and not any(cs[-1]):
+            cs.pop()
+    if not fc or not gc:
+        raise PrecisionExhausted("resultant of an identically-zero input")
+    prec = min(len(c) for c in tuple(f) + tuple(g))
+    m, n = len(fc) - 1, len(gc) - 1
+    if m == 0 or n == 0:
+        # a constant: the resultant is its power
+        pivots = [(0, ser_pad((1,), prec))] + [(0, c) for c in
+                                               (fc[0],) * n + (gc[0],) * m]
+    else:
+        size = m + n
+        zero = (0, (0,) * prec)
+        rows = []
+        for poly, count in ((fc, n), (gc, m)):
+            entries = [(0, c) for c in reversed(poly)]
+            for i in range(count):
+                rows.append([zero] * i + entries
+                            + [zero] * (size - i - len(entries)))
+        pivots = []
+        for k in range(size):
+            piv = _pivot_row(rows, k)
+            if piv is None:
+                raise PrecisionExhausted(
+                    "resultant pivot is zero to working precision; "
+                    "raise the precision or use exact polynomial inputs")
+            rows[k], rows[piv] = rows[piv], rows[k]
+            pinv = _laurent_inv(fq, rows[k][k])
+            for i in range(k + 1, size):
+                if any(rows[i][k][1]):
+                    factor = _laurent_mul(fq, rows[i][k], pinv)
+                    rows[i] = [_laurent_sub(fq, a, _laurent_mul(fq, factor, b))
+                               for a, b in zip(rows[i], rows[k])]
+            pivots.append(rows[k][k])
+    det = pivots[0]
+    for piv in pivots[1:]:
+        det = _laurent_mul(fq, det, piv)
+    shift, digits = det
+    v = ser_val(digits)
+    return None if v is None else shift + v
+
+
+def _pivot_row(grid, k):
+    """The row, from k on, whose entry in column k has the least known
+    valuation, the first such row on ties; None when every one of those
+    entries is zero to its window."""
+    best = None
+    for i in range(k, len(grid)):
+        shift, digits = grid[i][k]
+        v = ser_val(digits)
+        if v is not None and (best is None or shift + v < best[0]):
+            best = (shift + v, i)
+    return None if best is None else best[1]
+
+
+def _laurent_inv(fq, a):
+    """Inverse of a raw Laurent pair that has a nonzero digit."""
+    shift, digits = a
+    v = ser_val(digits)
+    return (-(shift + v), ser_unit_inv(fq, digits[v:]))
 
 
 def _laurent_mul(fq, a, b):

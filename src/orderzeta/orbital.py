@@ -27,7 +27,7 @@ from .lattices import (LatticeHNF, _nonzero_entries, class_count_mod_lambda,
                        stable_sublattice_levels)
 from .orders import base_change_order, build_order
 from .partitions import m_poly, n_poly
-from .series import ser_add, ser_mul
+from .series import ser_add, ser_mul, ser_pad
 from .zeta import special_values, zeta_polynomial
 
 METHODS = ("zeta", "lattice", "levi")
@@ -218,10 +218,6 @@ def elliptic_ideal_formula(order, ceiling=None):
 # sampled fiber check of the block product structure
 # ---------------------------------------------------------------------------
 
-def _padded(entry, width):
-    return tuple(entry[:width]) + (0,) * max(0, width - len(entry))
-
-
 def _flag_action(fq, a1, a2, m1, m2, width):
     """The action of the generator on the full space, block diagonal in
     the coordinates that split the algebra into its two factors.  The
@@ -232,12 +228,12 @@ def _flag_action(fq, a1, a2, m1, m2, width):
     zero = (0,) * width
     cols = []
     for j in range(m1):
-        col = [_padded(a1[j][i], width) for i in range(m1)]
+        col = [ser_pad(a1[j][i], width) for i in range(m1)]
         col += [zero] * m2
         cols.append(tuple(col))
     for j in range(m2):
         col = [zero] * m1
-        col += [_padded(a2[j][i], width) for i in range(m2)]
+        col += [ser_pad(a2[j][i], width) for i in range(m2)]
         cols.append(tuple(col))
     return tuple(cols)
 
@@ -250,7 +246,7 @@ def _integral_columns(lattice, width):
     raw = lattice.columns(max(1, width - lattice.scale))
     out = []
     for col in raw:
-        out.append(tuple(_padded((0,) * lattice.scale + tuple(e), width)
+        out.append(tuple(ser_pad((0,) * lattice.scale + tuple(e), width)
                          for e in col))
     return out
 
@@ -271,11 +267,11 @@ def _fiber_size(fq, gamma, b1, b2, m1, m2, depth, width, ceiling):
     zero = (0,) * width
     base_gens = []
     for col in b1:
-        base_gens.append(tuple(_padded((0,) * depth + tuple(e), width)
+        base_gens.append(tuple(ser_pad((0,) * depth + tuple(e), width)
                                for e in col) + (zero,) * m2)
     lifted_tails = []
     for col in b2:
-        lifted_tails.append(tuple(_padded((0,) * depth + tuple(e), width)
+        lifted_tails.append(tuple(ser_pad((0,) * depth + tuple(e), width)
                                   for e in col))
     digit_tuples = list(iproduct(range(q), repeat=depth))
     found = set()

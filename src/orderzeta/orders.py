@@ -26,15 +26,15 @@ from __future__ import annotations
 from .errors import (BadFactorization, InvariantViolation, NotSquarefree,
                      PrecisionExhausted, PreconditionViolated)
 from .fq import Fq, FqSpec, embedding
-from .lattices import (colon_lattice, element_scaled_lattice,
-                       hnf_from_generators, identity_lattice,
-                       laurent_matrix_inverse, product_lattice,
-                       relative_length, solve_in_basis, trace_dual_lattice)
-from .polynomials import (SeriesPoly, hensel_split, resultant_exact,
-                          resultant_series, tp_val, up_divmod, up_factor,
-                          up_pow, up_roots, up_trim, xp_derivative,
-                          xp_mul, xp_subst_x_shift, xp_trim)
-from .series import TruncatedSeries, ser_add, ser_mul, ser_neg, ser_sub
+from .lattices import (_nonzero_entries, colon_lattice,
+                       element_scaled_lattice, hnf_from_generators,
+                       identity_lattice, laurent_matrix_inverse, mat_vec,
+                       product_lattice, relative_length, resultant_valuation,
+                       solve_in_basis, trace_dual_lattice)
+from .polynomials import (hensel_split, resultant_exact, sp_mul, tp_val,
+                          up_divmod, up_factor, up_pow, up_roots, up_trim,
+                          xp_derivative, xp_mul, xp_subst_x_shift, xp_trim)
+from .series import ser_add, ser_mul, ser_neg, ser_pad, ser_scale, ser_sub
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +114,7 @@ class CertifiedFactor:
         return len(self.coeffs) - 1
 
     def sort_key(self):
-        digits = tuple(tuple(c[:12]) + (0,) * max(0, 12 - len(c))
-                       for c in self.coeffs)
+        digits = tuple(ser_pad(c, 12) for c in self.coeffs)
         return (self.degree, digits)
 
     def __repr__(self):
@@ -224,19 +223,18 @@ def _certify(fq, coeffs, window, work, budget):
     w2 = swin if swin is not None else work
     if w2 < 4:
         raise PrecisionExhausted("descent window is too small")
-    cur = SeriesPoly(big, [TruncatedSeries.from_poly(big, c, w2) for c in gb])
+    cur = tuple(ser_pad(c, w2) for c in gb)
     sub = []
     for idx, w in enumerate(roots):
         gbar = up_pow(big, (big.neg(w), 1), k)
         if idx == len(roots) - 1:
             part = cur
         else:
-            hbar, rem = up_divmod(big, cur.reduce_mod_t(), gbar)
+            hbar, rem = up_divmod(big, _mod_t(cur), gbar)
             if rem:
                 raise InvariantViolation("residual split went inexact")
-            part, cur = hensel_split(cur, gbar, hbar, w2)
-        digits = tuple(c.coeffs for c in part.coeffs)
-        sub.append(_certify(big, digits, w2, w2, budget))
+            part, cur = hensel_split(big, cur, gbar, hbar, w2)
+        sub.append(_certify(big, part, w2, w2, budget))
     if len(set(sub)) != 1:
         raise InvariantViolation("conjugate factors disagree")
     e0, r0 = sub[0]
@@ -319,13 +317,9 @@ def _auto_pieces(fq, coeffs, window, work, budget):
         if rem:
             raise InvariantViolation("residual factor split went inexact")
         w2 = window if window is not None else work
-        fsp = SeriesPoly(fq, [TruncatedSeries.from_poly(fq, c, w2)
-                              for c in coeffs])
-        lo, hi = hensel_split(fsp, gbar, hbar, w2)
         out = []
-        for part in (lo, hi):
-            digits = tuple(c.coeffs for c in part.coeffs)
-            out.extend(_auto_pieces(fq, digits, w2, w2, budget))
+        for part in hensel_split(fq, coeffs, gbar, hbar, w2):
+            out.extend(_auto_pieces(fq, part, w2, w2, budget))
         return out
     base, k = parts[0]
     if k == 1:
@@ -407,14 +401,11 @@ def auto_factor(fq, f, precision, window=None):
     pieces.sort(key=CertifiedFactor.sort_key)
     wmin = min([precision] + [p.window for p in pieces
                               if p.window is not None])
-    prod = SeriesPoly(fq, [TruncatedSeries.one(fq, wmin)])
+    prod = (ser_pad((1,), wmin),)
     for p in pieces:
-        prod = prod * SeriesPoly(
-            fq, [TruncatedSeries.from_poly(fq, c, wmin) for c in p.coeffs])
-    for i in range(len(f)):
-        want = TruncatedSeries.from_poly(fq, f[i], wmin)
-        if not prod.coeffs[i].agrees_with(want):
-            raise InvariantViolation("factor product check failed")
+        prod = sp_mul(fq, prod, p.coeffs, wmin)
+    if prod != tuple(ser_pad(c, wmin) for c in f):
+        raise InvariantViolation("factor product check failed")
     return tuple(pieces)
 
 
@@ -422,12 +413,11 @@ def auto_factor(fq, f, precision, window=None):
 # power-basis arithmetic
 # ---------------------------------------------------------------------------
 
-def _power_table(fs, count):
-    """Coordinate vectors of X^k mod f for k = 0 .. count-1."""
-    fq = fs.fq
-    n = fs.degree
-    w = fs.precision
-    neg_f = [ser_neg(fq, fs.coeffs[i].coeffs[:w]) for i in range(n)]
+def _power_table(fq, f, w, count):
+    """Coordinate vectors of X^k mod f for k = 0 .. count-1, with f's
+    coefficients known to w digits."""
+    n = len(f) - 1
+    neg_f = [ser_neg(fq, ser_pad(c, w)) for c in f[:n]]
     pw = []
     cur = [(1,) + (0,) * (w - 1) if i == 0 else (0,) * w for i in range(n)]
     for _ in range(count):
@@ -476,15 +466,6 @@ def _mul_vectors(fq, pw, n, v, w_vec, prec):
                 out[i] = ser_add(fq, out[i],
                                  ser_mul(fq, conv[k], pw[k][i], width))
     return tuple(out)
-
-
-def _trace_of(fq, tau, vec, width):
-    acc = (0,) * width
-    for k in range(len(vec)):
-        if any(vec[k][:width]):
-            acc = ser_add(fq, acc, ser_mul(fq, vec[k][:width],
-                                           tau[k][:width], width))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -569,50 +550,38 @@ def _align_vectors(items):
     return out, m
 
 
-def _idempotents(fq, mul, pieces, fs, n, w):
+def _idempotents(fq, mul, pieces, n, w):
     """Primitive idempotents, one per factor, as (digit vector, scale)
     pairs; they live in the maximal order, so the scale may be negative
     even though every idempotent is integral there."""
     if len(pieces) == 1:
         return ((_unit_vector(n, w), 0),)
-    series = []
-    for p in pieces:
-        wp = min(w, p.window) if p.window is not None else w
-        series.append(SeriesPoly(
-            fq, [TruncatedSeries.from_poly(fq, c, wp) for c in p.coeffs]))
+    windows = [min(w, p.window) if p.window is not None else w
+               for p in pieces]
+    zero = (0,) * w
     out = []
-    for i, fi in enumerate(series):
-        other = None
-        for j, gj in enumerate(series):
-            if j == i:
-                continue
-            other = gj if other is None else other * gj
-        di = fi.degree
-        dg = n - di
+    for i, piece in enumerate(pieces):
+        # the product of the other factors, at their shortest window
+        wo = min(windows[:i] + windows[i + 1:])
+        other = (ser_pad((1,), wo),)
+        for j, pj in enumerate(pieces):
+            if j != i:
+                other = sp_mul(fq, other, pj.coeffs, wo)
+        fi = tuple(ser_pad(c, windows[i]) for c in piece.coeffs)
+        di = len(fi) - 1
+        # Sylvester columns: solve b*other + c*fi = 1 with deg b < di
         cols = []
-        for mdeg in range(di):
-            col = [(0,) * w] * mdeg + [c.truncate(w).coeffs
-                                       for c in other.coeffs]
-            col = (col + [(0,) * w] * n)[:n]
-            cols.append(tuple(col))
-        for mdeg in range(dg):
-            col = [(0,) * w] * mdeg + [c.truncate(w).coeffs
-                                       for c in fi.coeffs]
-            col = (col + [(0,) * w] * n)[:n]
-            cols.append(tuple(col))
+        for poly, count in ((other, di), (fi, n - di)):
+            for mdeg in range(count):
+                cols.append(tuple(([zero] * mdeg + list(poly)
+                                   + [zero] * n)[:n]))
         inv_cols, shift = laurent_matrix_inverse(fq, tuple(cols), w)
         sol = inv_cols[0]
         ww = min(len(e) for e in sol)
         if ww + shift < 2:
             raise PrecisionExhausted("idempotent window collapsed")
-        bpoly = SeriesPoly(fq, [TruncatedSeries(fq, sol[m][:ww])
-                                for m in range(di)])
-        prod = bpoly * other.truncate(ww)
-        _, rem = prod.divmod_unit_lead(fs.truncate(ww))
-        vec = []
-        for idx in range(n):
-            c = rem.coeffs[idx].coeffs if idx < len(rem.coeffs) else (0,) * ww
-            vec.append(tuple(c[:ww]))
+        # b*other has degree below n, so it is already reduced mod f
+        vec = sp_mul(fq, sol[:di], other, min(ww, wo))
         if shift > 0:
             vec = [(0,) * shift + c for c in vec]
             shift = 0
@@ -675,15 +644,7 @@ def _component_divides(fq, mul, o_e, idem, y, z, n, w):
     q_scale = z_s - base + shift
     if ww + q_scale < 1:
         raise PrecisionExhausted("division test window collapsed")
-    out = []
-    for i in range(n):
-        acc = (0,) * ww
-        for k in range(n):
-            if any(z_d[k][:ww]):
-                acc = ser_add(fq, acc,
-                              ser_mul(fq, z_d[k][:ww],
-                                      inv_cols[k][i][:ww], ww))
-        out.append(acc)
+    out = mat_vec(fq, _nonzero_entries(inv_cols), [e[:ww] for e in z_d], ww)
     return o_e.contains_vector(tuple(out), q_scale)
 
 
@@ -787,10 +748,6 @@ class FactorData:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def summary(self):
-        return {"degree": self.degree, "d": self.d, "r": self.r,
-                "n": self.n, "e": self.e, "delta": self.delta}
-
     def __repr__(self):
         return (f"FactorData(degree={self.degree}, d={self.d}, r={self.r}, "
                 f"e={self.e}, delta={self.delta})")
@@ -803,8 +760,7 @@ class OrderData:
                  "valres", "delta", "rho", "factors", "r_lattice",
                  "o_e_lattice", "dual_r_lattice", "conductor_lattice",
                  "c_inv", "c_inv_scale", "idempotents", "action_matrices",
-                 "trace_gram_columns", "plain_gram_columns", "j_max", "_pw",
-                 "_tau")
+                 "trace_gram_columns", "plain_gram_columns", "j_max", "_pw")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -815,10 +771,6 @@ class OrderData:
 
     def multiply_vectors(self, v, w_vec, prec):
         return _mul_vectors(self.fq, self._pw, self.n, v, w_vec, prec)
-
-    def trace_of(self, vec, prec=None):
-        width = min(prec or self.precision, self.precision)
-        return _trace_of(self.fq, self._tau, vec, width)
 
     def signature(self):
         return (self.delta, self.rho, self.valres,
@@ -835,10 +787,8 @@ class OrderData:
 def _sub_colength(fq, piece, w, guard):
     """Colength of the factor's own order in its normalization."""
     wp = min(w, piece.window) if piece.window is not None else w
-    fs = SeriesPoly(fq, [TruncatedSeries.from_poly(fq, c, wp)
-                         for c in piece.coeffs])
-    deg = fs.degree
-    pw = _power_table(fs, 3 * deg - 2 if deg > 1 else 1)
+    deg = piece.degree
+    pw = _power_table(fq, piece.coeffs, wp, 3 * deg - 2 if deg > 1 else 1)
     tau = _trace_vector(fq, pw, deg, 2 * deg - 1)
     tcols = tuple(tuple(tau[i + j] for i in range(deg)) for j in range(deg))
 
@@ -857,11 +807,8 @@ def _pair_resultant_val(fq, a, b, w):
             raise NotSquarefree("two factors share a root")
         return v
     wmin = min(w, *(p.window for p in (a, b) if p.window is not None))
-    fa = SeriesPoly(fq, [TruncatedSeries.from_poly(fq, c, wmin)
-                         for c in a.coeffs])
-    fb = SeriesPoly(fq, [TruncatedSeries.from_poly(fq, c, wmin)
-                         for c in b.coeffs])
-    val = resultant_series(fa, fb).valuation()
+    val = resultant_valuation(fq, [ser_pad(c, wmin) for c in a.coeffs],
+                              [ser_pad(c, wmin) for c in b.coeffs])
     if val is None:
         raise PrecisionExhausted(
             "pairwise resultant vanishes to working precision")
@@ -871,9 +818,7 @@ def _pair_resultant_val(fq, a, b, w):
 def _assemble(fq, fdigits, fwindow, pieces, w, valres):
     n = len(fdigits) - 1
     weff = min(w, fwindow) if fwindow is not None else w
-    fs = SeriesPoly(fq, [TruncatedSeries.from_poly(fq, c, weff)
-                         for c in fdigits])
-    pw = _power_table(fs, max(n + 1, 4 * n - 3))
+    pw = _power_table(fq, fdigits, weff, max(n + 1, 4 * n - 3))
     tau = _trace_vector(fq, pw, n, 3 * n - 2)
     tcols = tuple(tuple(tau[i + j] for i in range(n)) for j in range(n))
 
@@ -913,7 +858,7 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
             "colength of the normalization disagrees with the "
             "resultant decomposition")
 
-    idems = _idempotents(fq, mul, pieces, fs, n, weff)
+    idems = _idempotents(fq, mul, pieces, n, weff)
     plain_dual = trace_dual_lattice(o_e, tcols, weff)
     twist, tw_scale = _choose_twist(fq, mul, idems, o_e, plain_dual, n, weff)
     gcols = _modified_gram(fq, tau, twist, tw_scale, n, weff)
@@ -940,15 +885,6 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
     if r_lat.contains_lattice(probe):
         raise InvariantViolation("conductor is not maximal")
 
-    action = []
-    for j in range(n):
-        if j < n - 1:
-            col = tuple((0,) * weff if i != j + 1
-                        else (1,) + (0,) * (weff - 1) for i in range(n))
-        else:
-            col = pw[n]
-        action.append(col)
-
     j_max = 2 * delta + sum(fd.n for fd in factor_data) + 2
     return OrderData(
         fq=fq, f=fdigits, f_window=fwindow, n=n, precision=wg,
@@ -956,8 +892,8 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
         factors=tuple(factor_data), r_lattice=r_lat, o_e_lattice=o_e,
         dual_r_lattice=dual_r, conductor_lattice=conductor, c_inv=twist,
         c_inv_scale=tw_scale, idempotents=idems,
-        action_matrices=(tuple(action),), trace_gram_columns=gcols,
-        plain_gram_columns=tcols, j_max=j_max, _pw=pw, _tau=tau)
+        action_matrices=(tuple(pw[1:n + 1]),), trace_gram_columns=gcols,
+        plain_gram_columns=tcols, j_max=j_max, _pw=pw)
 
 
 def build_order(fq, f, factors=None, precision=None, verify_stability=True,
@@ -986,9 +922,10 @@ def build_order(fq, f, factors=None, precision=None, verify_stability=True,
         if factors is not None:
             raise PreconditionViolated(
                 "explicit factors need an exact polynomial f")
-        wser = SeriesPoly(fq, [TruncatedSeries.from_poly(fq, c, f_window)
-                               for c in f])
-        valres = resultant_series(wser, wser.derivative()).valuation()
+        wser = [ser_pad(c, f_window) for c in f]
+        deriv = [ser_scale(fq, fq.from_int(i % fq.p), c)
+                 for i, c in enumerate(wser) if i]
+        valres = resultant_valuation(fq, wser, deriv)
         if valres is None:
             raise NotSquarefree("discriminant vanishes to precision")
 

@@ -308,21 +308,6 @@ def format_xpoly(fq, xp):
     return " + ".join(parts)
 
 
-def format_series(ts):
-    """Terms of a truncated series, ascending powers (no O() marker)."""
-    fq = ts.fq
-    parts = []
-    for j, c in enumerate(ts.coeffs):
-        if c == 0:
-            continue
-        if j == 0:
-            parts.append(_coeff_text(fq, c, wrap=True))
-        else:
-            pw = "t" if j == 1 else f"t^{j}"
-            parts.append(pw if c == 1 else f"{_coeff_text(fq, c, wrap=True)}*{pw}")
-    return " + ".join(parts) if parts else "0"
-
-
 # ---------------------------------------------------------------------------
 # order description files
 # ---------------------------------------------------------------------------

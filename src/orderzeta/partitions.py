@@ -36,15 +36,6 @@ class Partition:
         """Multiplicity of 1 as a part."""
         return sum(1 for p in self.parts if p == 1)
 
-    def transpose(self):
-        """Conjugate partition (reflecting the Young diagram)."""
-        if not self.parts:
-            return Partition()
-        cols = []
-        for i in range(1, self.parts[0] + 1):
-            cols.append(sum(1 for p in self.parts if p >= i))
-        return Partition(cols)
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 

@@ -9,16 +9,16 @@ Three coefficient domains appear, all with dense low-degree-first tuples:
 * `xp_*`   -- polynomials in X whose coefficients are `tp` tuples.  The
               defining polynomials of orders live here, exactly.
 
-On top of those sit `SeriesPoly` (X-polynomials with truncated power
-series coefficients, for Hensel lifting and series resultants) and the
-integer-coefficient classes `IntPoly` / `BiPoly` used for counting
+X-polynomials with truncated power series coefficients are tuples of
+series digit tuples (see series.py); `hensel_split` lifts factorisations
+on them, and their resultant valuation is an elimination in lattices.py.
+The integer-coefficient classes `IntPoly` / `BiPoly` hold counting
 polynomials and their two-variable symbolic forms.
 """
 
 from __future__ import annotations
 
-from .errors import PrecisionExhausted
-from .series import (LaurentSeries, TruncatedSeries, ser_mul, ser_val)
+from .series import ser_add, ser_mul, ser_pad
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +44,7 @@ def up_add(fq, a, b):
 def up_sub(fq, a, b):
     sub = fq._sub
     n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
+    a, b = ser_pad(a, n), ser_pad(b, n)
     return up_trim(sub[x][y] for x, y in zip(a, b))
 
 def up_neg(fq, a):
@@ -323,122 +322,30 @@ def _det_bareiss_tp(fq, mat):
 
 
 # ---------------------------------------------------------------------------
-# X-polynomials with truncated series coefficients
+# X-polynomials with truncated series coefficients (digit tuples)
 # ---------------------------------------------------------------------------
 
-class SeriesPoly:
-    """Polynomial in X whose coefficients are truncated power series."""
-
-    __slots__ = ("fq", "coeffs")
-
-    def __init__(self, fq, coeffs):
-        self.fq = fq
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def from_exact(cls, fq, xp, precision):
-        return cls(fq, [TruncatedSeries.from_poly(fq, c, precision) for c in xp])
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    @property
-    def precision(self):
-        return min((c.precision for c in self.coeffs), default=0)
-
-    def coefficient(self, i):
-        return self.coeffs[i]
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        prec = min(self.precision, other.precision)
-        zero = TruncatedSeries.zero(self.fq, prec)
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [zero] * (n - len(other.coeffs))
-        return SeriesPoly(self.fq, [x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        prec = min(self.precision, other.precision)
-        zero = TruncatedSeries.zero(self.fq, prec)
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [zero] * (n - len(other.coeffs))
-        return SeriesPoly(self.fq, [x - y for x, y in zip(a, b)])
-
-    def __mul__(self, other):
-        prec = min(self.precision, other.precision)
-        fq = self.fq
-        out = [(0,) * prec for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        from .series import ser_add
-        for i, a in enumerate(self.coeffs):
-            at = a.coeffs[:prec]
-            if ser_val(at) is None:
-                continue
-            for j, b in enumerate(other.coeffs):
-                prod = ser_mul(fq, at, b.coeffs[:prec], prec)
-                out[i + j] = ser_add(fq, out[i + j], prod)
-        return SeriesPoly(fq, [TruncatedSeries(fq, c) for c in out])
-
-    def scale(self, s):
-        """Multiply by a single series coefficient."""
-        return SeriesPoly(self.fq, [c * s for c in self.coeffs])
-
-    def derivative(self):
-        fq = self.fq
-        p = fq.p
-        out = []
-        for i in range(1, len(self.coeffs)):
-            k = fq.from_int(i % p)
-            out.append(self.coeffs[i].scale(k))
-        return SeriesPoly(fq, out or [TruncatedSeries.zero(fq, self.precision)])
-
-    def divmod_unit_lead(self, g):
-        """Division with remainder; g's leading coefficient must be a unit."""
-        if not g.coeffs[-1].is_unit():
-            raise ZeroDivisionError("leading coefficient is not a unit series")
-        fq = self.fq
-        prec = min(self.precision, g.precision)
-        lead_inv = g.coeffs[-1].truncate(prec).unit_inverse()
-        rem = [c.truncate(prec) for c in self.coeffs]
-        dg = len(g.coeffs) - 1
-        if len(rem) - 1 < dg:
-            return SeriesPoly(fq, [TruncatedSeries.zero(fq, prec)]), SeriesPoly(fq, rem)
-        quo = [TruncatedSeries.zero(fq, prec)] * (len(rem) - dg)
-        for i in range(len(rem) - 1, dg - 1, -1):
-            c = rem[i] * lead_inv
-            quo[i - dg] = c
-            for j in range(dg + 1):
-                rem[i - dg + j] = rem[i - dg + j] - c * g.coeffs[j].truncate(prec)
-        rem = rem[:dg] or [TruncatedSeries.zero(fq, prec)]
-        return SeriesPoly(fq, quo), SeriesPoly(fq, rem)
-
-    def reduce_mod_t(self):
-        """Image in F_q[X]: tuple of constant terms, trimmed."""
-        return up_trim([c.coeffs[0] for c in self.coeffs])
-
-    def truncate(self, prec):
-        return SeriesPoly(self.fq, [c.truncate(prec) for c in self.coeffs])
-
-    def trim(self):
-        """Drop leading coefficients that are zero to stored precision."""
-        cs = list(self.coeffs)
-        while len(cs) > 1 and cs[-1].is_zero():
-            cs.pop()
-        return SeriesPoly(self.fq, cs)
-
-    def __repr__(self):
-        return f"SeriesPoly(degree={self.degree}, precision={self.precision})"
+def sp_mul(fq, f, g, width):
+    """Product of two X-polynomials with series coefficients, each
+    coefficient read as `width` digits (cut, or zero-extended as for an
+    exact polynomial); the product's coefficients have `width` digits."""
+    out = [(0,) * width] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if any(a[:width]):
+            for j, b in enumerate(g):
+                out[i + j] = ser_add(fq, out[i + j], ser_mul(fq, a, b, width))
+    return tuple(out)
 
 
-def hensel_split(f, gbar, hbar, precision):
+def hensel_split(fq, f, gbar, hbar, precision):
     """Lift a coprime factorisation of f mod t to a factorisation of f.
 
-    f is a monic SeriesPoly, gbar and hbar monic polynomials over F_q with
-    f mod t = gbar * hbar and gcd(gbar, hbar) = 1.  Returns monic
-    SeriesPoly factors (g, h) with f = g * h to the requested precision.
+    f is a monic X-polynomial with series coefficients (digit tuples,
+    lowest degree first), gbar and hbar monic polynomials over F_q with
+    f mod t = gbar * hbar and gcd(gbar, hbar) = 1.  Returns monic factors
+    (g, h), their coefficients `precision`-digit tuples, with f = g * h
+    to that precision.
     """
-    fq = f.fq
     g0, u, v = up_ext_euclid(fq, gbar, hbar)
     if g0 != (1,):
         raise ValueError("factors are not coprime modulo t")
@@ -450,7 +357,7 @@ def hensel_split(f, gbar, hbar, precision):
         gcols[i][0] = c
     for i, c in enumerate(hbar):
         hcols[i][0] = c
-    fcols = [c.truncate(precision).coeffs for c in f.coeffs]
+    fcols = [ser_pad(c, precision) for c in f]
 
     def digit(cols, i, m):
         return cols[i][m] if i < len(cols) else 0
@@ -481,74 +388,8 @@ def hensel_split(f, gbar, hbar, precision):
             if i > dh:
                 raise ArithmeticError("lift step raised the degree")
             hcols[i][m] = c
-    g = SeriesPoly(fq, [TruncatedSeries(fq, tuple(col)) for col in gcols])
-    h = SeriesPoly(fq, [TruncatedSeries(fq, tuple(col)) for col in hcols])
-    return g, h
-
-
-def resultant_series(f, g):
-    """Resultant of two series-coefficient X-polynomials, by elimination
-    with valuation pivoting on the Sylvester matrix.  Raises
-    PrecisionExhausted when a pivot cannot be certified nonzero."""
-    fq = f.fq
-    fc, gc = f.trim().coeffs, g.trim().coeffs
-    m, n = len(fc) - 1, len(gc) - 1
-    if m < 0 or n < 0:
-        raise PrecisionExhausted("resultant of an identically-zero input")
-    prec = min(f.precision, g.precision)
-    if m == 0:
-        out = LaurentSeries.one(fq, prec)
-        base = LaurentSeries.from_series(fc[0])
-        for _ in range(n):
-            out = out * base
-        return out
-    if n == 0:
-        out = LaurentSeries.one(fq, prec)
-        base = LaurentSeries.from_series(gc[0])
-        for _ in range(m):
-            out = out * base
-        return out
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [LaurentSeries.zero(fq, prec) for _ in range(size)]
-        for j, c in enumerate(reversed(fc)):
-            row[i + j] = LaurentSeries.from_series(c)
-        rows.append(row)
-    for i in range(m):
-        row = [LaurentSeries.zero(fq, prec) for _ in range(size)]
-        for j, c in enumerate(reversed(gc)):
-            row[i + j] = LaurentSeries.from_series(c)
-        rows.append(row)
-    sign = 1
-    pivots = []
-    for k in range(size):
-        best = None
-        best_val = None
-        for i in range(k, size):
-            v = rows[i][k].valuation()
-            if v is not None and (best_val is None or v < best_val):
-                best, best_val = i, v
-        if best is None:
-            raise PrecisionExhausted(
-                "resultant pivot is zero to working precision; "
-                "raise the precision or use exact polynomial inputs")
-        if best != k:
-            rows[k], rows[best] = rows[best], rows[k]
-            sign = -sign
-        inv = rows[k][k].inverse()
-        for i in range(k + 1, size):
-            if rows[i][k].is_zero():
-                continue
-            factor = rows[i][k] * inv
-            rows[i] = [rows[i][j] - factor * rows[k][j] for j in range(size)]
-        pivots.append(rows[k][k])
-    det = pivots[0]
-    for piv in pivots[1:]:
-        det = det * piv
-    if sign < 0:
-        det = -det
-    return det
+    return (tuple(tuple(col) for col in gcols),
+            tuple(tuple(col) for col in hcols))
 
 
 # ---------------------------------------------------------------------------

@@ -4,24 +4,21 @@ A series is stored as a tuple of element codes c[0..N-1] and means
 c[0] + c[1] t + ... + c[N-1] t^(N-1) + O(t^N).  N is the (absolute)
 precision; it is data, not a global setting, and every operation states
 how it propagates.  The valuation of a series that is zero to its stored
-precision is unknown, so `valuation` returns the sentinel None and
-callers must handle it explicitly.
+precision is unknown, so `ser_val` returns the sentinel None and callers
+must handle it explicitly.
 
-Module-level `ser_*` functions work on raw coefficient tuples and carry
-the Fq context as the first argument; the hot lattice loops use these
-directly.  `TruncatedSeries` (elements of F_q[[t]]) and `LaurentSeries`
-(elements of F_q((t)), with a t-power shift) wrap them for general use.
-The series resultant eliminates on `LaurentSeries`, and it is kept as
-the object reference that the test of the lattice layer's raw-pair
-matrix inverse compares against.
+The `ser_*` functions work on these raw coefficient tuples and carry the
+Fq context as the first argument; they are the package's one series
+representation.  A polynomial in X with series coefficients is a tuple
+of such digit tuples, lowest degree first, and a Laurent series is a
+raw (shift, digits) pair whose digits start at exponent shift (see the
+elimination in lattices.py).
 """
 
 from __future__ import annotations
 
 from itertools import compress, count
 from operator import getitem
-
-from .errors import PrecisionExhausted
 
 
 # ---------------------------------------------------------------------------
@@ -33,6 +30,11 @@ from .errors import PrecisionExhausted
 # operand's partner as it is, find the nonzero positions with
 # itertools.compress, and run the remaining per-digit loops through map
 # over the Fq table rows.
+
+def ser_pad(a, n):
+    """The first n digits of a, zero-extended: an exact polynomial, whose
+    higher digits are truly zero, as a series known to n digits."""
+    return tuple(a[:n]) + (0,) * (n - len(a))
 
 def ser_val(a):
     """Index of the first nonzero coefficient, or None if all stored
@@ -102,224 +104,3 @@ def ser_unit_inv(fq, a):
             acc = add[acc][row[out[k - i]]]
         out[k] = neg_inv0[acc]
     return tuple(out)
-
-class TruncatedSeries:
-    """Element of F_q[[t]] known modulo t^precision."""
-
-    __slots__ = ("fq", "coeffs")
-
-    def __init__(self, fq, coeffs):
-        self.fq = fq
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("precision must be at least 1")
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_poly(cls, fq, poly_coeffs, precision):
-        """Series for an exact polynomial; higher coefficients are truly 0."""
-        c = list(poly_coeffs[:precision])
-        c += [0] * (precision - len(c))
-        return cls(fq, c)
-
-    @classmethod
-    def zero(cls, fq, precision):
-        return cls(fq, (0,) * precision)
-
-    @classmethod
-    def one(cls, fq, precision):
-        return cls(fq, (1,) + (0,) * (precision - 1))
-
-    @classmethod
-    def monomial(cls, fq, k, precision, coeff=1):
-        c = [0] * precision
-        if k < precision:
-            c[k] = coeff
-        return cls(fq, c)
-
-    # -- structure --------------------------------------------------------
-
-    @property
-    def precision(self):
-        return len(self.coeffs)
-
-    def valuation(self):
-        return ser_val(self.coeffs)
-
-    def is_zero(self):
-        """True when zero to stored precision (which is all we can know)."""
-        return not any(self.coeffs)
-
-    def is_unit(self):
-        return self.coeffs[0] != 0
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries)
-                and self.fq is other.fq and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.fq), self.coeffs))
-
-    def agrees_with(self, other):
-        """Equality on the overlap of the two stored precisions."""
-        n = min(len(self.coeffs), len(other.coeffs))
-        return self.coeffs[:n] == other.coeffs[:n]
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        return TruncatedSeries(self.fq, ser_add(self.fq, self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return TruncatedSeries(self.fq, ser_sub(self.fq, self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return TruncatedSeries(self.fq, ser_neg(self.fq, self.coeffs))
-
-    def __mul__(self, other):
-        return TruncatedSeries(self.fq, ser_mul(self.fq, self.coeffs, other.coeffs))
-
-    def scale(self, c):
-        return TruncatedSeries(self.fq, ser_scale(self.fq, c, self.coeffs))
-
-    def unit_inverse(self):
-        return TruncatedSeries(self.fq, ser_unit_inv(self.fq, self.coeffs))
-
-    def truncate(self, n):
-        return TruncatedSeries(self.fq, self.coeffs[:n])
-
-    def __repr__(self):
-        from .parsing import format_series
-        return f"TruncatedSeries({format_series(self)} + O(t^{self.precision}))"
-
-
-class LaurentSeries:
-    """Element of F_q((t)): a coefficient tuple starting at exponent
-    `shift` (possibly negative).  Absolute precision is shift + len."""
-
-    __slots__ = ("fq", "shift", "coeffs")
-
-    def __init__(self, fq, shift, coeffs):
-        self.fq = fq
-        self.shift = shift
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("empty coefficient window")
-
-    @classmethod
-    def from_series(cls, s, shift=0):
-        return cls(s.fq, shift, s.coeffs)
-
-    @classmethod
-    def zero(cls, fq, abs_prec):
-        # zero to precision t^abs_prec, window starting at 0 when possible
-        start = min(0, abs_prec - 1)
-        return cls(fq, start, (0,) * (abs_prec - start))
-
-    @classmethod
-    def one(cls, fq, abs_prec):
-        return cls(fq, 0, (1,) + (0,) * (abs_prec - 1))
-
-    @property
-    def abs_prec(self):
-        return self.shift + len(self.coeffs)
-
-    def valuation(self):
-        v = ser_val(self.coeffs)
-        return None if v is None else self.shift + v
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def _aligned(self, other):
-        """Common window [lo, hi) covering both operands' knowledge."""
-        lo = min(self.shift, other.shift)
-        hi = min(self.abs_prec, other.abs_prec)
-        if hi <= lo:
-            raise PrecisionExhausted("no common precision window")
-        def window(x):
-            out = [0] * (hi - lo)
-            for i, c in enumerate(x.coeffs):
-                pos = x.shift + i - lo
-                if 0 <= pos < hi - lo:
-                    out[pos] = c
-            return out
-        return lo, window(self), window(other)
-
-    def __add__(self, other):
-        lo, a, b = self._aligned(other)
-        return LaurentSeries(self.fq, lo, ser_add(self.fq, tuple(a), tuple(b)))
-
-    def __sub__(self, other):
-        lo, a, b = self._aligned(other)
-        return LaurentSeries(self.fq, lo, ser_sub(self.fq, tuple(a), tuple(b)))
-
-    def __neg__(self):
-        return LaurentSeries(self.fq, self.shift, ser_neg(self.fq, self.coeffs))
-
-    def __mul__(self, other):
-        n = min(len(self.coeffs), len(other.coeffs))
-        prod = ser_mul(self.fq, self.coeffs, other.coeffs, n)
-        return LaurentSeries(self.fq, self.shift + other.shift, prod)
-
-    def scale(self, c):
-        return LaurentSeries(self.fq, self.shift, ser_scale(self.fq, c, self.coeffs))
-
-    def shifted(self, k):
-        """Multiply by t^k (k may be negative); exact."""
-        return LaurentSeries(self.fq, self.shift + k, self.coeffs)
-
-    def inverse(self):
-        v = ser_val(self.coeffs)
-        if v is None:
-            raise PrecisionExhausted("cannot invert a series that is zero to precision")
-        unit = self.coeffs[v:]
-        return LaurentSeries(self.fq, -(self.shift + v), ser_unit_inv(self.fq, unit))
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def normalized(self):
-        """Push known leading zeros into the shift."""
-        v = ser_val(self.coeffs)
-        if v is None or v == 0:
-            return self
-        return LaurentSeries(self.fq, self.shift + v, self.coeffs[v:])
-
-    def to_truncated(self, precision):
-        """View as an element of F_q[[t]] mod t^precision.
-
-        Requires every stored coefficient below exponent 0 to vanish and
-        the stored window to cover [0, precision).
-        """
-        if self.shift < 0 and any(self.coeffs[:min(len(self.coeffs), -self.shift)]):
-            raise PrecisionExhausted("series has a pole, not integral")
-        if self.abs_prec < precision:
-            raise PrecisionExhausted(
-                f"requested precision {precision} exceeds known window {self.abs_prec}")
-        out = [0] * precision
-        for i, c in enumerate(self.coeffs):
-            pos = self.shift + i
-            if 0 <= pos < precision:
-                out[pos] = c
-        return TruncatedSeries(self.fq, out)
-
-    def agrees_with(self, other):
-        lo, a, b = self._aligned(other)
-        return a == b
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self.fq is other.fq and self.agrees_with(other) \
-            and self.abs_prec == other.abs_prec
-    __hash__ = None
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{self.fq.element_text(c)}*t^{self.shift + i}")
-        body = " + ".join(terms) if terms else "0"
-        return f"LaurentSeries({body} + O(t^{self.abs_prec}))"

@@ -241,6 +241,19 @@ def test_exit_codes(capsys):
                "--ceiling", "10")[0] == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--q", "2", "--f", "X^3-t^5", "--precision", "10"),
+    ("analyze", "--q", "3", "--f", "X^2-t^7", "--per-class",
+     "--precision", "16"),
+])
+def test_generator_vanishing_to_the_window_exits_4(capsys, argv):
+    # a lattice generator that is zero to its window is a precision
+    # failure (exit 4), not a violated precondition (exit 3)
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert "vanish to the working window" in err
+
+
 def test_file_flag_conflicts_with_inline_flags(capsys, tmp_path):
     path = tmp_path / "o.order"
     path.write_text("q = 3\nf = X^2 - t^3\n")

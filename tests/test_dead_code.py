@@ -1,7 +1,10 @@
 """Dead-code guard for the package, using nothing but the ast module.
 
 Every module-level function and class of src/orderzeta must be used
-somewhere in the package or the tests outside its own definition, and no
+somewhere in the package or the tests outside its own definition; every
+method of a class there that is not a dunder must be read, as an
+attribute or a name, somewhere in the package itself outside its own
+definition (a method that only tests call belongs in the tests); and no
 module but __init__.py (which re-exports the public API) may import a
 name it never uses.
 """
@@ -46,6 +49,29 @@ def test_every_definition_has_a_use():
     dead = [f"{path.name}: {name}" for path, name in defined
             if not uses.get(name, set()) - {(path, name)}]
     assert not dead, f"defined but never used: {dead}"
+
+
+def test_every_method_has_a_use_in_the_package():
+    defined = []              # (module path, class name, method name)
+    uses = {}                 # name -> the methods it is read inside
+    for path, tree in _parsed(PACKAGE):
+        for stmt in tree.body:
+            parts = [(None, stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                parts = [((path, stmt.name, sub.name), sub)
+                         if isinstance(sub, ast.FunctionDef) else (None, sub)
+                         for sub in stmt.body]
+                parts += [(None, node) for node in stmt.decorator_list
+                          + stmt.bases]
+            for owner, node in parts:
+                if owner and not (owner[2].startswith("__")
+                                  and owner[2].endswith("__")):
+                    defined.append(owner)
+                for name in _names_used(node):
+                    uses.setdefault(name, set()).add(owner)
+    dead = [f"{path.name}: {cls}.{name}" for path, cls, name in defined
+            if not uses.get(name, set()) - {(path, cls, name)}]
+    assert not dead, f"methods never read in the package: {dead}"
 
 
 def test_no_unused_imports():

@@ -5,12 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from orderzeta.errors import NonIntegralInput, ParseError
 from orderzeta.fq import Fq, FqSpec
-from orderzeta.parsing import (format_order_description, format_series,
-                               format_tpoly, format_xpoly, mono_min_tval,
-                               parse_monomials, parse_order_description,
-                               parse_tpoly, parse_xpoly)
+from orderzeta.parsing import (format_order_description, format_tpoly,
+                               format_xpoly, mono_min_tval, parse_monomials,
+                               parse_order_description, parse_tpoly,
+                               parse_xpoly)
 from orderzeta.polynomials import xp_trim
-from orderzeta.series import TruncatedSeries
 
 F2 = Fq(FqSpec.parse("2"))
 F3 = Fq(FqSpec.parse("3"))
@@ -79,8 +78,6 @@ def test_canonical_printing_examples():
     assert format_xpoly(F3, parse_xpoly(F3, "(1 + t^2)*X^3 + X")) == "(1 + t^2)*X^3 + X"
     assert format_xpoly(F3, ()) == "0"
     assert format_tpoly(F5, (3, 0, 1)) == "3 + t^2"
-    assert format_series(TruncatedSeries.from_poly(F3, (1, 0, 2), 5)) == "1 + 2*t^2"
-    assert format_series(TruncatedSeries.zero(F3, 4)) == "0"
 
 
 def test_printer_is_a_normal_form():

@@ -1,7 +1,6 @@
 """Partition statistics and the two bound polynomial families."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from orderzeta.partitions import (Partition, hilb_count_regular, m_poly,
                                   n_poly, partitions)
@@ -23,20 +22,6 @@ def test_partition_validation_and_statistics():
         Partition((2, 0))
     empty = Partition()
     assert empty.size == 0 and empty.length == 0 and empty.ones == 0
-
-
-def test_transpose_known_and_involutive():
-    assert Partition((3, 1)).transpose() == Partition((2, 1, 1))
-    assert Partition((2, 2)).transpose() == Partition((2, 2))
-    assert Partition().transpose() == Partition()
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(1, 9), max_size=8))
-def test_transpose_is_an_involution(parts):
-    lam = Partition(sorted(parts, reverse=True))
-    assert lam.transpose().transpose() == lam
-    assert lam.transpose().size == lam.size
 
 
 def test_enumeration_examples():

@@ -5,17 +5,27 @@ from hypothesis import given, settings, strategies as st
 
 from orderzeta.errors import PrecisionExhausted
 from orderzeta.fq import Fq, FqSpec
-from orderzeta.polynomials import (BiPoly, IntPoly, SeriesPoly, hensel_split,
+from orderzeta.lattices import resultant_valuation
+from orderzeta.polynomials import (BiPoly, IntPoly, hensel_split,
                                    monic_polys_over_fq, resultant_exact,
-                                   resultant_series, tp_neg, up_divmod,
-                                   up_ext_euclid, up_factor,
-                                   up_is_irreducible, up_mul, up_roots,
-                                   up_trim, xp_mul, xp_subst_x_shift,
-                                   xp_trim)
+                                   sp_mul, tp_neg, tp_val, up_ext_euclid,
+                                   up_divmod, up_factor, up_is_irreducible,
+                                   up_mul, up_roots, up_trim, xp_mul,
+                                   xp_subst_x_shift)
+from orderzeta.series import ser_mul, ser_pad, ser_scale
+
+from laurent_oracle import resultant_series
 
 F2 = Fq(FqSpec.parse("2"))
 F3 = Fq(FqSpec.parse("3"))
+F4 = Fq(FqSpec.parse("4"))
 F5 = Fq(FqSpec.parse("5"))
+F9 = Fq(FqSpec.parse("9"))
+
+
+def windowed(f, w):
+    """An exact X-polynomial as one with series coefficients of w digits."""
+    return tuple(ser_pad(c, w) for c in f)
 
 
 # ---------------------------------------------------------------------------
@@ -139,42 +149,83 @@ def test_series_resultant_matches_exact_path():
     f = ((0, 0, 0, 2), (), (1,))      # X^2 - t^3 over F_3
     g = ((), (2,))                    # f' = 2X
     exact = resultant_exact(F3, f, g)
-    fs = SeriesPoly.from_exact(F3, f, 14)
-    gs = SeriesPoly.from_exact(F3, g, 14)
-    res = resultant_series(fs, gs)
+    fs, gs = windowed(f, 14), windowed(g, 14)
+    assert resultant_valuation(F3, fs, gs) == tp_val(exact) == 3
+    res = resultant_series(F3, fs, gs)
     k = min(res.abs_prec, 10)
     want = tuple(exact) + (0,) * (k - len(exact))
-    assert res.to_truncated(k).coeffs == want[:k]
+    assert res.to_truncated(k) == want[:k]
 
 
 def test_series_resultant_refuses_invisible_pivot():
     # X^2 - t^5 at precision 3 looks like X^2; the resultant with 2X
     # is 2^2 * t^5 which is invisible, so no pivot can be certified.
-    f = SeriesPoly.from_exact(F3, ((0, 0, 0, 0, 0, 2), (), (1,)), 3)
-    g = SeriesPoly.from_exact(F3, ((), (2,)), 3)
+    f = windowed(((0, 0, 0, 0, 0, 2), (), (1,)), 3)
+    g = windowed(((), (2,)), 3)
     with pytest.raises(PrecisionExhausted):
-        resultant_series(f, g)
+        resultant_valuation(F3, f, g)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionExhausted as exc:
+        return type(exc), str(exc)
+
+
+def _derivative(fq, f):
+    return tuple(ser_scale(fq, fq.from_int(i % fq.p), c)
+                 for i, c in enumerate(f) if i)
+
+
+@st.composite
+def _monic_series_poly(draw, fq, w):
+    """A monic X-polynomial of degree 1..4 with w-digit coefficients,
+    each below the leading one starting at a drawn valuation 0..w (w
+    being a coefficient that is zero to its window)."""
+    deg = draw(st.integers(1, 4))
+    digit = st.integers(0, fq.q - 1)
+    coeffs = []
+    for _ in range(deg):
+        v = draw(st.integers(0, w))
+        coeffs.append((0,) * v + tuple(draw(st.lists(
+            digit, min_size=w - v, max_size=w - v))))
+    return tuple(coeffs) + (ser_pad((1,), w),)
+
+
+@st.composite
+def _resultant_inputs(draw):
+    fq = draw(st.sampled_from([F2, F3, F4, F9]))
+    w = draw(st.integers(3, 16))
+    f = draw(_monic_series_poly(fq, w))
+    if draw(st.booleans()):
+        return fq, f, _derivative(fq, f)
+    return fq, f, draw(_monic_series_poly(fq, w))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_resultant_inputs())
+def test_resultant_valuation_matches_laurent_series_elimination(case):
+    fq, f, g = case
+    want = _outcome(lambda: resultant_series(fq, f, g).valuation())
+    assert _outcome(resultant_valuation, fq, f, g) == want
 
 
 def test_hensel_split_square_root_of_one_plus_t():
     # X^2 - (1+t) factors as (X-s)(X+s) with s^2 = 1+t over F_3
     prec = 16
-    f = SeriesPoly.from_exact(F3, ((2, 2), (), (1,)), prec)
-    g, h = hensel_split(f, (2, 1), (1, 1), prec)
-    assert g.degree == 1 and h.degree == 1
-    prod = g * h
-    for i, c in enumerate(f.coeffs):
-        assert prod.coeffs[i].agrees_with(c)
-    from orderzeta.series import TruncatedSeries
-    s = g.coeffs[0]
-    s_sq = s * s
-    assert s_sq.coeffs == TruncatedSeries.from_poly(F3, (1, 1), prec).coeffs
+    f = windowed(((2, 2), (), (1,)), prec)
+    g, h = hensel_split(F3, f, (2, 1), (1, 1), prec)
+    assert len(g) == 2 and len(h) == 2
+    assert sp_mul(F3, g, h, prec) == f
+    s = g[0]
+    assert ser_mul(F3, s, s) == ser_pad((1, 1), prec)
 
 
 def test_hensel_split_rejects_non_coprime():
-    f = SeriesPoly.from_exact(F3, ((0, 2), (), (1,)), 8)   # X^2 - t, bar = X^2
+    f = windowed(((0, 2), (), (1,)), 8)   # X^2 - t, bar = X^2
     with pytest.raises(ValueError):
-        hensel_split(f, (0, 1), (0, 1), 8)
+        hensel_split(F3, f, (0, 1), (0, 1), 8)
 
 
 # ---------------------------------------------------------------------------
