@@ -4,12 +4,16 @@ Elements are encoded as integers in [0, q): the base-p digits of the code
 are the coefficients of the residue polynomial in the generator u, so the
 prime subfield occupies codes 0..p-1 and the generator itself is code p.
 An `Fq` context precomputes full operation tables, which keeps the series
-and lattice layers free of per-element object overhead.
+and lattice layers free of per-element object overhead.  Products in an
+extension field, and the modulus check and search, are polynomial
+arithmetic over the prime field's own tables (polynomials.py).
 """
 
 from __future__ import annotations
 
 from .errors import ParseError, PreconditionViolated
+from .polynomials import (monic_polys_over_fq, up_eval, up_is_irreducible,
+                          up_mod, up_mul, up_roots)
 
 # Fields bigger than this would need q^2-entry tables; everything in scope
 # is tiny (q <= 81 after base change).
@@ -34,78 +38,11 @@ def _is_prime(n):
     return True
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p (coefficient tuples, low degree first)
-# ---------------------------------------------------------------------------
-
-def _pp_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _pp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pp_trim(out)
-
-
-def _pp_mod(a, m, p):
-    """Remainder of a modulo the monic polynomial m, over F_p."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and any(a):
-        lead = a[-1]
-        if lead == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - dm
-        for i in range(dm + 1):
-            a[shift + i] = (a[shift + i] - lead * m[i]) % p
-        a.pop()
-    return _pp_trim(a)
-
-
-def _pp_is_irreducible(m, p):
-    """Exhaustive divisor search; fine for the tiny degrees used here."""
-    deg = len(m) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        # all monic polynomials of degree d over F_p
-        for code in range(p ** d):
-            cand = []
-            c = code
-            for _ in range(d):
-                cand.append(c % p)
-                c //= p
-            cand.append(1)
-            if not _pp_mod(m, tuple(cand), p):
-                return False
-    return True
-
-
 def find_irreducible(p, deg):
     """Lexicographically smallest monic irreducible of given degree over F_p."""
-    if deg == 1:
-        return (0, 1)
-    for code in range(p ** deg):
-        cand = []
-        c = code
-        for _ in range(deg):
-            cand.append(c % p)
-            c //= p
-        cand.append(1)
-        cand = tuple(cand)
-        if _pp_is_irreducible(cand, p):
-            return cand
-    raise PreconditionViolated(f"no irreducible of degree {deg} over F_{p} found")
+    fp = Fq(FqSpec(p))
+    return next(cand for cand in monic_polys_over_fq(fp, deg)
+                if up_is_irreducible(fp, cand))
 
 
 class FqSpec:
@@ -132,7 +69,7 @@ class FqSpec:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise PreconditionViolated("modulus must be monic of degree e")
-        if e > 1 and not _pp_is_irreducible(modulus, p):
+        if e > 1 and not up_is_irreducible(Fq(FqSpec(p)), modulus):
             raise PreconditionViolated("modulus is reducible over F_p")
         self.p = p
         self.e = e
@@ -303,11 +240,11 @@ class Fq:
             return code
 
         self._decode = decode
-        self._encode = encode
 
         add = [[0] * q for _ in range(q)]
         mul = [[0] * q for _ in range(q)]
         neg = [0] * q
+        fp = Fq(FqSpec(p)) if e > 1 else None
         for a in range(q):
             da = decode(a)
             neg[a] = encode(tuple((-x) % p for x in da))
@@ -316,9 +253,10 @@ class Fq:
                 s = encode(tuple((x + y) % p for x, y in zip(da, db)))
                 add[a][b] = s
                 add[b][a] = s
-                prod = _pp_mod(_pp_mul(_pp_trim(da), _pp_trim(db), p), spec.modulus, p)
-                prod = prod + (0,) * (e - len(prod))
-                m = encode(prod)
+                if fp is None:
+                    m = a * b % p
+                else:
+                    m = encode(up_mod(fp, up_mul(fp, da, db), spec.modulus))
                 mul[a][b] = m
                 mul[b][a] = m
         inv = [0] * q
@@ -392,29 +330,10 @@ def embedding(small, big):
     """
     if small.p != big.p or big.e % small.e != 0:
         raise PreconditionViolated("no embedding between these fields")
-    p = small.p
     if small.e == 1:
-        return list(range(p)) if big.e >= 1 else None
-    root = None
-    for cand in range(big.q):
-        # evaluate small's modulus at cand inside big
-        acc = 0
-        power = 1
-        for c in small.spec.modulus:
-            acc = big.add(acc, big.mul(c % p, power))
-            power = big.mul(power, cand)
-        if acc == 0:
-            root = cand
-            break
-    if root is None:
+        return list(range(small.p))
+    roots = up_roots(big, small.spec.modulus)
+    if not roots:
         raise PreconditionViolated("modulus has no root in the target field")
-    table = [0] * small.q
-    for code in range(small.q):
-        digits = small.decode(code)
-        acc = 0
-        power = 1
-        for d in digits:
-            acc = big.add(acc, big.mul(d, power))
-            power = big.mul(power, root)
-        table[code] = acc
-    return table
+    return [up_eval(big, small.decode(code), roots[0])
+            for code in range(small.q)]

@@ -943,12 +943,6 @@ def class_count_mod_lambda(order, ceiling=None):
     return len(sandwich_representatives(order, ceiling=ceiling))
 
 
-def multiplier_ring(m, order):
-    """End(M) = (M : M), a ring between the order and its normalization."""
-    return colon_lattice(m, m, order.multiply_vectors,
-                         order.trace_gram_columns, order.precision)
-
-
 def is_homothetic(m1, m2, order):
     """A witness element x with x*M1 = M2, or None.
 

@@ -23,6 +23,8 @@ covers every polynomial whose factors it can also certify.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import (BadFactorization, InvariantViolation, NotSquarefree,
                      PrecisionExhausted, PreconditionViolated)
 from .fq import Fq, FqSpec, embedding
@@ -142,12 +144,6 @@ def _trim_digits(coeffs):
     return tuple(tuple(c) for c in out)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _certify(fq, coeffs, window, work, budget):
     """(ramification index, residue degree) of a certified irreducible
     monic polynomial; raises BadFactorization when it is reducible or
@@ -176,7 +172,7 @@ def _certify(fq, coeffs, window, work, budget):
     if v0 == 0:
         eprime, h = 1, 0
     else:
-        g = _gcd(v0, n)
+        g = gcd(v0, n)
         eprime, h = n // g, v0 // g
         for i in range(1, n):
             vi = tp_val(coeffs[i]) if coeffs[i] else None
@@ -896,8 +892,7 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
         plain_gram_columns=tcols, j_max=j_max, _pw=pw)
 
 
-def build_order(fq, f, factors=None, precision=None, verify_stability=True,
-                f_window=None):
+def build_order(fq, f, factors=None, precision=None, f_window=None):
     """Build the full order data for a monic squarefree f.
 
     f and the optional factors are tuples of F_q[t] coefficient tuples
@@ -927,7 +922,9 @@ def build_order(fq, f, factors=None, precision=None, verify_stability=True,
                  for i, c in enumerate(wser) if i]
         valres = resultant_valuation(fq, wser, deriv)
         if valres is None:
-            raise NotSquarefree("discriminant vanishes to precision")
+            raise PrecisionExhausted(
+                f"discriminant of f vanishes to its {f_window}-digit window; "
+                "raise the precision")
 
     maxdeg = max(len(c) for c in f)
     if precision is not None:
@@ -960,15 +957,14 @@ def build_order(fq, f, factors=None, precision=None, verify_stability=True,
         pieces = tuple(pieces)
 
     order = _assemble(fq, f, f_window, pieces, w, valres)
-    if verify_stability:
-        again = _assemble(fq, f, f_window, pieces, w + 2, valres)
-        if order.signature() != again.signature():
-            raise PrecisionExhausted(
-                "invariants changed when recomputed at higher precision")
+    again = _assemble(fq, f, f_window, pieces, w + 2, valres)
+    if order.signature() != again.signature():
+        raise PrecisionExhausted(
+            "invariants changed when recomputed at higher precision")
     return order
 
 
-def base_change_order(order, d, precision=None, verify_stability=True):
+def base_change_order(order, d, precision=None):
     """The same polynomial viewed over the unramified extension of
     degree d, refactored and rebuilt there."""
     if d == 1:
@@ -978,7 +974,6 @@ def base_change_order(order, d, precision=None, verify_stability=True):
     table = embedding(fq, big)
     f_big = tuple(tuple(table[c] for c in coeff) for coeff in order.f)
     return build_order(big, f_big, None, precision=precision,
-                       verify_stability=verify_stability,
                        f_window=order.f_window)
 
 

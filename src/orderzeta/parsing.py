@@ -58,11 +58,10 @@ def tokenize(text):
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, fq, tokens, allow_x):
+    def __init__(self, fq, tokens):
         self.fq = fq
         self.toks = tokens
         self.pos = 0
-        self.allow_x = allow_x
 
     def peek(self):
         return self.toks[self.pos]
@@ -154,8 +153,6 @@ class _Parser:
             if val == "t":
                 return {(0, 1): 1}, "t"
             if val == "X":
-                if not self.allow_x:
-                    raise ParseError(f"X is not allowed here (position {pos})")
                 return {(1, 0): 1}, "X"
         if kind == "op" and val == "(":
             inner = self.expr()
@@ -204,13 +201,9 @@ def _mpow(fq, a, k):
 # public parse entry points
 # ---------------------------------------------------------------------------
 
-def parse_monomials(fq, text, allow_x=True):
+def parse_monomials(fq, text):
     """Parse to a raw monomial dict, Laurent t-exponents permitted."""
-    return _Parser(fq, tokenize(text), allow_x).parse()
-
-
-def mono_min_tval(mono):
-    return min((t for (_, t) in mono), default=0)
+    return _Parser(fq, tokenize(text)).parse()
 
 
 def mono_to_xpoly(fq, mono):
@@ -238,13 +231,7 @@ def mono_to_xpoly(fq, mono):
 
 def parse_xpoly(fq, text):
     """Parse a polynomial in X over F_q[t], rejecting Laurent input."""
-    return mono_to_xpoly(fq, parse_monomials(fq, text, allow_x=True))
-
-
-def parse_tpoly(fq, text):
-    """Parse an exact element of F_q[t] (no X)."""
-    xp = mono_to_xpoly(fq, parse_monomials(fq, text, allow_x=False))
-    return xp[0] if xp else ()
+    return mono_to_xpoly(fq, parse_monomials(fq, text))
 
 
 # ---------------------------------------------------------------------------

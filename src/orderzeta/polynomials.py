@@ -3,7 +3,8 @@
 Three coefficient domains appear, all with dense low-degree-first tuples:
 
 * `up_*`   -- univariate polynomials over F_q itself (tuples of element
-              codes).  Used for residue factorisations and Hensel data.
+              codes).  Used for residue factorisations, Hensel data and,
+              over F_p, the extension-field tables and moduli of fq.py.
 * `tp_*`   -- polynomials in t over F_q, i.e. exact elements of F_q[t]
               (tuples of element codes).  These support exact resultants.
 * `xp_*`   -- polynomials in X whose coefficients are `tp` tuples.  The

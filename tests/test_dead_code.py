@@ -1,12 +1,12 @@
 """Dead-code guard for the package, using nothing but the ast module.
 
 Every module-level function and class of src/orderzeta must be used
-somewhere in the package or the tests outside its own definition; every
-method of a class there that is not a dunder must be read, as an
-attribute or a name, somewhere in the package itself outside its own
-definition (a method that only tests call belongs in the tests); and no
-module but __init__.py (which re-exports the public API) may import a
-name it never uses.
+somewhere in the package outside its own definition, where a re-export
+from __init__.py counts as a use; every method of a class there that is
+not a dunder must be read, as an attribute or a name, somewhere in the
+package outside its own definition (a function or method that only
+tests call belongs in the tests); and no module but __init__.py (which
+re-exports the public API) may import a name it never uses.
 """
 
 import ast
@@ -33,11 +33,10 @@ def _names_used(node):
 def test_every_definition_has_a_use():
     defined = []              # (module path, name)
     uses = {}                 # name -> the definitions it is used inside
-    for path, tree in _parsed(PACKAGE) + _parsed(ROOT / "tests"):
+    for path, tree in _parsed(PACKAGE):
         for stmt in tree.body:
             owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
-                    path.parent == PACKAGE:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 owner = (path, stmt.name)
                 defined.append(owner)
             names = list(_names_used(stmt))

@@ -107,6 +107,62 @@ def test_find_irreducible_is_lex_smallest():
     assert find_irreducible(2, 4) == (1, 1, 0, 0, 1)
 
 
+# Moduli that FqSpec takes by default instead of the smallest irreducible.
+LISTED_MODULI = {(2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (3, 2): (1, 0, 1)}
+
+
+def base_p_digits(code, p, k):
+    """The k base-p digits of code, least significant first."""
+    return [code // p ** i % p for i in range(k)]
+
+
+def remainder(a, m, p):
+    """a modulo the monic m over F_p, by long division on integers."""
+    a = list(a)
+    while len(a) >= len(m):
+        lead = a.pop() % p
+        shift = len(a) - (len(m) - 1)
+        for i, c in enumerate(m[:-1]):
+            a[shift + i] -= lead * c
+    return [c % p for c in a]
+
+
+@pytest.mark.parametrize("p, e", [(p, e) for p in (2, 3, 5, 7)
+                                  for e in range(1, 7) if p ** e <= 81])
+def test_tables_match_schoolbook_arithmetic_mod_p(p, e):
+    q = p ** e
+
+    def monics(k):
+        # increasing order of the code sum c_i p^i: lexicographic order
+        return [base_p_digits(code, p, k) + [1] for code in range(p ** k)]
+
+    def irreducible(m):
+        return all(any(remainder(m, d, p))
+                   for k in range(1, e // 2 + 1) for d in monics(k))
+
+    fq = Fq(FqSpec(p, e))
+    modulus = list(fq.spec.modulus)
+    assert irreducible(modulus)
+    if (p, e) in LISTED_MODULI:
+        assert tuple(modulus) == LISTED_MODULI[(p, e)]
+    else:
+        assert modulus == next(m for m in monics(e) if irreducible(m))
+
+    def code(poly):
+        return sum(c % p * p ** i for i, c in enumerate(poly))
+
+    for a in range(q):
+        da = base_p_digits(a, p, e)
+        for b in range(q):
+            db = base_p_digits(b, p, e)
+            product = [0] * (2 * e - 1)
+            for i, x in enumerate(da):
+                for j, y in enumerate(db):
+                    product[i + j] += x * y
+            assert fq._add[a][b] == code([x + y for x, y in zip(da, db)])
+            assert fq._mul[a][b] == code(remainder(product, modulus, p))
+
+
 def _hom_check(small, big):
     table = embedding(small, big)
     assert table[0] == 0 and table[1] == 1

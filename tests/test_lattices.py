@@ -24,7 +24,7 @@ from orderzeta.lattices import (LatticeHNF, _action_on_lattice,
                                 element_scaled_lattice, enumeration_ceiling,
                                 hnf_from_generators, identity_lattice,
                                 is_homothetic, laurent_matrix_inverse,
-                                mat_vec, multiplier_ring,
+                                mat_vec,
                                 product_lattice, relative_length, relative_to,
                                 sandwich_representatives, solve_in_basis,
                                 stable_sublattice_levels, stable_sublattices,
@@ -750,6 +750,12 @@ def test_class_count_stable_under_window_enlargement():
     deeper = NodeOrder(F3)
     deeper.conductor_lattice = order.conductor_lattice.shifted(1)
     assert class_count_mod_lambda(deeper) == count
+
+
+def multiplier_ring(m, order):
+    """End(M) = (M : M), a ring between the order and its normalization."""
+    return colon_lattice(m, m, order.multiply_vectors,
+                         order.trace_gram_columns, order.precision)
 
 
 def test_exactly_one_node_representative_has_maximal_multiplier_ring():

@@ -350,6 +350,21 @@ def test_windowed_input_matches_exact():
         [(fd.d, fd.r, fd.n, fd.e, fd.delta) for fd in exact.factors]
 
 
+def test_windowed_discriminant_vanishing_to_the_window_exits_4():
+    # X^2 + t^3 over F_2 to 10 digits: the squarefree X^2 + t^20*X + t^3
+    # agrees with it there, so the window cannot decide squarefreeness.
+    win = 10
+    padded = tuple(tuple(c) + (0,) * (win - len(c))
+                   for c in ((0, 0, 0, 1), (), (1,)))
+    with pytest.raises(PrecisionExhausted, match="10-digit window") as info:
+        build_order(F2, padded, f_window=win)
+    assert info.value.exit_code == 4
+    assert build_order(F2, ((0, 0, 0, 1), (0,) * 20 + (1,), (1,))).delta == 1
+    with pytest.raises(NotSquarefree) as info:
+        build_order(F2, ((1,), (), (1,)))            # (X + 1)^2, exact
+    assert info.value.exit_code == 3
+
+
 def test_build_is_deterministic():
     a = build_order(F5, ((0, 0, 0, 4), (), (1,)))
     b = build_order(F5, ((0, 0, 0, 4), (), (1,)))

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from orderzeta.errors import NonIntegralInput, ParseError
 from orderzeta.fq import Fq, FqSpec
 from orderzeta.parsing import (format_order_description, format_tpoly,
-                               format_xpoly, mono_min_tval, parse_monomials,
-                               parse_order_description, parse_tpoly,
-                               parse_xpoly)
+                               format_xpoly, parse_monomials,
+                               parse_order_description, parse_xpoly)
 from orderzeta.polynomials import xp_trim
 
 F2 = Fq(FqSpec.parse("2"))
@@ -24,33 +23,32 @@ def test_basic_x_polynomial():
 
 
 def test_extension_coefficients():
-    assert parse_tpoly(F4, "(u+1)*t^2") == (0, 0, 3)
-    assert parse_tpoly(F9, "u + 2*t") == (3, 2)
+    assert parse_xpoly(F4, "(u+1)*t^2") == ((0, 0, 3),)
+    assert parse_xpoly(F9, "u + 2*t") == ((3, 2),)
     assert parse_xpoly(F9, "X^2 - u") == ((6,), (), (1,))
 
 
 def test_implicit_multiplication_and_signs():
-    assert parse_tpoly(F5, "2t^3") == (0, 0, 0, 2)
-    assert parse_tpoly(F3, "-t") == (0, 2)
-    assert parse_tpoly(F3, "- t + t") == ()
+    assert parse_xpoly(F5, "2t^3") == ((0, 0, 0, 2),)
+    assert parse_xpoly(F3, "-t") == ((0, 2),)
+    assert parse_xpoly(F3, "- t + t") == ()
     assert parse_xpoly(F3, "(X - t)(X + t)") == parse_xpoly(F3, "X^2 - t^2")
 
 
 def test_constant_reduction_mod_p():
-    assert parse_tpoly(F3, "4") == (1,)
-    assert parse_tpoly(F3, "3*t") == ()
-    assert parse_tpoly(F2, "7 + 2*t") == (1,)
+    assert parse_xpoly(F3, "4") == ((1,),)
+    assert parse_xpoly(F3, "3*t") == ()
+    assert parse_xpoly(F2, "7 + 2*t") == ((1,),)
 
 
 def test_parenthesised_powers():
     assert parse_xpoly(F3, "(X + t)^2") == parse_xpoly(F3, "X^2 + 2*t*X + t^2")
-    assert parse_tpoly(F4, "(u+1)^2") == (parse_tpoly(F4, "u"))  # (u+1)^2 = u
+    assert parse_xpoly(F4, "(u+1)^2") == parse_xpoly(F4, "u")  # (u+1)^2 = u
 
 
 def test_laurent_monomials_survive_raw_parse_but_fail_validation():
     mono = parse_monomials(F3, "X^2 - t^-1")
     assert mono == {(2, 0): 1, (0, -1): 2}
-    assert mono_min_tval(mono) == -1
     with pytest.raises(NonIntegralInput):
         parse_xpoly(F3, "X^2 - t^-1")
     with pytest.raises(NonIntegralInput):
@@ -66,9 +64,7 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         parse_xpoly(F3, "(X+1)^-1")
     with pytest.raises(ParseError):
-        parse_tpoly(F3, "X^2")           # X not allowed in series context
-    with pytest.raises(ParseError):
-        parse_tpoly(F3, "u + 1")         # u undefined over a prime field
+        parse_xpoly(F3, "u + 1")         # u undefined over a prime field
 
 
 def test_canonical_printing_examples():
