@@ -13,7 +13,7 @@ from .fq import Fq, FqSpec
 from .orders import auto_factor, base_change_order, build_order, n_lines_order
 from .lattices import (class_count_mod_lambda, enumeration_ceiling,
                        hnf_from_generators, identity_lattice, relative_length,
-                       sandwich_representatives, stable_sublattices)
+                       sandwich_representatives)
 from .partitions import hilb_count_regular, m_poly, n_poly
 from .parsing import (format_order_description, format_xpoly,
                       parse_order_description, parse_xpoly)
@@ -35,7 +35,6 @@ __all__ = [
     "auto_factor", "base_change_order", "build_order", "n_lines_order",
     "class_count_mod_lambda", "enumeration_ceiling", "hnf_from_generators",
     "identity_lattice", "relative_length", "sandwich_representatives",
-    "stable_sublattices",
     "hilb_count_regular", "m_poly", "n_poly",
     "format_order_description", "format_xpoly", "parse_order_description",
     "parse_xpoly",

@@ -482,14 +482,10 @@ def laurent_matrix_inverse(fq, cols, precision):
     for i in range(n):
         for j in range(n):
             e_shift, digits = inv[i][j]
-            e_shift -= col_v[i] + row_v[j]
-            v = ser_val(digits)
-            if v:
-                e_shift += v
-                digits = digits[v:]
-            inv[i][j] = (e_shift, digits)
-            if v is not None:
-                shift = min(shift, e_shift)
+            inv[i][j] = entry = _laurent_normal(
+                (e_shift - col_v[i] - row_v[j], digits))
+            if any(digits):
+                shift = min(shift, entry[0])
     out_prec = min(s + len(d) for row in inv for s, d in row) - shift
     if out_prec < 1:
         raise PrecisionExhausted("matrix inverse lost all precision")
@@ -517,9 +513,11 @@ def resultant_valuation(fq, f, g):
     Leading coefficients that are zero to their window are dropped.  The
     Sylvester matrix, its entries raw Laurent pairs, is brought to
     triangular form with the pivot rule of laurent_matrix_inverse, and
-    the resultant is, up to sign, the product of the pivots at their
-    shortest window.  Raises PrecisionExhausted when a pivot cannot be
-    certified nonzero.
+    the resultant is, up to sign, the product of the pivots.  Multipliers
+    and pivots have their known leading zeros moved into the shift, so
+    entries stay integral and step k costs the windows below it at most
+    twice its pivot's valuation.  Raises PrecisionExhausted when a pivot
+    cannot be certified nonzero.
     """
     fc, gc = list(f), list(g)
     for cs in (fc, gc):
@@ -553,10 +551,11 @@ def resultant_valuation(fq, f, g):
             pinv = _laurent_inv(fq, rows[k][k])
             for i in range(k + 1, size):
                 if any(rows[i][k][1]):
-                    factor = _laurent_mul(fq, rows[i][k], pinv)
+                    factor = _laurent_normal(
+                        _laurent_mul(fq, rows[i][k], pinv))
                     rows[i] = [_laurent_sub(fq, a, _laurent_mul(fq, factor, b))
                                for a, b in zip(rows[i], rows[k])]
-            pivots.append(rows[k][k])
+            pivots.append(_laurent_normal(rows[k][k]))
     det = pivots[0]
     for piv in pivots[1:]:
         det = _laurent_mul(fq, det, piv)
@@ -583,6 +582,14 @@ def _laurent_inv(fq, a):
     shift, digits = a
     v = ser_val(digits)
     return (-(shift + v), ser_unit_inv(fq, digits[v:]))
+
+
+def _laurent_normal(a):
+    """A raw Laurent pair with its known leading zeros moved into the
+    shift, so that products with it keep the window they truly know."""
+    shift, digits = a
+    v = ser_val(digits)
+    return (shift + v, digits[v:]) if v else a
 
 
 def _laurent_mul(fq, a, b):
@@ -893,16 +900,6 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
         lats.sort(key=LatticeHNF.sort_key)
         out.append(lats)
     return out
-
-
-def stable_sublattices(base, j, ambient_mats, precision=None, ceiling=None):
-    """Stable sublattices of `base` of colength exactly j, composed into
-    ambient coordinates, canonical and deterministically ordered."""
-    levels = stable_sublattice_levels(base, j, ambient_mats,
-                                      precision=precision, ceiling=ceiling)
-    lats = [compose_lattice(base, rel) for rel in levels[j]]
-    lats.sort(key=LatticeHNF.sort_key)
-    return lats
 
 
 # ---------------------------------------------------------------------------

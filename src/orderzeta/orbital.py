@@ -21,10 +21,10 @@ from itertools import product as iproduct
 from .errors import (BadFactorization, CeilingExceeded, InvariantViolation,
                      MethodDisagreement, NotSquarefree, PrecisionExhausted,
                      PreconditionViolated, RankDeficient)
-from .lattices import (LatticeHNF, _nonzero_entries, class_count_mod_lambda,
-                       compose_lattice, enumeration_ceiling,
-                       hnf_from_generators, identity_lattice, mat_vec,
-                       stable_sublattice_levels)
+from .lattices import (LatticeHNF, _basis_columns, _nonzero_entries,
+                       class_count_mod_lambda, compose_lattice,
+                       enumeration_ceiling, hnf_from_generators,
+                       identity_lattice, mat_vec, stable_sublattice_levels)
 from .orders import base_change_order, build_order
 from .partitions import m_poly, n_poly
 from .series import ser_add, ser_mul, ser_pad
@@ -241,14 +241,13 @@ def _flag_action(fq, a1, a2, m1, m2, width):
 def _integral_columns(lattice, width):
     """Basis columns of an integral lattice as exact polynomial tuples,
     with the canonical scale folded back in."""
-    if lattice.scale < 0:
+    shift = lattice.scale
+    if shift < 0:
         raise InvariantViolation("expected an integral lattice")
-    raw = lattice.columns(max(1, width - lattice.scale))
-    out = []
-    for col in raw:
-        out.append(tuple(ser_pad((0,) * lattice.scale + tuple(e), width)
-                         for e in col))
-    return out
+    return _basis_columns(
+        tuple(a + shift for a in lattice.diag),
+        tuple(tuple((0,) * shift + tuple(d) for d in col)
+              for col in lattice.off), width)
 
 
 def _fiber_size(fq, gamma, b1, b2, m1, m2, depth, width, ceiling):

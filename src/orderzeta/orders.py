@@ -33,10 +33,10 @@ from .lattices import (_nonzero_entries, colon_lattice,
                        identity_lattice, laurent_matrix_inverse, mat_vec,
                        product_lattice, relative_length, resultant_valuation,
                        solve_in_basis, trace_dual_lattice)
-from .polynomials import (hensel_split, resultant_exact, sp_mul, tp_val,
-                          up_divmod, up_factor, up_pow, up_roots, up_trim,
-                          xp_derivative, xp_mul, xp_subst_x_shift, xp_trim)
-from .series import ser_add, ser_mul, ser_neg, ser_pad, ser_scale, ser_sub
+from .polynomials import (hensel_split, sp_mul, up_divmod, up_factor, up_pow,
+                          up_roots, up_trim, xp_mul, xp_subst_x_shift, xp_trim)
+from .series import (ser_add, ser_mul, ser_neg, ser_pad, ser_scale, ser_sub,
+                      ser_val)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,47 @@ def _trim_digits(coeffs):
     return tuple(tuple(c) for c in out)
 
 
+def _derivative(fq, coeffs):
+    return [ser_scale(fq, fq.from_int(i % fq.p), c)
+            for i, c in enumerate(coeffs) if i]
+
+
+def _resultant_val(fq, f, g, window):
+    """Valuation of res(f, g) for two X-polynomials with digit-tuple
+    coefficients, or None when the resultant is zero; every resultant
+    valuation of order construction comes from here.
+
+    With a window the coefficients are series known to that many digits:
+    None then means zero to the window, and a pivot that the elimination
+    of lattices.resultant_valuation cannot certify raises
+    PrecisionExhausted.
+
+    Exact inputs (window None) are padded to W = 2*(n*a + m*b) + 2
+    digits, with m and n the X-degrees of f and g and a and b the digit
+    counts of their longest coefficients.  A minor of the Sylvester
+    matrix takes at most n of its rows from f and m from g, so its
+    t-degree is below D = n*a + m*b, and a nonzero resultant has
+    valuation below D.  The elimination pivots on the least valuation in
+    each column, so its entries stay integral, and each step costs the
+    windows below it at most twice its pivot's valuation; the pivot
+    valuations add up to the resultant's.  So at W > 2D every pivot of a
+    nonzero resultant is certified, and a pivot that is zero or cannot
+    be certified at W means that the exact resultant is zero.
+    """
+    exact = window is None
+    if exact:
+        a = max(map(len, f), default=0)
+        b = max(map(len, g), default=0)
+        window = 2 * ((len(g) - 1) * a + (len(f) - 1) * b) + 2
+    try:
+        return resultant_valuation(fq, [ser_pad(c, window) for c in f],
+                                   [ser_pad(c, window) for c in g])
+    except PrecisionExhausted:
+        if exact:
+            return None
+        raise
+
+
 def _certify(fq, coeffs, window, work, budget):
     """(ramification index, residue degree) of a certified irreducible
     monic polynomial; raises BadFactorization when it is reducible or
@@ -160,7 +201,7 @@ def _certify(fq, coeffs, window, work, budget):
         raise BadFactorization(
             "factor certification did not terminate; "
             "is the factorization squarefree?")
-    v0 = tp_val(coeffs[0]) if coeffs[0] else None
+    v0 = ser_val(coeffs[0])
     if v0 is None:
         if window is None:
             raise BadFactorization("factor is divisible by X")
@@ -175,7 +216,7 @@ def _certify(fq, coeffs, window, work, budget):
         g = gcd(v0, n)
         eprime, h = n // g, v0 // g
         for i in range(1, n):
-            vi = tp_val(coeffs[i]) if coeffs[i] else None
+            vi = ser_val(coeffs[i])
             if vi is not None and vi * n < v0 * (n - i):
                 raise BadFactorization(
                     "factor splits along its Newton polygon")
@@ -265,8 +306,7 @@ def certify_factor(fq, f, precision=None, window=None):
     """
     f = _trim_digits(f)
     if window is None:
-        res = resultant_exact(fq, f, xp_derivative(fq, f))
-        v = tp_val(res)
+        v = _resultant_val(fq, f, _derivative(fq, f), None)
         budget = (v if v is not None else 0) + 3
         work = precision if precision else 4 * (budget + len(f)) + 12
     else:
@@ -285,7 +325,7 @@ def _newton_min_slope(coeffs, v0):
     n = len(coeffs) - 1
     best_i, best_v = 0, v0
     for i in range(1, n):
-        vi = tp_val(coeffs[i]) if coeffs[i] else None
+        vi = ser_val(coeffs[i])
         if vi is None:
             continue
         # smaller slope to (n, 0) wins; on ties take the leftmost point
@@ -343,7 +383,7 @@ def _auto_pieces(fq, coeffs, window, work, budget):
         e, r = _certify(fq, coeffs, window, work, budget)
         return [CertifiedFactor(coeffs, window, e, r)]
     # residual is X^n: positive slopes only
-    v0 = tp_val(coeffs[0]) if coeffs[0] else None
+    v0 = ser_val(coeffs[0])
     if v0 is None:
         if window is not None:
             raise PrecisionExhausted(
@@ -386,8 +426,7 @@ def auto_factor(fq, f, precision, window=None):
     if not _is_monic_digits(f):
         raise BadFactorization("f must be monic in X")
     if window is None:
-        res = resultant_exact(fq, f, xp_derivative(fq, f))
-        v = tp_val(res)
+        v = _resultant_val(fq, f, _derivative(fq, f), None)
         if v is None:
             raise NotSquarefree("discriminant vanishes")
         budget = v + 3
@@ -797,14 +836,11 @@ def _sub_colength(fq, piece, w, guard):
 
 def _pair_resultant_val(fq, a, b, w):
     """Valuation of the resultant of two factors, exact when both are."""
-    if a.window is None and b.window is None:
-        v = tp_val(resultant_exact(fq, a.coeffs, b.coeffs))
-        if v is None:
-            raise NotSquarefree("two factors share a root")
-        return v
-    wmin = min(w, *(p.window for p in (a, b) if p.window is not None))
-    val = resultant_valuation(fq, [ser_pad(c, wmin) for c in a.coeffs],
-                              [ser_pad(c, wmin) for c in b.coeffs])
+    windows = [p.window for p in (a, b) if p.window is not None]
+    window = min(w, *windows) if windows else None
+    val = _resultant_val(fq, a.coeffs, b.coeffs, window)
+    if val is None and window is None:
+        raise NotSquarefree("two factors share a root")
     if val is None:
         raise PrecisionExhausted(
             "pairwise resultant vanishes to working precision")
@@ -906,25 +942,18 @@ def build_order(fq, f, factors=None, precision=None, f_window=None):
     n = len(f) - 1
     if n < 1:
         raise BadFactorization("f must have positive degree")
-    if f_window is None:
-        res = resultant_exact(fq, f, xp_derivative(fq, f))
-        valres = tp_val(res)
-        if valres is None:
-            raise NotSquarefree(
-                "f and its derivative share a root; the orbit is not "
-                "regular semisimple")
-    else:
-        if factors is not None:
-            raise PreconditionViolated(
-                "explicit factors need an exact polynomial f")
-        wser = [ser_pad(c, f_window) for c in f]
-        deriv = [ser_scale(fq, fq.from_int(i % fq.p), c)
-                 for i, c in enumerate(wser) if i]
-        valres = resultant_valuation(fq, wser, deriv)
-        if valres is None:
-            raise PrecisionExhausted(
-                f"discriminant of f vanishes to its {f_window}-digit window; "
-                "raise the precision")
+    if f_window is not None and factors is not None:
+        raise PreconditionViolated(
+            "explicit factors need an exact polynomial f")
+    valres = _resultant_val(fq, f, _derivative(fq, f), f_window)
+    if valres is None and f_window is None:
+        raise NotSquarefree(
+            "f and its derivative share a root; the orbit is not "
+            "regular semisimple")
+    if valres is None:
+        raise PrecisionExhausted(
+            f"discriminant of f vanishes to its {f_window}-digit window; "
+            "raise the precision")
 
     maxdeg = max(len(c) for c in f)
     if precision is not None:

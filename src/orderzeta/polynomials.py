@@ -1,14 +1,13 @@
 """Exact polynomial arithmetic layers used by the order machinery.
 
-Three coefficient domains appear, all with dense low-degree-first tuples:
+Two coefficient domains appear, both with dense low-degree-first tuples:
 
 * `up_*`   -- univariate polynomials over F_q itself (tuples of element
               codes).  Used for residue factorisations, Hensel data and,
               over F_p, the extension-field tables and moduli of fq.py.
-* `tp_*`   -- polynomials in t over F_q, i.e. exact elements of F_q[t]
-              (tuples of element codes).  These support exact resultants.
-* `xp_*`   -- polynomials in X whose coefficients are `tp` tuples.  The
-              defining polynomials of orders live here, exactly.
+              Exact elements of F_q[t] are the same tuples.
+* `xp_*`   -- polynomials in X whose coefficients are exact F_q[t]
+              tuples.  The defining polynomials of orders live here.
 
 X-polynomials with truncated power series coefficients are tuples of
 series digit tuples (see series.py); `hensel_split` lifts factorisations
@@ -47,10 +46,6 @@ def up_sub(fq, a, b):
     n = max(len(a), len(b))
     a, b = ser_pad(a, n), ser_pad(b, n)
     return up_trim(sub[x][y] for x, y in zip(a, b))
-
-def up_neg(fq, a):
-    neg = fq._neg
-    return tuple(neg[c] for c in a)
 
 def up_scale(fq, c, a):
     if c == 0:
@@ -204,35 +199,11 @@ def up_roots(fq, a):
 
 
 # ---------------------------------------------------------------------------
-# exact F_q[t] polynomials (same tuple representation, own namespace)
-# ---------------------------------------------------------------------------
-
-tp_trim = up_trim
-tp_add = up_add
-tp_sub = up_sub
-tp_neg = up_neg
-tp_mul = up_mul
-tp_scale = up_scale
-
-def tp_val(a):
-    for i, c in enumerate(a):
-        if c:
-            return i
-    return None
-
-def tp_divexact(fq, a, b):
-    q, r = up_divmod(fq, a, b)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-# ---------------------------------------------------------------------------
 # X-polynomials with exact F_q[t] coefficients
 # ---------------------------------------------------------------------------
 
 def xp_trim(f):
-    f = [tp_trim(c) for c in f]
+    f = [up_trim(c) for c in f]
     while f and not f[-1]:
         f.pop()
     return tuple(f)
@@ -241,7 +212,7 @@ def xp_add(fq, f, g):
     n = max(len(f), len(g))
     f = list(f) + [()] * (n - len(f))
     g = list(g) + [()] * (n - len(g))
-    return xp_trim([tp_add(fq, a, b) for a, b in zip(f, g)])
+    return xp_trim([up_add(fq, a, b) for a, b in zip(f, g)])
 
 def xp_mul(fq, f, g):
     if not f or not g:
@@ -252,15 +223,7 @@ def xp_mul(fq, f, g):
             continue
         for j, b in enumerate(g):
             if b:
-                out[i + j] = tp_add(fq, out[i + j], tp_mul(fq, a, b))
-    return xp_trim(out)
-
-def xp_derivative(fq, f):
-    p = fq.p
-    out = []
-    for i in range(1, len(f)):
-        k = i % p
-        out.append(tp_scale(fq, fq.from_int(k), f[i]) if k else ())
+                out[i + j] = up_add(fq, out[i + j], up_mul(fq, a, b))
     return xp_trim(out)
 
 def xp_subst_x_shift(fq, f, s):
@@ -272,54 +235,6 @@ def xp_subst_x_shift(fq, f, s):
         out = xp_mul(fq, out, xs)
         out = xp_add(fq, out, ((tuple(c),) if c else ((),)))
     return xp_trim(out)
-
-
-def resultant_exact(fq, f, g):
-    """Resultant of two X-polynomials with exact F_q[t] coefficients,
-    computed fraction-free; returns an exact F_q[t] tuple."""
-    f, g = xp_trim(f), xp_trim(g)
-    if not f or not g:
-        return ()
-    m, n = len(f) - 1, len(g) - 1
-    if m == 0:
-        return up_pow(fq, f[0], n)
-    if n == 0:
-        return up_pow(fq, g[0], m)
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [()] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = tuple(c)
-        rows.append(row)
-    for i in range(m):
-        row = [()] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = tuple(c)
-        rows.append(row)
-    return _det_bareiss_tp(fq, rows)
-
-def _det_bareiss_tp(fq, mat):
-    n = len(mat)
-    m = [row[:] for row in mat]
-    denom = (1,)
-    sign = 1
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return ()
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = tp_sub(fq, tp_mul(fq, m[i][j], m[k][k]),
-                             tp_mul(fq, m[i][k], m[k][j]))
-                m[i][j] = tp_divexact(fq, num, denom)
-            m[i][k] = ()
-        denom = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else tp_neg(fq, det)
 
 
 # ---------------------------------------------------------------------------

@@ -179,9 +179,9 @@ def resultant_series(fq, f, g):
         for i in range(k + 1, size):
             if rows[i][k].is_zero():
                 continue
-            factor = rows[i][k] * inv
+            factor = (rows[i][k] * inv).normalized()
             rows[i] = [rows[i][j] - factor * rows[k][j] for j in range(size)]
-        pivots.append(rows[k][k])
+        pivots.append(rows[k][k].normalized())
     det = pivots[0]
     for piv in pivots[1:]:
         det = det * piv

@@ -1,8 +1,11 @@
 """Finite field contexts checked against hand-computed tables and axioms."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderzeta.cli import main
 from orderzeta.errors import ParseError, PreconditionViolated
 from orderzeta.fq import Fq, FqSpec, embedding, find_irreducible
 
@@ -79,6 +82,22 @@ def test_context_is_cached():
 def test_table_cap_refuses_huge_fields():
     with pytest.raises(PreconditionViolated):
         Fq(FqSpec(2, 13))
+
+
+def test_table_cap_refuses_q_257_before_building_tables(capsys):
+    # the tables of F_257 would take megabytes; the refusal allocates a
+    # few hundred bytes, and the CLI maps it to exit 3
+    spec = FqSpec.parse("257")
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionViolated, match="257"):
+            Fq(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000
+    assert main(["analyze", "--q", "257", "--f", "X^2 - t^3"]) == 3
+    assert "exceeds the desk-scale table cap 256" in capsys.readouterr().err
 
 
 def test_spec_text_round_trip():

@@ -27,8 +27,7 @@ from orderzeta.lattices import (LatticeHNF, _action_on_lattice,
                                 mat_vec,
                                 product_lattice, relative_length, relative_to,
                                 sandwich_representatives, solve_in_basis,
-                                stable_sublattice_levels, stable_sublattices,
-                                trace_dual_lattice)
+                                stable_sublattice_levels, trace_dual_lattice)
 from orderzeta.orders import build_order, n_lines_order
 from orderzeta.parsing import parse_xpoly
 from orderzeta.series import ser_add, ser_mul, ser_scale, ser_val
@@ -498,6 +497,15 @@ def compositions(total, parts):
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def stable_sublattices(base, j, ambient_mats, precision=None):
+    """The stable sublattices of `base` of colength exactly j, composed
+    into ambient coordinates, in the documented order."""
+    level = stable_sublattice_levels(base, j, ambient_mats,
+                                     precision=precision)[j]
+    return sorted((compose_lattice(base, rel) for rel in level),
+                  key=LatticeHNF.sort_key)
 
 
 def brute_stable_sublattices(fq, n, j, ambient_mats, precision):

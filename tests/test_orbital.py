@@ -13,7 +13,7 @@ import orderzeta.lattices
 import orderzeta.orbital
 from orderzeta.errors import PreconditionViolated
 from orderzeta.fq import Fq, FqSpec
-from orderzeta.lattices import stable_sublattices
+from orderzeta.lattices import stable_sublattice_levels
 from orderzeta.orbital import (cross_validated_orbital, elliptic_ideal_formula,
                                levi_fiber_check, levi_product,
                                orbit_invariants, orbital_bounds,
@@ -124,6 +124,16 @@ def test_factor_route_base_change_succeeds_for_quartic():
     assert notes == ()
 
 
+def test_factor_route_above_the_table_cap_falls_back_with_a_note():
+    # X^2 - 3 is inert over F_17; F_289 is above the table cap
+    o = build_order(Fq(FqSpec.parse("17")), ((14,), (), (1,)))
+    value, notes = levi_product(o)
+    assert value == 1
+    assert notes == ("factor 0: extension rebuild failed (field size 289 "
+                     "exceeds the desk-scale table cap 256); used the "
+                     "base-field count",)
+
+
 # ---------------------------------------------------------------------------
 # tally formula for one branch with trivial residue extension
 # ---------------------------------------------------------------------------
@@ -228,8 +238,8 @@ def test_ideal_tallies_sit_inside_regular_envelope():
     for fq, f in cases:
         o = build_order(fq, f)
         for j in range(o.delta + 1):
-            tally = len(stable_sublattices(o.r_lattice, j,
-                                           o.action_matrices))
+            tally = len(stable_sublattice_levels(o.r_lattice, j,
+                                                 o.action_matrices)[j])
             assert 1 <= tally <= hilb_count_regular(j)(fq.q)
 
 

@@ -1,5 +1,7 @@
 """Order construction: normalization, duals, conductors, certification."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,12 +9,17 @@ from orderzeta.errors import (BadFactorization, NotSquarefree,
                               PrecisionExhausted)
 from orderzeta.fq import Fq, FqSpec
 from orderzeta.lattices import (_nonzero_entries, class_count_mod_lambda,
-                                identity_lattice, mat_vec, relative_length,
-                                stable_sublattice_levels, stable_sublattices,
+                                compose_lattice, identity_lattice, mat_vec,
+                                relative_length, stable_sublattice_levels,
                                 trace_dual_lattice)
-from orderzeta.orders import (auto_factor, base_change_order, build_order,
+from orderzeta.orders import (CertifiedFactor, _derivative,
+                              _pair_resultant_val, _resultant_val,
+                              auto_factor, base_change_order, build_order,
                               certify_factor, n_lines_order)
-from orderzeta.polynomials import xp_mul, xp_trim
+from orderzeta.polynomials import up_trim, xp_mul, xp_trim
+from orderzeta.series import ser_val
+
+from resultant_oracle import resultant_exact
 
 F2 = Fq(FqSpec.parse("2"))
 F3 = Fq(FqSpec.parse("3"))
@@ -163,8 +170,10 @@ def test_dual_is_involution_on_stable_lattices(f):
     o = build_order(F3, f)
     g = o.trace_gram_columns
     seen = []
-    for lat in stable_sublattices(o.dual_r_lattice, 2, o.action_matrices,
-                                  o.precision):
+    base = o.dual_r_lattice
+    level = stable_sublattice_levels(base, 2, o.action_matrices,
+                                     o.precision)[2]
+    for lat in (compose_lattice(base, rel) for rel in level):
         dual = trace_dual_lattice(lat, g, o.precision)
         assert trace_dual_lattice(dual, g, o.precision) == lat
         seen.append((lat, dual))
@@ -363,6 +372,76 @@ def test_windowed_discriminant_vanishing_to_the_window_exits_4():
     with pytest.raises(NotSquarefree) as info:
         build_order(F2, ((1,), (), (1,)))            # (X + 1)^2, exact
     assert info.value.exit_code == 3
+
+
+def _random_xpoly(rng, fq, degree, monic=True):
+    """An X-polynomial of the given degree with exact F_q[t] coefficients
+    of t-degree up to 4, monic or with a random nonzero leading one."""
+    def coeff():
+        return up_trim(rng.randrange(fq.q) for _ in range(rng.randint(0, 5)))
+    lead = (1,) if monic else (coeff() or (1,))
+    return tuple(coeff() for _ in range(degree)) + (lead,)
+
+
+def test_exact_resultant_valuation_matches_bareiss_oracle():
+    # every third pair shares a squared factor, so about a third of the
+    # resultants are zero
+    rng = random.Random(8)
+    fields = [Fq(FqSpec.parse(str(q))) for q in (2, 3, 4, 5, 9)]
+    seen = {"zero": 0, "nonzero": 0}
+    for k in range(600):
+        fq = fields[k % len(fields)]
+        if k % 3:
+            f = _random_xpoly(rng, fq, rng.randint(1, 4))
+            g = _random_xpoly(rng, fq, rng.randint(1, 4),
+                              monic=rng.random() < 0.5)
+        else:
+            h = _random_xpoly(rng, fq, 1)
+            f = xp_mul(fq, xp_mul(fq, h, h),
+                       _random_xpoly(rng, fq, rng.randint(0, 2)))
+            g = (_derivative(fq, f) if rng.random() < 0.5 else
+                 xp_mul(fq, h, _random_xpoly(rng, fq, rng.randint(0, 2))))
+        want = ser_val(resultant_exact(fq, f, g))
+        assert _resultant_val(fq, f, g, None) == want, (fq.q, f, g)
+        seen["zero" if want is None else "nonzero"] += 1
+    assert seen["zero"] >= 150 and seen["nonzero"] >= 300, seen
+
+
+@pytest.mark.parametrize("q, f, g, val", [
+    (2, ((), (1,), (), (), (1,)),
+     ((0, 0, 0, 0, 0, 1, 1), (), (0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1),
+      (0, 0, 0, 0, 0, 1, 1)), 17),
+    (2, ((0, 1, 1, 1), (0, 1, 1, 1), (), (0, 1, 0, 1), (1,)),
+     ((0, 0, 0, 1, 1), (0, 0, 0, 0, 1), (0, 0, 0, 0, 1), (0, 0, 0, 0, 1)), 12),
+    (3, ((0, 0, 2), (0, 0, 2), (0, 0, 1), (0, 0, 2), (0, 2, 1), (1,)),
+     ((), (), (), (), (2,)), 8),
+])
+def test_exact_resultant_valuation_at_its_planned_window(q, f, g, val):
+    # pairs whose multipliers start with zero digits; unless those move
+    # into the shift, the elimination loses its last pivot at 2D + 2
+    fq = Fq(FqSpec.parse(str(q)))
+    assert ser_val(resultant_exact(fq, f, g)) == val
+    assert _resultant_val(fq, f, g, None) == val
+
+
+def test_zero_exact_resultants_keep_their_errors_and_budget():
+    square = ((1,), (2,), (1,))                  # (X + 1)^2 over F_3
+    with pytest.raises(NotSquarefree, match="f and its derivative share"):
+        build_order(F3, square)
+    with pytest.raises(NotSquarefree, match="^discriminant vanishes$"):
+        auto_factor(F3, square, 20)
+    lin = CertifiedFactor(((2,), (1,)), None, 1, 1)
+    with pytest.raises(NotSquarefree, match="two factors share a root") \
+            as info:
+        _pair_resultant_val(F3, lin, lin, 20)
+    assert info.value.exit_code == 3
+    # (X - s)^2 with s = t + ... + t^k recenters k times before it reaches
+    # X^2; a zero discriminant allows a budget of 3 recenterings
+    for k, message in ((3, "divisible by X"), (4, "did not terminate")):
+        s = (0,) + (1,) * k
+        lin = (tuple(F3.neg(c) for c in s), (1,))
+        with pytest.raises(BadFactorization, match=message):
+            certify_factor(F3, xp_mul(F3, lin, lin))
 
 
 def test_build_is_deterministic():

@@ -24,7 +24,7 @@ from orderzeta.errors import (NotSquarefree, BadFactorization,
 from orderzeta.fq import Fq, FqSpec
 from orderzeta.lattices import (action_digits_needed, class_count_mod_lambda,
                                 hnf_from_generators, relative_length,
-                                stable_sublattices)
+                                stable_sublattice_levels)
 from orderzeta.orders import build_order, n_lines_order
 from orderzeta.polynomials import IntPoly
 from orderzeta.zeta import (check_functional_equation, factor_periods,
@@ -224,8 +224,8 @@ def test_lines_ideal_tally_differs_from_duality_tally():
     # genuinely different counting problems here
     for fq in (F2, F3):
         o = n_lines_order(fq, 3)
-        assert len(stable_sublattices(o.r_lattice, 1,
-                                      o.action_matrices)) == 1
+        assert len(stable_sublattice_levels(o.r_lattice, 1,
+                                            o.action_matrices)[1]) == 1
         assert quot_series(o)[1] == fq.q + 1
 
 
