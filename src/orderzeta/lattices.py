@@ -30,18 +30,27 @@ canonical form.  The deterministic order of each level is: diagonal
 shape compared colexicographically, then off-diagonal digits read
 column by column as one little-endian number.
 
-Expanding a node reads only its action mod t, so that is all the
-enumerator keeps per node: each level maps the canonical key
-(diag, off) to the action's constant terms as row tuples, and equal
-actions are interned so that nodes share one tuple.  Each child's
-action is computed from the root's action matrices (cut to jmax + 2
-digits, each column's nonzero entries listed once per enumeration) in
-the child's own reduced basis.
+Each lattice found is kept as one packed bytes key: the diagonal
+exponents of its canonical form relative to the base, each in a number
+of bytes fixed per enumeration by jmax, then its off-diagonal digits
+column by column, one byte each (q <= 256).  Entry (i, j) has exactly
+diag[i] digits, so the lengths are implied and the packing is
+injective.  Expanding a node reads only its action mod t, so that is
+all the enumerator keeps beside the key: each level maps the keys to
+the action's constant terms as row tuples, and equal actions are
+interned so that nodes share one tuple.  Each child's action is
+computed from the root's action matrices (cut to jmax + 2 digits, each
+column's nonzero entries listed once per enumeration) in the child's
+own reduced basis.  A level is returned as a lazy sequence of its
+sorted keys: its length builds nothing, and reading an item decodes it
+to a LatticeHNF.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
+from collections.abc import Sequence
 from itertools import combinations
 
 from .errors import (CeilingExceeded, InvariantViolation, PrecisionExhausted,
@@ -754,10 +763,11 @@ def _mod_t(mats):
                  for mat in mats)
 
 
-def _compose_and_reduce(fq, pdiag, pcols, pivot_rows, basis, n):
-    """Canonical form, relative to the enumeration base, of the child
-    lattice: the node (diagonal pdiag, basis columns pcols) composed with
-    the preimage of the given stable subspace of its mod-t fiber."""
+def _compose_and_reduce(fq, pdiag, pcols, pivot_rows, basis, n, dcode):
+    """Packed key (see _unpack_key), relative to the enumeration base, of
+    the child lattice: the node (diagonal pdiag, basis columns pcols)
+    composed with the preimage of the given stable subspace of its mod-t
+    fiber."""
     width = len(pcols[0][0])
     zero = (0,) * width
 
@@ -784,10 +794,66 @@ def _compose_and_reduce(fq, pdiag, pcols, pivot_rows, basis, n):
             cdiag.append(pdiag[j] + 1)
         ccols.append(col)
     _reduce_upper(fq, ccols, cdiag)
-    off = []
-    for j in range(n):
-        off.append(tuple(tuple(ccols[j][i][:cdiag[i]]) for i in range(j)))
-    return tuple(cdiag), tuple(off)
+    return array(dcode, cdiag).tobytes() + b"".join(
+        [bytes(ccols[j][i][:cdiag[i]]) for j in range(n) for i in range(j)])
+
+
+def _diagonal_code(jmax):
+    """Array typecode of the diagonal exponents in the packed keys of an
+    enumeration to colength jmax: the narrowest that holds jmax."""
+    return next(code for code in "BHIQ"
+                if jmax < 256 ** array(code).itemsize)
+
+
+def _unpack_key(key, n, dcode):
+    """(diag, off) of a packed enumerator key: n diagonal exponents as an
+    array of typecode dcode, then the off-diagonal digits column by
+    column, one byte each (q <= 256), entry (i, j) holding exactly
+    diag[i] of them."""
+    diag = array(dcode)
+    pos = n * diag.itemsize
+    diag.frombytes(key[:pos])
+    diag = tuple(diag)
+    off = [()]
+    for j in range(1, n):
+        col = []
+        for a in diag[:j]:
+            col.append(tuple(key[pos:pos + a]))
+            pos += a
+        off.append(tuple(col))
+    return diag, tuple(off)
+
+
+class _Level(Sequence):
+    """One level of stable_sublattice_levels: its packed keys, sorted in
+    the documented order, each decoded to its canonical LatticeHNF only
+    when it is read."""
+
+    __slots__ = ("_fq", "_n", "_dcode", "_keys")
+
+    def __init__(self, fq, keys, n, dcode):
+        self._fq = fq
+        self._n = n
+        self._dcode = dcode
+        self._keys = sorted(keys, key=self._sort_key)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __getitem__(self, index):
+        diag, off = _unpack_key(self._keys[index], self._n, self._dcode)
+        return _build_canonical(self._fq, 0, diag, off)
+
+    def _sort_key(self, key):
+        """LatticeHNF.sort_key of the decoded lattice, without building
+        it: lattices with equal scale and diagonal have equally many
+        digits, so comparing their little-endian digit numbers is
+        comparing the reversed digit strings."""
+        diag, off = _unpack_key(key, self._n, self._dcode)
+        shift = _canonical_scale_shift(diag, off)
+        digits = b"".join([bytes(e[shift:]) for col in off for e in col])
+        return (shift, tuple(a - shift for a in reversed(diag)),
+                digits[::-1])
 
 
 def _relative_action(fq, root_entries, diag, off, width):
@@ -821,7 +887,8 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
 
     The returned lattices are canonical forms RELATIVE to the basis of
     `base` (use compose_lattice to place them in ambient coordinates);
-    each level is sorted in the documented deterministic order.
+    each level is a sequence sorted in the documented deterministic
+    order, whose lattices are built only when they are read.
 
     `ambient_mats` is a sequence of multiplication matrices (columns of
     raw coefficient tuples, in ambient coordinates) which together with
@@ -851,15 +918,16 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
     else:
         root_mats = ()
 
+    # every diagonal exponent relative to the base is at most jmax
+    dcode = _diagonal_code(jmax)
     shared = {}      # interned actions mod t; see the module docstring
-    root_key = ((0,) * n, tuple(tuple(() for _ in range(j))
-                                for j in range(n)))
     levels = [{} for _ in range(jmax + 1)]
-    levels[0][root_key] = _mod_t(root_mats)
+    levels[0][array(dcode, (0,) * n).tobytes()] = _mod_t(root_mats)
     work = 0
     memo = {}
     for level in range(jmax):
-        for (diag, off), action in levels[level].items():
+        for key, action in levels[level].items():
+            diag, off = _unpack_key(key, n, dcode)
             pcols = _basis_columns(diag, off, max(diag) + 3)
             for c in range(1, n + 1):
                 tgt = level + c
@@ -876,30 +944,27 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
                         f"enumeration exceeded the work ceiling {cap}")
                 bucket = levels[tgt]
                 for pivot_rows, basis in subs:
-                    key = _compose_and_reduce(fq, diag, pcols, pivot_rows,
-                                              basis, n)
-                    if key in bucket:
+                    ckey = _compose_and_reduce(fq, diag, pcols, pivot_rows,
+                                               basis, n, dcode)
+                    if ckey in bucket:
                         continue
+                    cdiag, coff = _unpack_key(ckey, n, dcode)
                     if containing is not None:
-                        child = LatticeHNF(fq, 0, *key)
+                        child = LatticeHNF(fq, 0, cdiag, coff)
                         if not child.contains_lattice(containing):
                             continue
                     if root_mats:
                         child_action = _relative_action(fq, root_entries,
-                                                        *key, width)
+                                                        cdiag, coff, width)
                         child_action = shared.setdefault(child_action,
                                                          child_action)
                     else:
                         child_action = ()
-                    bucket[key] = child_action
-
-    out = []
-    for level in levels:
-        lats = [_build_canonical(fq, 0, diag, off) for (diag, off) in level]
-        level.clear()
-        lats.sort(key=LatticeHNF.sort_key)
-        out.append(lats)
-    return out
+                    bucket[ckey] = child_action
+        # an expanded level is final: keep only its sorted keys
+        levels[level] = _Level(fq, levels[level], n, dcode)
+    levels[jmax] = _Level(fq, levels[jmax], n, dcode)
+    return levels
 
 
 # ---------------------------------------------------------------------------

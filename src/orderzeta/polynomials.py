@@ -382,7 +382,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __call__(self, x):
-        """Evaluate; works for int, Fraction, IntPoly arguments."""
+        """Evaluate at x by Horner's rule."""
         acc = x * 0
         for c in reversed(self.coeffs):
             acc = acc * x + c

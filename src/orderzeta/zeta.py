@@ -14,8 +14,7 @@ polynomial in q is available.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .errors import (InvariantViolation, NonIntegralSpecialValue,
                      PreconditionViolated, TruncationFailure)
@@ -152,13 +151,20 @@ def check_functional_equation(z):
 def special_values(z):
     """The pair (P(1), q^delta * P(1/q)), exactly.  The second value is
     asserted to be an integer; for the duality-lattice polynomial the
-    two are equal and count the lattice classes modulo scaling."""
-    p_at_one = z.poly(1)
-    reflected = Fraction(z.q) ** z.delta * z.poly(Fraction(1, z.q))
-    if reflected.denominator != 1:
+    two are equal and count the lattice classes modulo scaling.
+
+    With D = max(delta, deg P), q^delta * P(1/q) is N / q^(D - delta)
+    for the integer N = sum of c_k * q^(D - k)."""
+    q, delta, coeffs = z.q, z.delta, z.poly.coeffs
+    top = max(delta, len(coeffs) - 1)
+    numer = sum(c * q ** (top - k) for k, c in enumerate(coeffs))
+    denom = q ** (top - delta)
+    if numer % denom:
+        g = gcd(numer, denom)
         raise NonIntegralSpecialValue(
-            f"q^delta * P(1/q) = {reflected} is not an integer")
-    return p_at_one, int(reflected)
+            f"q^delta * P(1/q) = {numer // g}/{denom // g} is not an "
+            "integer")
+    return z.poly(1), numer // denom
 
 
 def variant_plan(order, lattice, j_max=None):

@@ -31,6 +31,7 @@ from orderzeta.lattices import (LatticeHNF, _action_on_lattice,
 from orderzeta.orders import build_order, n_lines_order
 from orderzeta.parsing import parse_xpoly
 from orderzeta.series import ser_add, ser_mul, ser_scale, ser_val
+from orderzeta.zeta import quot_series
 
 from laurent_oracle import LaurentSeries
 
@@ -669,8 +670,9 @@ def test_action_precision_guard():
 
 
 def enumerator_key(rel):
-    """The (diag, off) key under which the enumerator keeps a lattice it
-    returns: the canonical form with its scale multiplied back in."""
+    """The (diag, off) that the enumerator decodes from the packed key of
+    a lattice it returns: the canonical form with its scale multiplied
+    back in."""
     s = rel.scale
     return (tuple(a + s for a in rel.diag),
             tuple(tuple((0,) * s + d for d in col) for col in rel.off))
@@ -715,12 +717,13 @@ def test_relative_action_is_the_child_action_mod_t(make):
                 assert got == tuple(tuple(map(tuple, rows)) for rows in want)
 
 
-def test_enumeration_memory_is_bounded():
+def test_enumeration_memory_is_bounded(monkeypatch):
     # the jmax-13 enumeration that variant_zeta(order, order.r_lattice)
     # runs on three lines over F_2 returns 2,198 lattices; its peak of
-    # traced memory is 2.4 MB when the nodes keep only their shared
-    # action mod t, and was 9.0 MB when each node kept its full action
-    # matrices (Python 3.11)
+    # traced memory is about 1.3 MB now that each lattice is kept as one
+    # packed bytes key and the levels decode on access, 2.4 MB with
+    # (diag, off) tuple keys and eagerly built output, and 9.0 MB when
+    # each node kept its full action matrices (Python 3.11)
     order = n_lines_order(F2, 3)
     tracemalloc.start()
     try:
@@ -730,7 +733,54 @@ def test_enumeration_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert sum(map(len, levels)) == 2198
-    assert peak < 5_000_000
+    assert peak < 2_000_000
+    # a caller that only counts builds no lattice objects
+    built = []
+    init = LatticeHNF.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(LatticeHNF, "__init__", counting_init)
+    counts = quot_series(order)
+    assert sum(counts) == 564
+    assert not built
+
+
+def test_levels_decode_lazily_in_the_documented_order():
+    # unconstrained levels mix scales (t^k * O^n sits beside lattices of
+    # scale 0) and diagonals with leading zero digits; three lines over
+    # F_2 has a nontrivial action
+    order = n_lines_order(F2, 3)
+    cases = [(identity_lattice(F3, 2), 4, ()),
+             (identity_lattice(F2, 3), 3, ()),
+             (order.dual_r_lattice, 6, order.action_matrices)]
+    for base, jmax, mats in cases:
+        levels = stable_sublattice_levels(base, jmax, mats)
+        assert len(levels) == jmax + 1
+        for j, level in enumerate(levels):
+            lats = list(level)
+            assert len(lats) == len(level) > 0
+            assert lats == sorted(lats, key=LatticeHNF.sort_key)
+            assert len(set(lats)) == len(lats)
+            assert all(relative_length(identity_lattice(base.fq, base.n),
+                                       lat) == j for lat in lats)
+            assert [level[k] for k in range(len(level))] == lats
+            assert level[-1] == lats[-1]
+            with pytest.raises(IndexError):
+                level[len(level)]
+    assert any(lat.scale for level in stable_sublattice_levels(
+        identity_lattice(F3, 2), 4, ()) for lat in level)
+
+
+def test_diagonal_exponents_above_one_byte():
+    # jmax 300 needs two bytes per diagonal exponent in the packed keys
+    levels = stable_sublattice_levels(identity_lattice(F2, 1), 300, ())
+    assert len(levels) == 301
+    assert all(len(level) == 1 for level in levels)
+    assert [level[0] for level in levels] == [
+        identity_lattice(F2, 1, scale=j) for j in range(301)]
+    assert levels[300][0].scale == 300
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,21 @@ literals computed once from that model and from the small quadratic and
 cubic orders whose ideal counts are easy to list by hand.
 """
 
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderzeta.errors import (NotSquarefree, BadFactorization,
-                              PreconditionViolated)
+                              NonIntegralSpecialValue, PreconditionViolated)
 from orderzeta.fq import Fq, FqSpec
 from orderzeta.lattices import (action_digits_needed, class_count_mod_lambda,
                                 hnf_from_generators, relative_length,
@@ -89,6 +96,41 @@ def test_deeper_ramified_quadratic_polynomial():
     assert z.all_checks_pass()
     assert special_values(z) == (13, 13)
     assert class_count_mod_lambda(o) == 13
+
+
+def test_special_values_match_a_fraction_oracle():
+    rng = random.Random(20261018)
+    integral = non_integral = 0
+    for _ in range(400):
+        q = rng.choice((2, 3, 4, 5, 7, 9, 256))
+        delta = rng.randrange(0, 6)
+        coeffs = [rng.randrange(-50, 51) for _ in range(rng.randrange(0, 9))]
+        if rng.random() < 0.5:
+            # make the terms above t^delta divisible by their q power
+            coeffs = [c * q ** max(0, k - delta) for k, c in enumerate(coeffs)]
+        z = SimpleNamespace(q=q, delta=delta, poly=IntPoly(coeffs))
+        want = Fraction(q) ** delta * z.poly(Fraction(1, q))
+        if want.denominator == 1:
+            integral += 1
+            assert special_values(z) == (z.poly(1), int(want))
+        else:
+            non_integral += 1
+            with pytest.raises(NonIntegralSpecialValue) as info:
+                special_values(z)
+            assert str(info.value) == (f"q^delta * P(1/q) = {want} is not "
+                                       "an integer")
+    assert integral > 100 and non_integral > 100
+
+
+def test_cli_import_leaves_decimal_unloaded():
+    # fractions pulls in decimal and numbers; the package needs neither
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, orderzeta.cli; "
+         "print(sorted({'decimal', 'fractions'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_quot_series_refuses_uncertifiable_window():
