@@ -15,7 +15,7 @@ from .lattices import (class_count_mod_lambda, enumeration_ceiling,
                        hnf_from_generators, identity_lattice, relative_length,
                        sandwich_representatives)
 from .partitions import hilb_count_regular, m_poly, n_poly
-from .parsing import (format_order_description, format_xpoly,
+from .parsing import (format_order_description, format_xpoly, parse_field,
                       parse_order_description, parse_xpoly)
 from .zeta import (nlines_closed_form, per_class_refinement, quot_series,
                    special_values, variant_zeta, zeta_polynomial)
@@ -36,8 +36,8 @@ __all__ = [
     "class_count_mod_lambda", "enumeration_ceiling", "hnf_from_generators",
     "identity_lattice", "relative_length", "sandwich_representatives",
     "hilb_count_regular", "m_poly", "n_poly",
-    "format_order_description", "format_xpoly", "parse_order_description",
-    "parse_xpoly",
+    "format_order_description", "format_xpoly", "parse_field",
+    "parse_order_description", "parse_xpoly",
     "nlines_closed_form", "per_class_refinement", "quot_series",
     "special_values", "variant_zeta", "zeta_polynomial",
     "cross_validated_orbital", "elliptic_ideal_formula", "levi_fiber_check",

@@ -14,8 +14,7 @@ import sys
 
 from . import __version__
 from .errors import OrderZetaError, ParseError
-from .fq import Fq, FqSpec
-from .parsing import parse_order_description, parse_xpoly
+from .parsing import parse_field, parse_order_description, parse_xpoly
 from .report import analyze_report, mnpoly_report, nlines_report, selftest_report
 
 
@@ -98,7 +97,7 @@ def _analyze_inputs(args):
         return desc["fq"], desc["f"], desc["factors"], precision
     if not args.q or not args.f:
         raise ParseError("analyze needs --q and --f, or --file")
-    fq = Fq(FqSpec.parse(args.q))
+    fq = parse_field(args.q)
     f = parse_xpoly(fq, args.f)
     factors = None
     if args.factors:
@@ -115,7 +114,7 @@ def _dispatch(args):
                                 fiber_sample=args.fibers)
         return report, 0 if report["all_checks_pass"] else 6
     if args.command == "nlines":
-        fq = Fq(FqSpec.parse(args.q)) if args.q else None
+        fq = parse_field(args.q) if args.q else None
         report = nlines_report(args.n, fq=fq, j_max=args.j_max,
                                ceiling=args.ceiling,
                                symbolic_only=args.symbolic_only)

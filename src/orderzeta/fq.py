@@ -6,38 +6,27 @@ prime subfield occupies codes 0..p-1 and the generator itself is code p.
 An `Fq` context precomputes full operation tables, which keeps the series
 and lattice layers free of per-element object overhead.  Products in an
 extension field, and the modulus check and search, are polynomial
-arithmetic over the prime field's own tables (polynomials.py).
+arithmetic over the prime field's own tables (polynomials.py).  Field
+specs and elements are read and printed in parsing.py.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError, PreconditionViolated
+from math import isqrt
+
+from .errors import PreconditionViolated
 from .polynomials import (monic_polys_over_fq, up_eval, up_is_irreducible,
                           up_mod, up_mul, up_roots)
 
 # Every field builds full q^2-entry tables, whose cost grows as q^2: about
 # 0.5 s at q = 256 and 2.5 s at q = 512 (Python 3.11, one Xeon core).  A
-# larger field is refused before any table is built; a levi extension
-# rebuild above the cap falls back to the base-field count.
+# larger field has no spec, so it is refused before any table is built; a
+# levi extension rebuild above the cap falls back to the base-field count.
 _TABLE_CAP = 256
-
-# Conventional moduli for the prime powers the battery uses.
-_DEFAULT_MODULI = {
-    (2, 2): (1, 1, 1),        # u^2 + u + 1
-    (2, 3): (1, 1, 0, 1),     # u^3 + u + 1
-    (3, 2): (1, 0, 1),        # u^2 + 1
-}
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def find_irreducible(p, deg):
@@ -51,7 +40,8 @@ class FqSpec:
     """Description of a finite field: characteristic, degree, modulus.
 
     The modulus is a monic polynomial over F_p stored as a coefficient
-    tuple (low degree first, length e+1).  For e = 1 it is (0, 1), i.e. u.
+    tuple (low degree first, length e+1).  For e = 1 it is always (0, 1),
+    i.e. u; for e > 1 it defaults to the smallest irreducible.
     """
 
     __slots__ = ("p", "e", "modulus")
@@ -61,13 +51,14 @@ class FqSpec:
             raise PreconditionViolated(f"characteristic {p} is not prime")
         if e < 1:
             raise PreconditionViolated(f"extension degree {e} must be >= 1")
+        huge = e >= _TABLE_CAP.bit_length()      # p^e > cap, as p >= 2
+        if huge or p ** e > _TABLE_CAP:
+            # before the modulus search, which alone grows with e
+            size = f"{p}^{e}" if huge else p ** e
+            raise PreconditionViolated(f"field size {size} exceeds the "
+                                       f"desk-scale table cap {_TABLE_CAP}")
         if modulus is None:
-            if e == 1:
-                modulus = (0, 1)
-            elif (p, e) in _DEFAULT_MODULI:
-                modulus = _DEFAULT_MODULI[(p, e)]
-            else:
-                modulus = find_irreducible(p, e)
+            modulus = (0, 1) if e == 1 else find_irreducible(p, e)
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise PreconditionViolated("modulus must be monic of degree e")
@@ -75,7 +66,7 @@ class FqSpec:
             raise PreconditionViolated("modulus is reducible over F_p")
         self.p = p
         self.e = e
-        self.modulus = modulus
+        self.modulus = modulus if e > 1 else (0, 1)
 
     @property
     def q(self):
@@ -89,112 +80,7 @@ class FqSpec:
         return hash((self.p, self.e, self.modulus))
 
     def __repr__(self):
-        return f"FqSpec({self.to_text()!r})"
-
-    def to_text(self):
-        """Canonical text form: "p" for prime fields, "p^e:modulus" otherwise."""
-        if self.e == 1:
-            return str(self.p)
-        terms = []
-        for i in range(self.e, -1, -1):
-            c = self.modulus[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                terms.append(f"{head}u" if i == 1 else f"{head}u^{i}")
-        return f"{self.p}^{self.e}:" + "+".join(terms)
-
-    @classmethod
-    def parse(cls, text):
-        """Inverse of to_text; also accepts a bare prime power like "9"."""
-        text = text.strip()
-        if ":" in text:
-            head, modtext = text.split(":", 1)
-            if "^" not in head:
-                raise ParseError(f"bad field spec {text!r}: expected p^e before ':'")
-            ptext, etext = head.split("^", 1)
-            try:
-                p, e = int(ptext), int(etext)
-            except ValueError:
-                raise ParseError(f"bad field spec {text!r}") from None
-            coeffs = _parse_u_poly(modtext, p)
-            return cls(p, e, coeffs)
-        if "^" in text:
-            ptext, etext = text.split("^", 1)
-            try:
-                return cls(int(ptext), int(etext))
-            except ValueError:
-                raise ParseError(f"bad field spec {text!r}") from None
-        try:
-            n = int(text)
-        except ValueError:
-            raise ParseError(f"bad field spec {text!r}") from None
-        if _is_prime(n):
-            return cls(n)
-        # bare prime power: factor it
-        for p in range(2, n + 1):
-            if n % p == 0:
-                if not _is_prime(p):
-                    break
-                e = 0
-                m = n
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                if m == 1:
-                    return cls(p, e)
-                break
-        raise ParseError(f"{text!r} is not a prime power")
-
-
-def _parse_u_poly(text, p):
-    """Parse a sum of c*u^i terms into a dense coefficient tuple over F_p."""
-    text = text.replace(" ", "")
-    if not text:
-        raise ParseError("empty modulus")
-    # normalize leading sign and split on +/-
-    terms = []
-    cur = ""
-    sign = 1
-    for ch in text:
-        if ch in "+-" and cur:
-            terms.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif ch in "+-" and not cur:
-            sign = sign if ch == "+" else -sign
-        else:
-            cur += ch
-    if cur:
-        terms.append((sign, cur))
-    coeffs = {}
-    for sign, term in terms:
-        c = 1
-        deg = 0
-        for factor in term.split("*"):
-            if not factor:
-                raise ParseError(f"bad modulus term {term!r}")
-            if factor.startswith("u"):
-                if factor == "u":
-                    deg += 1
-                elif factor.startswith("u^"):
-                    try:
-                        deg += int(factor[2:])
-                    except ValueError:
-                        raise ParseError(f"bad modulus term {term!r}") from None
-                else:
-                    raise ParseError(f"bad modulus term {term!r}")
-            else:
-                try:
-                    c *= int(factor)
-                except ValueError:
-                    raise ParseError(f"bad modulus term {term!r}") from None
-        coeffs[deg] = (coeffs.get(deg, 0) + sign * c) % p
-    top = max(coeffs)
-    return tuple(coeffs.get(i, 0) for i in range(top + 1))
+        return f"FqSpec({self.p}, {self.e}, {self.modulus})"
 
 
 class Fq:
@@ -217,9 +103,6 @@ class Fq:
 
     def _init(self, spec):
         p, e, q = spec.p, spec.e, spec.q
-        if q > _TABLE_CAP:
-            raise PreconditionViolated(
-                f"field size {q} exceeds the desk-scale table cap {_TABLE_CAP}")
         self.spec = spec
         self.p = p
         self.e = e
@@ -300,26 +183,8 @@ class Fq:
         """Base-p digit tuple (coefficients of the residue polynomial)."""
         return self._decode(code)
 
-    def element_text(self, code):
-        """Canonical text for one element: an integer or a u-polynomial."""
-        if self.e == 1 or code < self.p:
-            return str(code)
-        digits = self._decode(code)
-        terms = []
-        for i in range(self.e - 1, -1, -1):
-            c = digits[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("u" if c == 1 else f"{c}*u")
-            else:
-                terms.append(f"u^{i}" if c == 1 else f"{c}*u^{i}")
-        return "+".join(terms) if terms else "0"
-
     def __repr__(self):
-        return f"Fq({self.spec.to_text()})"
+        return f"Fq({self.spec!r})"
 
 
 def embedding(small, big):

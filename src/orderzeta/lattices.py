@@ -189,34 +189,37 @@ def _build_canonical(fq, scale, diag, off):
 # construction from generators
 # ---------------------------------------------------------------------------
 
-def hnf_from_generators(fq, vectors, n, scale=0, precision=None, exact=False):
+def pad_exact(vectors, n):
+    """Generators with exact polynomial entries, padded to the window at
+    which hnf_from_generators certifies every pivot and reduction of
+    their span in rank n: (n + 1) times the longest entry, plus 4."""
+    width = (n + 1) * max(len(e) for v in vectors for e in v) + 4
+    return [tuple(ser_pad(e, width) for e in v) for v in vectors]
+
+
+def hnf_from_generators(fq, vectors, n, scale=0, precision=None):
     """Canonical Hermite form of the span of the given column vectors.
 
-    Vectors are tuples of raw coefficient tuples.  With exact=True the
-    entries are taken as exact polynomials and the working window grows
-    so no decision can be precision limited; otherwise the given window
-    bounds what is known and PrecisionExhausted is raised when a pivot
-    or a reduction cannot be certified.
+    Vectors are tuples of raw coefficient tuples, each known to its
+    length (pad_exact pads exact polynomials); the given window bounds
+    what is known and PrecisionExhausted is raised when a pivot or a
+    reduction cannot be certified.
     """
     given = [[tuple(e) for e in v] for v in vectors]
     vecs = [v for v in given if any(any(e) for e in v)]
     if len(vecs) < n:
-        if exact or len(given) < n:
+        if len(given) < n:
             raise RankDeficient(
                 f"need {n} independent generators, got {len(vecs)} nonzero")
         # a generator that is zero to its window may be nonzero beyond it
         raise PrecisionExhausted(
             f"need {n} independent generators, {len(given) - len(vecs)} of "
             f"{len(given)} vanish to the working window; raise the precision")
-    if exact:
-        maxdeg = max(len(e) for v in vecs for e in v)
-        window = (n + 1) * maxdeg + 4
-    else:
-        window = min(min(len(e) for e in v) for v in vecs)
-        if precision is not None:
-            window = min(window, precision)
-        if window < 1:
-            raise PrecisionExhausted("no working precision at all")
+    window = min(min(len(e) for e in v) for v in vecs)
+    if precision is not None:
+        window = min(window, precision)
+    if window < 1:
+        raise PrecisionExhausted("no working precision at all")
     work = [[ser_pad(e, window) for e in v] for v in vecs]
     valid = [window] * len(work)
 
@@ -229,8 +232,6 @@ def hnf_from_generators(fq, vectors, n, scale=0, precision=None, exact=False):
             if v is not None and (best is None or v < best[0]):
                 best = (v, idx)
         if best is None:
-            if exact:
-                raise RankDeficient(f"generators do not span row {row}")
             raise PrecisionExhausted(
                 f"no certifiable pivot in row {row}; raise the precision")
         a, idx = best
@@ -247,10 +248,10 @@ def hnf_from_generators(fq, vectors, n, scale=0, precision=None, exact=False):
                 for k in range(row):
                     v[k] = ser_sub(fq, v[k], ser_mul(fq, quo, piv[k]))
                 valid[pos] = min(valid[pos] - a, pval)
-                if valid[pos] < 1 and not exact:
+                if valid[pos] < 1:
                     raise PrecisionExhausted(
                         "elimination consumed the precision")
-            elif not exact:
+            else:
                 # the entry is zero to its window, but eliminating its
                 # unknown tail against the pivot t^a * unit costs a digits
                 valid[pos] -= a
@@ -278,7 +279,7 @@ def hnf_from_generators(fq, vectors, n, scale=0, precision=None, exact=False):
                 cval = min(cval, a + pivot_valid[i])
         pivot_valid[j] = cval
         needed = max([diag[i] for i in range(j)] + [1])
-        if cval < needed and not exact:
+        if cval < needed:
             raise PrecisionExhausted("reduction consumed the precision")
 
     off = []
@@ -332,7 +333,7 @@ def relative_to(base, other):
         if y is None:
             raise ValueError("lattice is not contained in the base lattice")
         solved.append(y)
-    return hnf_from_generators(base.fq, solved, base.n, exact=True)
+    return hnf_from_generators(base.fq, pad_exact(solved, base.n), base.n)
 
 
 def compose_lattice(base, rel):
@@ -439,7 +440,8 @@ def laurent_matrix_inverse(fq, cols, precision):
     working window when the matrix has large elementary divisors.  The
     elimination runs on Laurent series held as raw (shift, digits)
     pairs: the digits start at exponent shift and are known up to
-    exponent shift + len(digits).
+    exponent shift + len(digits).  Each multiplier has its known leading
+    zeros moved into the shift.
     """
     n = len(cols)
     col_v = []
@@ -475,15 +477,9 @@ def laurent_matrix_inverse(fq, cols, precision):
         for i in range(n):
             if i == k:
                 continue
-            f = grid[i][k]
-            if not any(f[1]):
-                continue
-            grid[i] = [_laurent_sub(fq, grid[i][j],
-                                    _laurent_mul(fq, f, grid[k][j]))
-                       for j in range(n)]
-            inv[i] = [_laurent_sub(fq, inv[i][j],
-                                   _laurent_mul(fq, f, inv[k][j]))
-                      for j in range(n)]
+            f = _laurent_normal(grid[i][k])
+            grid[i] = _laurent_row_sub(fq, grid[i], f, grid[k])
+            inv[i] = _laurent_row_sub(fq, inv[i], f, inv[k])
     # undo the row and column scalings: with M = Dr M' Dc we have
     # M^-1[i][j] = t^(-col_v[i] - row_v[j]) M'^-1[i][j]; then push the
     # known leading zeros of each entry into its shift
@@ -525,8 +521,10 @@ def resultant_valuation(fq, f, g):
     the resultant is, up to sign, the product of the pivots.  Multipliers
     and pivots have their known leading zeros moved into the shift, so
     entries stay integral and step k costs the windows below it at most
-    twice its pivot's valuation.  Raises PrecisionExhausted when a pivot
-    cannot be certified nonzero.
+    twice its pivot's valuation; an entry below a pivot that is zero only
+    to its window cuts the windows of its row by at most the pivot's
+    valuation.  Raises PrecisionExhausted when a pivot cannot be
+    certified nonzero.
     """
     fc, gc = list(f), list(g)
     for cs in (fc, gc):
@@ -559,11 +557,11 @@ def resultant_valuation(fq, f, g):
             rows[k], rows[piv] = rows[piv], rows[k]
             pinv = _laurent_inv(fq, rows[k][k])
             for i in range(k + 1, size):
-                if any(rows[i][k][1]):
-                    factor = _laurent_normal(
-                        _laurent_mul(fq, rows[i][k], pinv))
-                    rows[i] = [_laurent_sub(fq, a, _laurent_mul(fq, factor, b))
-                               for a, b in zip(rows[i], rows[k])]
+                a = rows[i][k]
+                # a zero-to-window a times pinv: zero to the shifted window
+                factor = (_laurent_normal(_laurent_mul(fq, a, pinv))
+                          if any(a[1]) else (a[0] + pinv[0], a[1]))
+                rows[i] = _laurent_row_sub(fq, rows[i], factor, rows[k])
             pivots.append(_laurent_normal(rows[k][k]))
     det = pivots[0]
     for piv in pivots[1:]:
@@ -599,6 +597,24 @@ def _laurent_normal(a):
     shift, digits = a
     v = ser_val(digits)
     return (shift + v, digits[v:]) if v else a
+
+
+def _laurent_row_sub(fq, row, f, pivot_row):
+    """row - f * pivot_row on raw Laurent pairs.  A multiplier that is
+    zero only to its window is not subtracted, but its unknown digits,
+    from t^end on, times the pivot row still cut the row's windows."""
+    if any(f[1]):
+        return [_laurent_sub(fq, a, _laurent_mul(fq, f, b))
+                for a, b in zip(row, pivot_row)]
+    end = f[0] + len(f[1])
+    out = []
+    for (shift, digits), (pivot_shift, _) in zip(row, pivot_row):
+        cut = end + pivot_shift
+        if cut <= shift:
+            out.append((cut - 1, (0,)))      # now known only to be O(t^cut)
+        else:
+            out.append((shift, digits[:cut - shift]))
+    return out
 
 
 def _laurent_mul(fq, a, b):

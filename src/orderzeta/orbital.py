@@ -21,10 +21,10 @@ from itertools import product as iproduct
 from .errors import (BadFactorization, CeilingExceeded, InvariantViolation,
                      MethodDisagreement, NotSquarefree, PrecisionExhausted,
                      PreconditionViolated, RankDeficient)
-from .lattices import (LatticeHNF, _basis_columns, _nonzero_entries,
-                       class_count_mod_lambda, compose_lattice,
-                       enumeration_ceiling, hnf_from_generators,
-                       identity_lattice, mat_vec, stable_sublattice_levels)
+from .lattices import (_basis_columns, _nonzero_entries,
+                       class_count_mod_lambda, enumeration_ceiling,
+                       hnf_from_generators, identity_lattice, mat_vec,
+                       pad_exact, stable_sublattice_levels)
 from .orders import base_change_order, build_order
 from .partitions import m_poly, n_poly
 from .series import ser_add, ser_mul, ser_pad
@@ -287,7 +287,8 @@ def _fiber_size(fq, gamma, b1, b2, m1, m2, depth, width, ceiling):
                                       ser_mul(fq, coeff, b1[k][i], width))
                 head[i] = acc
             gens.append(tuple(head) + lifted_tails[jb])
-        lattice = hnf_from_generators(fq, gens, n, scale=-depth, exact=True)
+        lattice = hnf_from_generators(fq, pad_exact(gens, n), n,
+                                      scale=-depth)
         stable = True
         for g in gens:
             img = mat_vec(fq, gamma, g, width)
@@ -334,13 +335,11 @@ def levi_fiber_check(order, sample, seed=0, ceiling=None):
     expected = fq.q ** order.rho
     pools = []
     for sub in (sub1, sub2):
-        base = identity_lattice(fq, sub.n)
-        pool = []
-        for level in stable_sublattice_levels(base, 2, sub.action_matrices,
-                                              ceiling=ceiling):
-            pool += sorted((compose_lattice(base, rel) for rel in level),
-                           key=LatticeHNF.sort_key)
-        pools.append(pool)
+        # a level over the identity base already lists the lattices
+        # themselves, in LatticeHNF.sort_key order
+        levels = stable_sublattice_levels(identity_lattice(fq, sub.n), 2,
+                                          sub.action_matrices, ceiling=ceiling)
+        pools.append([lattice for level in levels for lattice in level])
     if sample is None:
         pairs = [(u1, u2) for u1 in pools[0] for u2 in pools[1]]
     else:

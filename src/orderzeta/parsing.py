@@ -1,17 +1,22 @@
-"""Text forms for field elements, polynomials, and order descriptions.
+"""Text forms for fields, field elements, polynomials, and order
+descriptions.
 
 The expression grammar accepts integers, the names u (generator of an
 extension field), t (the series variable), and X (the polynomial
 variable), with + - * ^ and parentheses.  Multiplication may be implicit
 ("2t^3" means 2*t^3).  Exponents are nonnegative integers, except that a
 bare t may carry a negative exponent; such Laurent monomials survive
-parsing so that validation can reject them with a pointed message.
+parsing so that validation can reject them with a pointed message.  The
+modulus of a field spec "p^e:modulus" is read with the same grammar over
+F_p, with u as its variable and t and X undefined.
 
 Printers emit one canonical spelling per value, so format(parse(s)) is a
 normal form and round-trips byte for byte.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from .errors import NonIntegralInput, ParseError
 from .fq import Fq, FqSpec
@@ -58,10 +63,16 @@ def tokenize(text):
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, fq, tokens):
+    """Recursive descent over the tokens; `names` maps each defined
+    variable to its monomial dict, and `where` says, in the message for
+    any other name, where that name is undefined."""
+
+    def __init__(self, fq, tokens, names, where):
         self.fq = fq
         self.toks = tokens
         self.pos = 0
+        self.names = names
+        self.where = where
 
     def peek(self):
         return self.toks[self.pos]
@@ -145,15 +156,10 @@ class _Parser:
             c = self.fq.from_int(val)
             return ({(0, 0): c} if c else {}), None
         if kind == "name":
-            if val == "u":
-                if self.fq.e == 1:
-                    raise ParseError(
-                        f"u is undefined over a prime field (position {pos})")
-                return {(0, 0): self.fq.gen}, "u"
-            if val == "t":
-                return {(0, 1): 1}, "t"
-            if val == "X":
-                return {(1, 0): 1}, "X"
+            if val not in self.names:
+                raise ParseError(
+                    f"{val} is undefined {self.where} (position {pos})")
+            return dict(self.names[val]), val
         if kind == "op" and val == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -203,7 +209,10 @@ def _mpow(fq, a, k):
 
 def parse_monomials(fq, text):
     """Parse to a raw monomial dict, Laurent t-exponents permitted."""
-    return _Parser(fq, tokenize(text)).parse()
+    names = {"t": {(0, 1): 1}, "X": {(1, 0): 1}}
+    if fq.e > 1:
+        names["u"] = {(0, 0): fq.gen}
+    return _Parser(fq, tokenize(text), names, "over a prime field").parse()
 
 
 def mono_to_xpoly(fq, mono):
@@ -234,12 +243,75 @@ def parse_xpoly(fq, text):
     return mono_to_xpoly(fq, parse_monomials(fq, text))
 
 
+def parse_field(text):
+    """The field context of a spec: a prime power such as "9" (factored,
+    with the lexicographically smallest monic irreducible modulus), "p^e",
+    or "p^e:modulus" with the modulus a polynomial in u over F_p."""
+    text = text.strip()
+    head, colon, modtext = text.partition(":")
+    if colon or "^" in head:
+        ptext, caret, etext = head.partition("^")
+        if not caret:
+            raise ParseError(f"bad field spec {text!r}: expected p^e before ':'")
+        try:
+            p, e = int(ptext), int(etext)
+        except ValueError:
+            raise ParseError(f"bad field spec {text!r}") from None
+        if not colon:
+            return Fq(FqSpec(p, e))
+        fp = Fq(FqSpec(p))
+        # u takes the place of t, so the modulus reads as a constant in X
+        modulus = mono_to_xpoly(fp, _Parser(
+            fp, tokenize(modtext), {"u": {(0, 1): 1}},
+            "in a field modulus").parse())
+        return Fq(FqSpec(p, e, modulus[0] if modulus else ()))
+    try:
+        n = int(text)
+    except ValueError:
+        raise ParseError(f"bad field spec {text!r}") from None
+    if n >= 2:
+        # the least divisor above 1 is prime; n is a prime power when it
+        # is a power of that prime
+        p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+        e = next(e for e in range(1, n.bit_length() + 1) if p ** e >= n)
+        if p ** e == n:
+            return Fq(FqSpec(p, e))
+    raise ParseError(f"{text!r} is not a prime power")
+
+
 # ---------------------------------------------------------------------------
 # canonical printers
 # ---------------------------------------------------------------------------
 
+def _u_poly_text(coeffs):
+    """Canonical text of a polynomial in u over F_p, descending powers:
+    the one spelling of field elements and of field moduli."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        power = "u" if i == 1 else f"u^{i}"
+        terms.append(str(c) if i == 0 else power if c == 1 else f"{c}*{power}")
+    return "+".join(terms) or "0"
+
+
+def format_field(fq):
+    """Canonical spec of a field: "p" for a prime field, "p^e:modulus"
+    otherwise; parse_field reads it back to the same field."""
+    spec = fq.spec
+    if spec.e == 1:
+        return str(spec.p)
+    return f"{spec.p}^{spec.e}:{_u_poly_text(spec.modulus)}"
+
+
+def format_element(fq, code):
+    """Canonical text of one element: an integer or a u-polynomial."""
+    return _u_poly_text(fq.decode(code))
+
+
 def _coeff_text(fq, code, wrap):
-    s = fq.element_text(code)
+    s = format_element(fq, code)
     if wrap and "+" in s:
         return f"({s})"
     return s
@@ -327,7 +399,7 @@ def parse_order_description(text):
         raise ParseError("missing required key 'q'")
     if "f" not in seen:
         raise ParseError("missing required key 'f'")
-    fq = Fq(FqSpec.parse(seen["q"]))
+    fq = parse_field(seen["q"])
     f = parse_xpoly(fq, seen["f"])
     factors = None
     if "factors" in seen:
@@ -345,7 +417,7 @@ def parse_order_description(text):
 
 def format_order_description(fq, f, factors=None, precision=None):
     """Canonical text for an order description; inverse of the parser."""
-    lines = [f"q = {fq.spec.to_text()}", f"f = {format_xpoly(fq, f)}"]
+    lines = [f"q = {format_field(fq)}", f"f = {format_xpoly(fq, f)}"]
     if factors is not None:
         lines.append("factors = " + "; ".join(format_xpoly(fq, g) for g in factors))
     if precision is not None:

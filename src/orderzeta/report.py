@@ -12,12 +12,11 @@ import json
 from . import __version__
 from .errors import (NonIntegralInput, NotSquarefree, OrderZetaError,
                      ParseError, PreconditionViolated)
-from .fq import Fq, FqSpec
 from .lattices import enumeration_ceiling
 from .orbital import (cross_validated_orbital, elliptic_ideal_formula,
                       levi_fiber_check, levi_product, orbit_invariants)
 from .orders import build_order, n_lines_order
-from .parsing import format_xpoly, parse_xpoly
+from .parsing import format_field, format_xpoly, parse_field, parse_xpoly
 from .partitions import hilb_count_regular, m_poly, n_poly
 from .polynomials import IntPoly
 from .zeta import (nlines_closed_form, per_class_refinement,
@@ -93,7 +92,7 @@ def analyze_report(fq, f, factors=None, precision=None, j_max=None,
         "version": __version__,
         "command": "analyze",
         "q": fq.q,
-        "q_spec": fq.spec.to_text(),
+        "q_spec": format_field(fq),
         "f": format_xpoly(fq, f),
         "precision": order.precision,
         "j_max": len(z.quot_counts) - 1,
@@ -211,7 +210,7 @@ def nlines_report(n, fq=None, j_max=None, ceiling=None, symbolic_only=False):
         "command": "nlines",
         "n": n,
         "q": fq.q if fq is not None else None,
-        "q_spec": fq.spec.to_text() if fq is not None else None,
+        "q_spec": format_field(fq) if fq is not None else None,
         "j_max": j_used,
         "ceiling": enumeration_ceiling(ceiling),
         "closed_form": closed_section,
@@ -309,7 +308,7 @@ def _battery_results(qs, ceiling):
     polynomial, special values, and the three orbit counts per member."""
     rows = []
     for q in qs:
-        fq = Fq(FqSpec.parse(str(q)))
+        fq = parse_field(str(q))
         for label, f in _battery_members(q):
             order = build_order(fq, f)
             z = zeta_polynomial(order, ceiling=ceiling)
@@ -326,7 +325,7 @@ def _battery_results(qs, ceiling):
 
 def _check_lines_shape(qs):
     for q in qs:
-        fq = Fq(FqSpec.parse(str(q)))
+        fq = parse_field(str(q))
         order = n_lines_order(fq, 3)
         z = zeta_polynomial(order)
         want = (1, q - 2, 1, q * q - 2 * q, q * q)
@@ -343,7 +342,7 @@ def _check_lines_shape(qs):
 
 def _check_lines_closed(grid, ceiling):
     for n, q in grid:
-        fq = Fq(FqSpec.parse(str(q)))
+        fq = parse_field(str(q))
         closed = nlines_closed_form(n).at_q(q)
         z = zeta_polynomial(n_lines_order(fq, n), ceiling=ceiling)
         _expect(closed == z.poly,
@@ -391,7 +390,7 @@ def _check_battery_bounds(rows):
 
 
 def _check_per_class(ceiling):
-    fq = Fq(FqSpec.parse("2"))
+    fq = parse_field("2")
     for label, f in _battery_members(2)[:2]:
         order = build_order(fq, f)
         ref = per_class_refinement(order, ceiling=ceiling)
@@ -408,8 +407,8 @@ def _check_punctual():
 
 
 def _check_fibers(exhaustive, ceiling):
-    fq2 = Fq(FqSpec.parse("2"))
-    fq3 = Fq(FqSpec.parse("3"))
+    fq2 = parse_field("2")
+    fq3 = parse_field("3")
     node = {2: ((), (0, 1), (1,)), 3: ((0, 0, 2), (), (1,))}
     lines = {2: ((0, 0, 0, 1), (0, 1, 1), (1,)),
              3: ((0, 0, 0, 1), (0, 2, 2), (1,))}
@@ -433,7 +432,7 @@ def _check_upper_table():
 
 
 def _check_robustness(seed, ceiling):
-    fq = Fq(FqSpec.parse("3"))
+    fq = parse_field("3")
     cusp = ((0, 0, 0, 2), (), (1,))
     base = build_order(fq, cusp)
     doubled = build_order(fq, cusp, precision=2 * base.precision)

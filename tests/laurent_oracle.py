@@ -97,6 +97,16 @@ class LaurentSeries:
             return self
         return LaurentSeries(self.fq, self.shift + v, self.coeffs[v:])
 
+    def trimmed(self, end):
+        """This element minus an unknown multiple of t^end: the digits
+        from t^end on are no longer known."""
+        if end >= self.abs_prec:
+            return self
+        if end > self.shift:
+            return LaurentSeries(self.fq, self.shift,
+                                 self.coeffs[:end - self.shift])
+        return LaurentSeries(self.fq, end - 1, (0,))
+
     def to_truncated(self, precision):
         """The digits of this element of F_q[[t]] mod t^precision.
 
@@ -178,6 +188,11 @@ def resultant_series(fq, f, g):
         inv = rows[k][k].inverse()
         for i in range(k + 1, size):
             if rows[i][k].is_zero():
+                # zero only to its window: the unknown digits above it
+                # still reach row i through row k
+                end = rows[i][k].abs_prec + inv.shift
+                rows[i] = [rows[i][j].trimmed(end + rows[k][j].shift)
+                           for j in range(size)]
                 continue
             factor = (rows[i][k] * inv).normalized()
             rows[i] = [rows[i][j] - factor * rows[k][j] for j in range(size)]

@@ -14,12 +14,11 @@ import pytest
 
 from orderzeta.cli import main, render
 from orderzeta.errors import (NonIntegralInput, NotSquarefree, ParseError)
-from orderzeta.fq import Fq, FqSpec
 from orderzeta.lattices import class_count_mod_lambda
 from orderzeta.orbital import (cross_validated_orbital, levi_fiber_check,
                                orbital_bounds)
 from orderzeta.orders import build_order, n_lines_order
-from orderzeta.parsing import parse_xpoly
+from orderzeta.parsing import parse_field, parse_xpoly
 from orderzeta.partitions import hilb_count_regular, m_poly
 from orderzeta.polynomials import IntPoly
 from orderzeta.report import analyze_report, selftest_report
@@ -28,7 +27,7 @@ from orderzeta.zeta import (nlines_closed_form, per_class_refinement,
 
 
 def field(q):
-    return Fq(FqSpec.parse(str(q)))
+    return parse_field(str(q))
 
 
 def battery(q):

@@ -7,11 +7,11 @@ import pytest
 from orderzeta.cli import main
 from orderzeta import report
 from orderzeta.errors import ParseError, PrecisionExhausted
-from orderzeta.fq import Fq, FqSpec
-from orderzeta.parsing import format_order_description, parse_order_description
+from orderzeta.parsing import (format_order_description, parse_field,
+                               parse_order_description)
 from orderzeta.report import analyze_report, mnpoly_report, nlines_report
 
-F3 = Fq(FqSpec.parse("3"))
+F3 = parse_field("3")
 
 
 def run(capsys, *argv):

@@ -5,13 +5,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orderzeta.fq
 from orderzeta.cli import main
 from orderzeta.errors import ParseError, PreconditionViolated
 from orderzeta.fq import Fq, FqSpec, embedding, find_irreducible
-
-
-def field(text):
-    return Fq(FqSpec.parse(text))
+from orderzeta.parsing import parse_field
 
 
 def power(fq, a, k):
@@ -27,7 +25,7 @@ def power(fq, a, k):
 
 def test_f4_multiplication_table_by_hand():
     # codes: 0, 1, u = 2, u+1 = 3 with u^2 + u + 1 = 0
-    f4 = field("4")
+    f4 = parse_field("4")
     expected = [
         [0, 0, 0, 0],
         [0, 1, 2, 3],
@@ -39,7 +37,7 @@ def test_f4_multiplication_table_by_hand():
 
 
 def test_f8_powers_of_generator():
-    f8 = field("8")  # u^3 = u + 1
+    f8 = parse_field("8")  # u^3 = u + 1
     u = f8.gen
     assert u == 2
     assert f8.mul(u, u) == 4          # u^2
@@ -49,7 +47,7 @@ def test_f8_powers_of_generator():
 
 
 def test_f9_square_of_generator_is_minus_one():
-    f9 = field("9")  # u^2 + 1 = 0
+    f9 = parse_field("9")  # u^2 + 1 = 0
     u = f9.gen
     assert u == 3
     assert f9.mul(u, u) == 2          # -1 over F_3
@@ -58,7 +56,7 @@ def test_f9_square_of_generator_is_minus_one():
 
 
 def test_f5_inverses():
-    f5 = field("5")
+    f5 = parse_field("5")
     assert f5.inv(2) == 3
     assert f5.inv(4) == 4
     assert f5.mul(2, 3) == 1
@@ -67,16 +65,16 @@ def test_f5_inverses():
 
 
 def test_from_int_reduces_mod_p():
-    f3 = field("3")
+    f3 = parse_field("3")
     assert f3.from_int(7) == 1
     assert f3.from_int(-1) == 2
-    f9 = field("9")
+    f9 = parse_field("9")
     assert f9.from_int(5) == 2
 
 
 def test_context_is_cached():
-    assert field("7") is field("7")
-    assert field("2^2:u^2+u+1") is field("4")
+    assert parse_field("7") is parse_field("7")
+    assert parse_field("2^2:u^2+u+1") is parse_field("4")
 
 
 def test_table_cap_refuses_huge_fields():
@@ -87,11 +85,10 @@ def test_table_cap_refuses_huge_fields():
 def test_table_cap_refuses_q_257_before_building_tables(capsys):
     # the tables of F_257 would take megabytes; the refusal allocates a
     # few hundred bytes, and the CLI maps it to exit 3
-    spec = FqSpec.parse("257")
     tracemalloc.start()
     try:
         with pytest.raises(PreconditionViolated, match="257"):
-            Fq(spec)
+            Fq(FqSpec(257))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -100,23 +97,28 @@ def test_table_cap_refuses_q_257_before_building_tables(capsys):
     assert "exceeds the desk-scale table cap 256" in capsys.readouterr().err
 
 
-def test_spec_text_round_trip():
-    for text in ["2", "3", "5", "7", "4", "8", "9", "25", "2^2:u^2+u+1",
-                 "3^2:u^2+1", "2^3:u^3+u+1"]:
-        spec = FqSpec.parse(text)
-        again = FqSpec.parse(spec.to_text())
-        assert again == spec
+def test_table_cap_comes_before_the_modulus_search(monkeypatch, capsys):
+    # the search for a modulus of degree 40 would run for minutes
+    def search(p, deg):
+        raise AssertionError(f"searched a modulus of degree {deg}")
+    monkeypatch.setattr(orderzeta.fq, "find_irreducible", search)
+    with pytest.raises(PreconditionViolated, match="table cap"):
+        parse_field("2^40")
+    with pytest.raises(PreconditionViolated, match="size 3\\^100000 "):
+        parse_field("3^100000")
+    assert main(["analyze", "--q", "3^30", "--f", "X^2 - t^3"]) == 3
+    assert "exceeds the desk-scale table cap 256" in capsys.readouterr().err
 
 
 def test_spec_rejects_non_prime_powers_and_bad_moduli():
     with pytest.raises(ParseError):
-        FqSpec.parse("6")
+        parse_field("6")
     with pytest.raises(ParseError):
-        FqSpec.parse("12")
+        parse_field("12")
     with pytest.raises(ParseError):
-        FqSpec.parse("banana")
+        parse_field("banana")
     with pytest.raises(PreconditionViolated):
-        FqSpec.parse("2^2:u^2+1")  # (u+1)^2, reducible
+        parse_field("2^2:u^2+1")  # (u+1)^2, reducible
     with pytest.raises(PreconditionViolated):
         FqSpec(4)
 
@@ -124,10 +126,6 @@ def test_spec_rejects_non_prime_powers_and_bad_moduli():
 def test_find_irreducible_is_lex_smallest():
     assert find_irreducible(2, 2) == (1, 1, 1)
     assert find_irreducible(2, 4) == (1, 1, 0, 0, 1)
-
-
-# Moduli that FqSpec takes by default instead of the smallest irreducible.
-LISTED_MODULI = {(2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (3, 2): (1, 0, 1)}
 
 
 def base_p_digits(code, p, k):
@@ -162,10 +160,7 @@ def test_tables_match_schoolbook_arithmetic_mod_p(p, e):
     fq = Fq(FqSpec(p, e))
     modulus = list(fq.spec.modulus)
     assert irreducible(modulus)
-    if (p, e) in LISTED_MODULI:
-        assert tuple(modulus) == LISTED_MODULI[(p, e)]
-    else:
-        assert modulus == next(m for m in monics(e) if irreducible(m))
+    assert modulus == next(m for m in monics(e) if irreducible(m))
 
     def code(poly):
         return sum(c % p * p ** i for i, c in enumerate(poly))
@@ -192,28 +187,28 @@ def _hom_check(small, big):
 
 
 def test_embedding_is_a_ring_homomorphism():
-    _hom_check(field("2"), field("4"))
-    _hom_check(field("4"), field("2^4:u^4+u+1"))
-    _hom_check(field("3"), field("9"))
+    _hom_check(parse_field("2"), parse_field("4"))
+    _hom_check(parse_field("4"), parse_field("2^4:u^4+u+1"))
+    _hom_check(parse_field("3"), parse_field("9"))
 
 
 def test_embedding_of_prime_field_is_identity_on_codes():
-    table = embedding(field("3"), field("9"))
+    table = embedding(parse_field("3"), parse_field("9"))
     assert table[:3] == [0, 1, 2]
 
 
 def test_embedding_rejects_incompatible_fields():
     with pytest.raises(PreconditionViolated):
-        embedding(field("4"), field("8"))
+        embedding(parse_field("4"), parse_field("8"))
     with pytest.raises(PreconditionViolated):
-        embedding(field("3"), field("4"))
+        embedding(parse_field("3"), parse_field("4"))
 
 
 @pytest.mark.parametrize("qtext", ["2", "3", "4", "5", "7", "8", "9"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_field_axioms(qtext, data):
-    fq = field(qtext)
+    fq = parse_field(qtext)
     q = fq.q
     a = data.draw(st.integers(0, q - 1))
     b = data.draw(st.integers(0, q - 1))

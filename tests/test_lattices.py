@@ -7,6 +7,7 @@ the cuspidal and nodal quadratic orders were derived by hand from their
 known colength generating functions and are frozen as literals.
 """
 
+import random
 import tracemalloc
 from itertools import product as iproduct
 
@@ -24,12 +25,12 @@ from orderzeta.lattices import (LatticeHNF, _action_on_lattice,
                                 element_scaled_lattice, enumeration_ceiling,
                                 hnf_from_generators, identity_lattice,
                                 is_homothetic, laurent_matrix_inverse,
-                                mat_vec,
+                                mat_vec, pad_exact,
                                 product_lattice, relative_length, relative_to,
                                 sandwich_representatives, solve_in_basis,
                                 stable_sublattice_levels, trace_dual_lattice)
 from orderzeta.orders import build_order, n_lines_order
-from orderzeta.parsing import parse_xpoly
+from orderzeta.parsing import parse_field, parse_xpoly
 from orderzeta.series import ser_add, ser_mul, ser_scale, ser_val
 from orderzeta.zeta import quot_series
 
@@ -38,8 +39,8 @@ from laurent_oracle import LaurentSeries
 F2 = Fq(FqSpec(2))
 F3 = Fq(FqSpec(3))
 F5 = Fq(FqSpec(5))
-F4 = Fq(FqSpec.parse("4"))
-F9 = Fq(FqSpec.parse("9"))
+F4 = parse_field("4")
+F9 = parse_field("9")
 
 
 def pad(coeffs, n):
@@ -158,11 +159,6 @@ def test_hnf_extracts_global_scale():
 def test_hnf_rank_deficient():
     with pytest.raises(RankDeficient):
         hnf_from_generators(F3, [vec([(1,), (1,)], 6)], 2, precision=6)
-    # two proportional exact columns
-    with pytest.raises(RankDeficient):
-        hnf_from_generators(
-            F3, [vec([(1,), (2,)], 6), vec([(0, 1), (0, 2)], 6)],
-            2, exact=True)
 
 
 def test_hnf_precision_exhausted_on_invisible_pivot():
@@ -183,10 +179,10 @@ def test_hnf_zero_entry_tail_costs_the_pivot_valuation():
     def gens(c, n):
         return [vec(v, n) for v in (((1,), (), (), c), ((1,), a, (), ()),
                                     ((), (1,), a, ()), ((), (), (1,), a))]
-    assert hnf_from_generators(F3, gens((), 15), 4,
-                               exact=True).colength() == 18
-    assert hnf_from_generators(F3, gens((0,) * 15 + (1,), 16), 4,
-                               exact=True).colength() == 15
+    assert hnf_from_generators(F3, pad_exact(gens((), 15), 4),
+                               4).colength() == 18
+    assert hnf_from_generators(F3, pad_exact(gens((0,) * 15 + (1,), 16), 4),
+                               4).colength() == 15
     with pytest.raises(PrecisionExhausted):
         hnf_from_generators(F3, gens((), 15), 4, precision=15)
 
@@ -272,7 +268,7 @@ def test_solve_in_basis_multiplies_back_to_the_shifted_vector(data):
     gens = [tuple((0,) * (scale - s0) + e for e in col)
             for col in lat.columns(max(diag) + 1)]
     gens.append(tuple((0,) * (vec_scale - s0) + e for e in vec))
-    span = hnf_from_generators(fq, gens, n, scale=s0, exact=True)
+    span = hnf_from_generators(fq, pad_exact(gens, n), n, scale=s0)
     assert (y is not None) == (span == lat)
     if shift < 0 and any(any(e[:-shift]) for e in vec):
         assert y is None
@@ -375,8 +371,15 @@ def reference_laurent_inverse(fq, cols, precision):
         grid[k] = [e * pinv for e in grid[k]]
         inv[k] = [e * pinv for e in inv[k]]
         for i in range(n):
-            f = grid[i][k]
-            if i == k or f.is_zero():
+            if i == k:
+                continue
+            f = grid[i][k].normalized()
+            if f.is_zero():
+                end = f.abs_prec
+                grid[i] = [grid[i][j].trimmed(end + grid[k][j].shift)
+                           for j in range(n)]
+                inv[i] = [inv[i][j].trimmed(end + inv[k][j].shift)
+                          for j in range(n)]
                 continue
             grid[i] = [grid[i][j] - f * grid[k][j] for j in range(n)]
             inv[i] = [inv[i][j] - f * inv[k][j] for j in range(n)]
@@ -433,6 +436,81 @@ def test_laurent_matrix_inverse_matches_laurent_series_elimination(case):
     fq, mat, precision = case
     want = outcome(reference_laurent_inverse, fq, mat, precision)
     assert outcome(laurent_matrix_inverse, fq, mat, precision) == want
+
+
+def inverse_residual_window(fq, cols, inv_cols, shift):
+    """Check M * M^-1 = I, with M^-1 = t^shift * inv_cols, on every
+    digit the product knows: each entry is a LaurentSeries sum of
+    products of normalized operands, so its window is exactly what the
+    stored windows determine.  Returns the least end of those windows."""
+    n = len(cols)
+    least = None
+    for i in range(n):
+        for j in range(n):
+            acc = None
+            for k in range(n):
+                term = (LaurentSeries(fq, 0, cols[k][i]).normalized()
+                        * LaurentSeries(fq, shift, inv_cols[j][k]).normalized())
+                acc = term if acc is None else acc + term
+            want = (LaurentSeries.one if i == j else LaurentSeries.zero)(
+                fq, acc.abs_prec + 1)
+            assert acc.agrees_with(want), (i, j)
+            least = acc.abs_prec if least is None else min(least, acc.abs_prec)
+    return least
+
+
+def test_laurent_matrix_inverse_normalizes_its_multipliers():
+    # Over F_2 at 5 digits, a multiplier with known leading zeros that is
+    # left unnormalized costs its rows those digits, and the inversion
+    # runs out of precision; normalized, it keeps enough for the product
+    # with M to reach the constant digit of the identity.
+    cols = (((0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (1, 0, 0, 0, 1)),
+            ((0, 0, 1, 0, 0), (1, 0, 0, 0, 0), (1, 0, 1, 1, 0)),
+            ((1, 1, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 0)))
+    inv_cols, shift = laurent_matrix_inverse(F2, cols, 5)
+    assert inverse_residual_window(F2, cols, inv_cols, shift) >= 1
+
+
+@pytest.mark.parametrize("cols, precision", [
+    ((((0, 1, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 1, 0, 1)),
+      ((0, 0, 0, 1, 0), (0, 0, 0, 1, 1), (0, 0, 0, 0, 1)),
+      ((0, 1, 0, 1, 1), (0, 0, 0, 0, 1), (0, 0, 1, 1, 1))), 5),
+    ((((0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 1, 0, 0)),
+      ((1, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0, 1)),
+      ((1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1), (0, 0, 0, 1, 0, 0, 0))),
+     7),
+])
+def test_laurent_matrix_inverse_zero_multiplier_tail_costs_digits(
+        cols, precision):
+    # A multiplier that is zero to its window is not known to be zero:
+    # its unknown digits, times the pivot row, limit what the other rows
+    # know.  Skipping it returned digits that M * M^-1 = I contradicts.
+    try:
+        inv_cols, shift = laurent_matrix_inverse(F2, cols, precision)
+    except PrecisionExhausted:
+        return
+    inverse_residual_window(F2, cols, inv_cols, shift)
+
+
+def test_laurent_matrix_inverse_windows_are_known():
+    # seeded sparse 2x2 and 3x3 matrices over F_2 and F_3
+    rng = random.Random(20)
+    inverted = 0
+    for _ in range(1500):
+        fq = rng.choice((F2, F3))
+        n = rng.randint(2, 3)
+        width = rng.randint(3, 8)
+        cols = tuple(tuple(tuple(rng.randrange(1, fq.q)
+                                 if rng.random() < 0.3 else 0
+                                 for _ in range(width)) for _ in range(n))
+                     for _ in range(n))
+        try:
+            inv_cols, shift = laurent_matrix_inverse(fq, cols, width)
+        except (PrecisionExhausted, ValueError):
+            continue
+        inverse_residual_window(fq, cols, inv_cols, shift)
+        inverted += 1
+    assert inverted > 1000
 
 
 def test_trace_dual_of_cusp_order():
@@ -531,9 +609,9 @@ def brute_stable_sublattices(fq, n, j, ambient_mats, precision):
                 off[jj][i] = tuple(digits)
             cand = hnf_from_generators(
                 fq,
-                LatticeHNF(fq, 0, shape,
-                           tuple(tuple(col) for col in off)).columns(j + 2),
-                n, exact=True)
+                pad_exact(LatticeHNF(fq, 0, shape, tuple(
+                    tuple(col) for col in off)).columns(j + 2), n),
+                n)
             ok = True
             for mat in ambient_mats:
                 for col in cand.columns(j + 2):
@@ -917,7 +995,7 @@ def reference_homothety(m1, m2, order):
     ("3", "X^2-t^5"), ("5", "(X-t)*(X-t^3)"), ("2", "X^3-t^4"),
     ("2^2:u^2+u+1", "X^2+t*X")])
 def test_homothety_matches_the_full_precision_scan(q, f):
-    fq = Fq(FqSpec.parse(q))
+    fq = parse_field(q)
     order = build_order(fq, parse_xpoly(fq, f))
     reps = sandwich_representatives(order)
     hits = 0

@@ -12,18 +12,19 @@ import pytest
 import orderzeta.lattices
 import orderzeta.orbital
 from orderzeta.errors import PreconditionViolated
-from orderzeta.fq import Fq, FqSpec
-from orderzeta.lattices import stable_sublattice_levels
+from orderzeta.lattices import (LatticeHNF, compose_lattice, identity_lattice,
+                                stable_sublattice_levels)
 from orderzeta.orbital import (cross_validated_orbital, elliptic_ideal_formula,
                                levi_fiber_check, levi_product,
                                orbit_invariants, orbital_bounds,
                                orbital_integral)
 from orderzeta.orders import build_order, n_lines_order
+from orderzeta.parsing import parse_field
 from orderzeta.partitions import hilb_count_regular, n_poly
 
-F2 = Fq(FqSpec.parse("2"))
-F3 = Fq(FqSpec.parse("3"))
-F5 = Fq(FqSpec.parse("5"))
+F2 = parse_field("2")
+F3 = parse_field("3")
+F5 = parse_field("5")
 
 # X^2 - t^3 written over each field (unit cusp for characteristic 2)
 CUSP = {
@@ -126,7 +127,7 @@ def test_factor_route_base_change_succeeds_for_quartic():
 
 def test_factor_route_above_the_table_cap_falls_back_with_a_note():
     # X^2 - 3 is inert over F_17; F_289 is above the table cap
-    o = build_order(Fq(FqSpec.parse("17")), ((14,), (), (1,)))
+    o = build_order(parse_field("17"), ((14,), (), (1,)))
     value, notes = levi_product(o)
     assert value == 1
     assert notes == ("factor 0: extension rebuild failed (field size 289 "
@@ -259,6 +260,22 @@ def test_two_lines_fibers_have_constant_size():
 
 def test_mixed_contact_fibers_have_constant_size():
     assert levi_fiber_check(build_order(F3, MIX3), 2, seed=2)
+
+
+@pytest.mark.parametrize("fq, f", [
+    (F3, NODE[3]), (F2, NODE[2]), (F2, TWOLINES[2]), (F3, TWOLINES[3]),
+    (F3, MIX3),
+])
+def test_fiber_pools_are_the_identity_levels(fq, f):
+    # levi_fiber_check takes each level over the identity base as its
+    # pool: the levels already list the lattices themselves, sorted
+    for fd in build_order(fq, f).factors:
+        sub = build_order(fq, fd.coeffs, f_window=fd.window)
+        base = identity_lattice(fq, sub.n)
+        for level in stable_sublattice_levels(base, 2, sub.action_matrices):
+            assert list(level) == sorted(
+                (compose_lattice(base, rel) for rel in level),
+                key=LatticeHNF.sort_key)
 
 
 def test_fiber_check_is_deterministic():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from orderzeta.errors import (BadFactorization, NotSquarefree,
                               PrecisionExhausted)
-from orderzeta.fq import Fq, FqSpec
 from orderzeta.lattices import (_nonzero_entries, class_count_mod_lambda,
                                 compose_lattice, identity_lattice, mat_vec,
                                 relative_length, stable_sublattice_levels,
@@ -16,14 +15,15 @@ from orderzeta.orders import (CertifiedFactor, _derivative,
                               _pair_resultant_val, _resultant_val,
                               auto_factor, base_change_order, build_order,
                               certify_factor, n_lines_order)
+from orderzeta.parsing import parse_field
 from orderzeta.polynomials import up_trim, xp_mul, xp_trim
 from orderzeta.series import ser_val
 
 from resultant_oracle import resultant_exact
 
-F2 = Fq(FqSpec.parse("2"))
-F3 = Fq(FqSpec.parse("3"))
-F5 = Fq(FqSpec.parse("5"))
+F2 = parse_field("2")
+F3 = parse_field("3")
+F5 = parse_field("5")
 
 CUSP3 = ((0, 0, 0, 2), (), (1,))          # X^2 - t^3
 NODE3 = ((0, 0, 2), (), (1,))             # X^2 - t^2
@@ -387,7 +387,7 @@ def test_exact_resultant_valuation_matches_bareiss_oracle():
     # every third pair shares a squared factor, so about a third of the
     # resultants are zero
     rng = random.Random(8)
-    fields = [Fq(FqSpec.parse(str(q))) for q in (2, 3, 4, 5, 9)]
+    fields = [parse_field(str(q)) for q in (2, 3, 4, 5, 9)]
     seen = {"zero": 0, "nonzero": 0}
     for k in range(600):
         fq = fields[k % len(fields)]
@@ -419,7 +419,7 @@ def test_exact_resultant_valuation_matches_bareiss_oracle():
 def test_exact_resultant_valuation_at_its_planned_window(q, f, g, val):
     # pairs whose multipliers start with zero digits; unless those move
     # into the shift, the elimination loses its last pivot at 2D + 2
-    fq = Fq(FqSpec.parse(str(q)))
+    fq = parse_field(str(q))
     assert ser_val(resultant_exact(fq, f, g)) == val
     assert _resultant_val(fq, f, g, None) == val
 

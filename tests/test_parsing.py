@@ -1,20 +1,25 @@
 """Expression grammar, canonical printers, and description files."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orderzeta.cli import main
 from orderzeta.errors import NonIntegralInput, ParseError
-from orderzeta.fq import Fq, FqSpec
-from orderzeta.parsing import (format_order_description, format_tpoly,
-                               format_xpoly, parse_monomials,
-                               parse_order_description, parse_xpoly)
+from orderzeta.fq import Fq, find_irreducible
+from orderzeta.parsing import (format_field, format_order_description,
+                               format_tpoly, format_xpoly, parse_field,
+                               parse_monomials, parse_order_description,
+                               parse_xpoly)
 from orderzeta.polynomials import xp_trim
 
-F2 = Fq(FqSpec.parse("2"))
-F3 = Fq(FqSpec.parse("3"))
-F4 = Fq(FqSpec.parse("4"))
-F5 = Fq(FqSpec.parse("5"))
-F9 = Fq(FqSpec.parse("9"))
+F2 = parse_field("2")
+F3 = parse_field("3")
+F4 = parse_field("4")
+F5 = parse_field("5")
+F9 = parse_field("9")
 
 
 def test_basic_x_polynomial():
@@ -147,3 +152,78 @@ def test_order_description_errors():
         parse_order_description("q = 3\nf = X\nprecision = -4\n")
     with pytest.raises(ParseError):
         parse_order_description("q = 3\nf\n")
+
+
+# ---------------------------------------------------------------------------
+# field specs
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _is_prime_power(n):
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def test_field_specs_round_trip(monkeypatch):
+    # every field the tables allow, and the explicit moduli of the golden
+    # corpus; a scratch cache drops the large tables after the test
+    monkeypatch.setattr(Fq, "_cache", dict(Fq._cache))
+    golden = {json.loads(path.read_text(encoding="utf-8")).get("q_spec")
+              for path in GOLDEN.glob("*.json")} - {None}
+    assert {"2^2:u^2+u+1", "3^2:u^2+1"} <= golden
+    texts = [str(q) for q in range(2, 257) if _is_prime_power(q)]
+    assert len(texts) == 70
+    for text in texts + sorted(golden):
+        fq = parse_field(text)
+        assert parse_field(format_field(fq)) is fq
+        if ":" not in text:
+            assert fq.q == int(text)
+    assert format_field(parse_field("9")) == "3^2:u^2+1"
+    assert format_field(parse_field("7")) == "7"
+    # a prime field has one spec, whatever linear modulus it is given
+    assert parse_field("3^1:u+1") is parse_field("3") is parse_field("3^1")
+
+
+def test_default_moduli_are_the_smallest_irreducibles():
+    for q, (p, e) in {4: (2, 2), 8: (2, 3), 9: (3, 2)}.items():
+        assert parse_field(str(q)).spec.modulus == find_irreducible(p, e)
+    assert format_field(parse_field("8")) == "2^3:u^3+u+1"
+
+
+def test_modulus_uses_the_expression_grammar():
+    assert parse_field("2^2:u*u + u + 1") is F4
+    assert parse_field("3^2: (u + 1)^2 - 2u") is F9      # u^2 + 1
+    assert parse_field("3^2:u^2 + 4") is F9              # 4 = 1 mod 3
+
+
+@pytest.mark.parametrize("text", ["2^2:u^2+t", "2^2:X^2+1", "2^2:", "3^2:u^"])
+def test_malformed_modulus_exits_2(text, capsys):
+    with pytest.raises(ParseError):
+        parse_field(text)
+    assert main(["analyze", "--q", text, "--f", "X^2 - t^3"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_reducible_modulus_exits_3(capsys):
+    assert main(["analyze", "--q", "2^2:u^2+1", "--f", "X^2 - t^3"]) == 3
+    assert "reducible" in capsys.readouterr().err
+
+
+def test_field_spec_messages():
+    cases = [("6", "'6' is not a prime power"),
+             ("banana", "bad field spec 'banana'"),
+             ("4:u^2+u+1", "bad field spec '4:u^2+u+1': expected p^e "
+                           "before ':'"),
+             ("2^2:u^2+t", "t is undefined in a field modulus "
+                           "(position 4)")]
+    for text, message in cases:
+        with pytest.raises(ParseError) as info:
+            parse_field(text)
+        assert str(info.value) == message
+    with pytest.raises(ParseError) as info:
+        parse_xpoly(F3, "u + 1")
+    assert str(info.value) == "u is undefined over a prime field (position 0)"

@@ -1,11 +1,13 @@
 """Polynomial layers: exact division, factoring, resultants, lifting."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orderzeta.errors import PrecisionExhausted
-from orderzeta.fq import Fq, FqSpec
 from orderzeta.lattices import resultant_valuation
+from orderzeta.parsing import parse_field
 from orderzeta.polynomials import (BiPoly, IntPoly, hensel_split,
                                    monic_polys_over_fq, sp_mul, up_ext_euclid,
                                    up_divmod, up_factor, up_is_irreducible,
@@ -16,11 +18,11 @@ from orderzeta.series import ser_mul, ser_pad, ser_scale, ser_val
 from laurent_oracle import resultant_series
 from resultant_oracle import resultant_exact
 
-F2 = Fq(FqSpec.parse("2"))
-F3 = Fq(FqSpec.parse("3"))
-F4 = Fq(FqSpec.parse("4"))
-F5 = Fq(FqSpec.parse("5"))
-F9 = Fq(FqSpec.parse("9"))
+F2 = parse_field("2")
+F3 = parse_field("3")
+F4 = parse_field("4")
+F5 = parse_field("5")
+F9 = parse_field("9")
 
 
 def windowed(f, w):
@@ -208,6 +210,60 @@ def test_resultant_valuation_matches_laurent_series_elimination(case):
     fq, f, g = case
     want = _outcome(lambda: resultant_series(fq, f, g).valuation())
     assert _outcome(resultant_valuation, fq, f, g) == want
+
+
+def _completion_valuations(fq, f, g, rng, count):
+    """Valuations of the exact resultants of `count` random completions
+    of the series coefficients of f and g beyond their windows."""
+    def complete(poly):
+        return tuple(tuple(c) + tuple(rng.randrange(fq.q)
+                                      for _ in range(3 * len(c)))
+                     for c in poly)
+    out = set()
+    for _ in range(count):
+        r = resultant_exact(fq, complete(f), complete(g))
+        out.add(ser_val(r) if r else None)
+    return out
+
+
+@pytest.mark.parametrize("f, g", [
+    (((0, 0, 0), (0, 0, 0), (1, 1, 1), (0, 1, 1)),
+     ((1, 0, 1), (0, 0, 0), (1, 0, 0), (0, 1, 0))),
+    (((1, 0, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0)), ((1, 1, 0), (0, 1, 1))),
+])
+def test_resultant_zero_entry_tail_costs_digits(f, g):
+    # Over F_2 at 3 digits: an entry below a pivot that is zero to its
+    # window is not known to be zero, and its unknown digits reach the
+    # rest of its row.  Skipping it certified valuation 3, while
+    # completions of these inputs have resultants of valuation 4.
+    assert 4 in _completion_valuations(F2, f, g, random.Random(0), 8)
+    with pytest.raises(PrecisionExhausted):
+        resultant_valuation(F2, f, g)
+
+
+def test_resultant_valuation_holds_for_every_completion():
+    # seeded X-polynomials of degree 1..3 over F_2 at 3..8 digits, their
+    # leading coefficients units or of valuation 1
+    rng = random.Random(3)
+    certified = 0
+    for _ in range(600):
+        w = rng.randint(3, 8)
+
+        def poly():
+            body = tuple(tuple(int(rng.random() < 0.3) for _ in range(w))
+                         for _ in range(rng.randint(1, 3)))
+            lead = [rng.randint(0, 1) for _ in range(w)]
+            lead[0], lead[1] = (1, lead[1]) if rng.random() < 0.5 else (0, 1)
+            return body + (tuple(lead),)
+        f, g = poly(), poly()
+        try:
+            v = resultant_valuation(F2, f, g)
+        except PrecisionExhausted:
+            continue
+        if v is not None:
+            assert _completion_valuations(F2, f, g, rng, 4) == {v}
+            certified += 1
+    assert certified > 300
 
 
 def test_hensel_split_square_root_of_one_plus_t():

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orderzeta.errors import PrecisionExhausted
-from orderzeta.fq import Fq, FqSpec
+from orderzeta.parsing import parse_field
 from orderzeta.series import (ser_add, ser_mul, ser_neg, ser_pad, ser_scale,
                               ser_sub, ser_unit_inv, ser_val)
 
 from laurent_oracle import LaurentSeries
 
-F3 = Fq(FqSpec.parse("3"))
-F4 = Fq(FqSpec.parse("4"))
-F5 = Fq(FqSpec.parse("5"))
+F3 = parse_field("3")
+F4 = parse_field("4")
+F5 = parse_field("5")
 
 
 def _naive_mul_prime(a, b, p, n):
@@ -44,7 +44,7 @@ def test_valuation_sentinel():
 
 
 def test_geometric_series_inverse_over_f2():
-    f2 = Fq(FqSpec.parse("2"))
+    f2 = parse_field("2")
     one_minus_t = ser_pad((1, 1), 10)              # 1 + t = 1 - t
     inv = ser_unit_inv(f2, one_minus_t)
     assert inv == (1,) * 10
@@ -52,7 +52,7 @@ def test_geometric_series_inverse_over_f2():
 
 
 def test_unit_inverse_round_trip_over_f9():
-    f9 = Fq(FqSpec.parse("9"))
+    f9 = parse_field("9")
     a = ser_pad((3, 1, 7, 0, 2), 12)
     assert ser_mul(f9, a, ser_unit_inv(f9, a)) == ser_pad((1,), 12)
 
@@ -138,7 +138,7 @@ def test_extension_field_products_associate_with_raw_kernel(a, b):
 # raw kernels against digit-by-digit references
 # ---------------------------------------------------------------------------
 
-KERNEL_FIELDS = {q: Fq(FqSpec.parse(q)) for q in ("2", "5", "4", "9")}
+KERNEL_FIELDS = {q: parse_field(q) for q in ("2", "5", "4", "9")}
 
 
 @st.composite

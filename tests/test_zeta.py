@@ -30,9 +30,10 @@ from orderzeta.errors import (NotSquarefree, BadFactorization,
                               NonIntegralSpecialValue, PreconditionViolated)
 from orderzeta.fq import Fq, FqSpec
 from orderzeta.lattices import (action_digits_needed, class_count_mod_lambda,
-                                hnf_from_generators, relative_length,
-                                stable_sublattice_levels)
+                                hnf_from_generators, pad_exact,
+                                relative_length, stable_sublattice_levels)
 from orderzeta.orders import build_order, n_lines_order
+from orderzeta.parsing import parse_field
 from orderzeta.polynomials import IntPoly
 from orderzeta.zeta import (check_functional_equation, factor_periods,
                             nlines_closed_form, per_class_refinement,
@@ -273,8 +274,8 @@ def test_lines_ideal_tally_differs_from_duality_tally():
 
 def test_variant_rejects_unstable_lattice():
     o = build_order(F3, CUSP3)
-    skew = hnf_from_generators(F3, (((1,), ()), ((), (0, 0, 1))), 2,
-                               exact=True)
+    skew = hnf_from_generators(
+        F3, pad_exact((((1,), ()), ((), (0, 0, 1))), 2), 2)
     with pytest.raises(PreconditionViolated):
         variant_zeta(o, skew)
 
@@ -319,7 +320,7 @@ PLANNED_PRECISION = {4: (22, 24, 22, 24), 5: (30, 30, 30, 25),
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_nlines_precision_is_planned(n):
     for k, q in enumerate((2, 3, 4, 5)):
-        fq = Fq(FqSpec.parse(str(q)))
+        fq = parse_field(str(q))
         for j_max in (None, 3 * n + 9):
             order, plans = planned_nlines_order(fq, n, j_max)
             # the plans hold at the planned precision too
