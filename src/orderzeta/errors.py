@@ -66,7 +66,9 @@ class InvariantViolation(OrderZetaError):
 
 
 class TruncationFailure(InvariantViolation):
-    """The zeta numerator had a nonzero coefficient beyond degree 2*delta."""
+    """A collapsed tally had a nonzero coefficient beyond the degree it
+    may reach: 2*delta, or for a variant its tally length less the
+    periods margin."""
 
 
 class NonIntegralSpecialValue(InvariantViolation):

@@ -12,11 +12,9 @@ specs and elements are read and printed in parsing.py.
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .errors import PreconditionViolated
-from .polynomials import (monic_polys_over_fq, up_eval, up_is_irreducible,
-                          up_mod, up_mul, up_roots)
+from .polynomials import (monic_polys_over_fq, up_eval, up_factor, up_mod,
+                          up_mul, up_roots)
 
 # Every field builds full q^2-entry tables, whose cost grows as q^2: about
 # 0.5 s at q = 256 and 2.5 s at q = 512 (Python 3.11, one Xeon core).  A
@@ -25,15 +23,65 @@ from .polynomials import (monic_polys_over_fq, up_eval, up_is_irreducible,
 _TABLE_CAP = 256
 
 
+# As Miller-Rabin bases, the first 13 primes decide primality exactly
+# below 3.3 * 10^24 (Sorenson and Webster).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n):
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+    """Miller-Rabin to every base in _WITNESSES: exact below 3.3*10^24;
+    above that a strong probable prime to all of them counts as prime."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _int_root(n, k):
+    """The largest integer r with r^k <= n, found bit by bit."""
+    r = 0
+    for bit in reversed(range(-(-n.bit_length() // k))):
+        if (r | 1 << bit) ** k <= n:
+            r |= 1 << bit
+    return r
+
+
+def prime_power(n):
+    """(p, e) with p prime and p^e == n, or None when n >= 2 is no prime
+    power.  Exact k-th roots peel off one prime exponent k at a time;
+    primality as in _is_prime."""
+    p, e, k = n, 1, 2
+    while k < p.bit_length():          # p = r^k with r >= 2 needs this
+        root = _int_root(p, k)
+        if root ** k == p:
+            p, e = root, e * k
+        else:
+            k += 1
+            while not _is_prime(k):
+                k += 1
+    return (p, e) if _is_prime(p) else None
 
 
 def find_irreducible(p, deg):
     """Lexicographically smallest monic irreducible of given degree over F_p."""
     fp = Fq(FqSpec(p))
     return next(cand for cand in monic_polys_over_fq(fp, deg)
-                if up_is_irreducible(fp, cand))
+                if up_factor(fp, cand) == [(cand, 1)])
 
 
 class FqSpec:
@@ -47,22 +95,23 @@ class FqSpec:
     __slots__ = ("p", "e", "modulus")
 
     def __init__(self, p, e=1, modulus=None):
+        huge = e >= _TABLE_CAP.bit_length()      # p^e > cap, as p >= 2
+        if p >= 2 and e >= 1 and (huge or p ** e > _TABLE_CAP):
+            # before the primality test and the modulus search, which
+            # grow with p and e
+            size = f"{p}^{e}" if huge else p ** e
+            raise PreconditionViolated(f"field size {size} exceeds the "
+                                       f"desk-scale table cap {_TABLE_CAP}")
         if not _is_prime(p):
             raise PreconditionViolated(f"characteristic {p} is not prime")
         if e < 1:
             raise PreconditionViolated(f"extension degree {e} must be >= 1")
-        huge = e >= _TABLE_CAP.bit_length()      # p^e > cap, as p >= 2
-        if huge or p ** e > _TABLE_CAP:
-            # before the modulus search, which alone grows with e
-            size = f"{p}^{e}" if huge else p ** e
-            raise PreconditionViolated(f"field size {size} exceeds the "
-                                       f"desk-scale table cap {_TABLE_CAP}")
         if modulus is None:
             modulus = (0, 1) if e == 1 else find_irreducible(p, e)
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise PreconditionViolated("modulus must be monic of degree e")
-        if e > 1 and not up_is_irreducible(Fq(FqSpec(p)), modulus):
+        if e > 1 and up_factor(Fq(FqSpec(p)), modulus) != [(modulus, 1)]:
             raise PreconditionViolated("modulus is reducible over F_p")
         self.p = p
         self.e = e

@@ -297,22 +297,17 @@ def _scale_down(fq, coeffs, window, h):
     return tuple(out), window
 
 
-def certify_factor(fq, f, precision=None, window=None):
+def certify_factor(fq, f, precision=None):
     """Certify a monic polynomial irreducible over F_q((t)).
 
-    f is a tuple of coefficient digit tuples; window is the exact digit
-    count per coefficient (None for exact polynomial input).  Returns
+    f is a tuple of exact F_q[t] coefficient tuples.  Returns
     (ramification index, residue degree).
     """
     f = _trim_digits(f)
-    if window is None:
-        v = _resultant_val(fq, f, _derivative(fq, f), None)
-        budget = (v if v is not None else 0) + 3
-        work = precision if precision else 4 * (budget + len(f)) + 12
-    else:
-        budget = window + 2
-        work = min(precision or window, window)
-    return _certify(fq, f, window, work, budget)
+    v = _resultant_val(fq, f, _derivative(fq, f), None)
+    budget = (v if v is not None else 0) + 3
+    work = precision if precision else 4 * (budget + len(f)) + 12
+    return _certify(fq, f, None, work, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -993,7 +988,7 @@ def build_order(fq, f, factors=None, precision=None, f_window=None):
     return order
 
 
-def base_change_order(order, d, precision=None):
+def base_change_order(order, d):
     """The same polynomial viewed over the unramified extension of
     degree d, refactored and rebuilt there."""
     if d == 1:
@@ -1002,8 +997,7 @@ def base_change_order(order, d, precision=None):
     big = Fq(FqSpec(fq.p, fq.e * d))
     table = embedding(fq, big)
     f_big = tuple(tuple(table[c] for c in coeff) for coeff in order.f)
-    return build_order(big, f_big, None, precision=precision,
-                       f_window=order.f_window)
+    return build_order(big, f_big, f_window=order.f_window)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,8 @@ normal form and round-trips byte for byte.
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .errors import NonIntegralInput, ParseError
-from .fq import Fq, FqSpec
+from .fq import Fq, FqSpec, prime_power
 from .polynomials import up_trim, xp_trim
 
 
@@ -269,14 +267,10 @@ def parse_field(text):
         n = int(text)
     except ValueError:
         raise ParseError(f"bad field spec {text!r}") from None
-    if n >= 2:
-        # the least divisor above 1 is prime; n is a prime power when it
-        # is a power of that prime
-        p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
-        e = next(e for e in range(1, n.bit_length() + 1) if p ** e >= n)
-        if p ** e == n:
-            return Fq(FqSpec(p, e))
-    raise ParseError(f"{text!r} is not a prime power")
+    power = prime_power(n) if n >= 2 else None
+    if power is None:
+        raise ParseError(f"{text!r} is not a prime power")
+    return Fq(FqSpec(*power))
 
 
 # ---------------------------------------------------------------------------

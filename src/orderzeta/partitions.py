@@ -2,48 +2,14 @@
 
 A partition is a weakly decreasing tuple of positive integers.  The
 three statistics that matter here are size (sum of parts), length
-(number of parts), and the multiplicity of 1 among the parts.
+(number of parts), and the multiplicity of 1 among the parts.  Every
+polynomial below is a sum over partitions, so the order in which they
+are generated does not matter.
 """
 
 from __future__ import annotations
 
 from .polynomials import IntPoly
-
-
-class Partition:
-    """Weakly decreasing tuple of positive parts with cached statistics."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        parts = tuple(parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError("parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("parts must be weakly decreasing")
-        self.parts = parts
-
-    @property
-    def size(self):
-        return sum(self.parts)
-
-    @property
-    def length(self):
-        return len(self.parts)
-
-    @property
-    def ones(self):
-        """Multiplicity of 1 as a part."""
-        return sum(1 for p in self.parts if p == 1)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
 
 
 def _partitions_of(n, max_part):
@@ -56,27 +22,6 @@ def _partitions_of(n, max_part):
             yield (first,) + rest
 
 
-def partitions(predicate, size_cap):
-    """Every partition of size <= size_cap passing the predicate, once.
-
-    The predicate receives (size, length, ones).  Output is ordered by
-    the parts tuple, lexicographically descending, so the empty
-    partition comes last when admitted.
-    """
-    if size_cap < 0:
-        raise ValueError("size_cap must be >= 0")
-    all_parts = []
-    for n in range(size_cap + 1):
-        all_parts.extend(_partitions_of(n, n if n else 1))
-    all_parts.sort(reverse=True)
-    out = []
-    for parts in all_parts:
-        lam = Partition(parts)
-        if predicate(lam.size, lam.length, lam.ones):
-            out.append(lam)
-    return out
-
-
 def m_poly(delta, r):
     """Upper-bound polynomial: one term x^(delta - length) for each
     partition of size <= delta with fewer than r ones, plus one term
@@ -84,13 +29,14 @@ def m_poly(delta, r):
     < delta.  Monic of degree delta."""
     if delta < 0 or r < 1:
         raise ValueError("need delta >= 0 and r >= 1")
-    out = IntPoly()
-    for lam in partitions(lambda s, l, m1: m1 < r, delta):
-        out = out + IntPoly.monomial(delta - lam.length)
-    lo = max(0, delta - r)
-    for lam in partitions(lambda s, l, m1: lo <= s < delta, delta):
-        out = out + IntPoly.monomial(lam.size - lam.length)
-    return out
+    coeffs = [0] * (delta + 1)
+    for size in range(delta + 1):
+        for parts in _partitions_of(size, size):
+            if parts.count(1) < r:
+                coeffs[delta - len(parts)] += 1
+            if delta - r <= size < delta:
+                coeffs[size - len(parts)] += 1
+    return IntPoly(coeffs)
 
 
 def n_poly(delta, r):
@@ -99,15 +45,8 @@ def n_poly(delta, r):
     Monic of degree delta."""
     if delta < 0 or r < 1:
         raise ValueError("need delta >= 0 and r >= 1")
-    if r <= delta:
-        out = IntPoly((r,))
-        for k in range(delta - r + 1, delta + 1):
-            out = out + IntPoly.monomial(k)
-    else:
-        out = IntPoly((delta + 1,))
-        for k in range(1, delta + 1):
-            out = out + IntPoly.monomial(k)
-    return out
+    top = min(r, delta)
+    return IntPoly([min(r, delta + 1)] + [0] * (delta - top) + [1] * top)
 
 
 def hilb_count_regular(j):
@@ -116,7 +55,7 @@ def hilb_count_regular(j):
     field size: one term q^(j - length) per partition of j."""
     if j < 0:
         raise ValueError("colength must be >= 0")
-    out = IntPoly()
-    for lam in partitions(lambda s, l, m1: s == j, j):
-        out = out + IntPoly.monomial(j - lam.length)
-    return out
+    coeffs = [0] * (j + 1)
+    for parts in _partitions_of(j, j):
+        coeffs[j - len(parts)] += 1
+    return IntPoly(coeffs)

@@ -147,19 +147,6 @@ def monic_polys_over_fq(fq, degree):
         coeffs.append(1)
         yield tuple(coeffs)
 
-def up_is_irreducible(fq, a):
-    a = up_trim(a)
-    d = len(a) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    for deg in range(1, d // 2 + 1):
-        for cand in monic_polys_over_fq(fq, deg):
-            if not up_mod(fq, a, cand):
-                return False
-    return True
-
 def up_factor(fq, a):
     """Factor into monic irreducibles: list of (factor, multiplicity),
     deterministic (ascending degree, then counter order).  The unit

@@ -70,14 +70,47 @@ class ZetaPolynomial:
                 f"delta={self.delta})")
 
 
-def _collapse(counts, periods):
-    """Multiply the tally series by prod (1 - t^period).  The result is
-    exact out to the window of the input counts."""
+def _tally(order, base, j_max, ceiling):
+    """Number of stable sublattices of base, by colength 0..j_max."""
+    return tuple(len(level) for level in stable_sublattice_levels(
+        base, j_max, order.action_matrices, ceiling=ceiling))
+
+
+def _collapse(counts, periods, top):
+    """Multiply the tally series by prod (1 - t^period) and cut it to a
+    polynomial of degree at most top.  The product is exact out to the
+    window of the counts, and every coefficient there above top must
+    vanish (TruncationFailure otherwise)."""
     numer = list(counts)
     for p in periods:
         for k in range(len(numer) - 1, p - 1, -1):
             numer[k] -= numer[k - p]
-    return numer
+    bad = [k for k in range(top + 1, len(numer)) if numer[k]]
+    if bad:
+        raise TruncationFailure(
+            f"the collapsed tally of {len(counts)} terms is nonzero at "
+            f"degrees {bad}, beyond degree {top}")
+    return IntPoly(numer[:top + 1])
+
+
+def _zeta_record(order, poly, counts, class_count=None):
+    """The verified record of a collapsed tally.  The value identity is
+    P(1) = class_count when a class count is given, and P(1) =
+    q^delta * P(1/q) otherwise."""
+    checks = {"truncation_ok": True}
+    z = ZetaPolynomial(poly, order.fq.q, order.delta, factor_periods(order),
+                       counts, checks, class_count=class_count)
+    checks["degree_ok"] = poly.degree == 2 * order.delta
+    checks["fe_ok"] = check_functional_equation(z)
+    if class_count is not None:
+        checks["sv_ok"] = poly(1) == class_count
+        return z
+    try:
+        p_at_one, reflected = special_values(z)
+        checks["sv_ok"] = p_at_one == reflected
+    except NonIntegralSpecialValue:
+        checks["sv_ok"] = False
+    return z
 
 
 def quot_series(order, j_max=None, ceiling=None):
@@ -92,10 +125,7 @@ def quot_series(order, j_max=None, ceiling=None):
         raise PreconditionViolated(
             f"need at least {floor} tally terms to certify the tail, "
             f"got {j_max}")
-    levels = stable_sublattice_levels(order.dual_r_lattice, j_max,
-                                      order.action_matrices,
-                                      ceiling=ceiling)
-    return tuple(len(level) for level in levels)
+    return _tally(order, order.dual_r_lattice, j_max, ceiling)
 
 
 def zeta_j_max(order, j_max=None):
@@ -114,27 +144,9 @@ def zeta_polynomial(order, j_max=None, ceiling=None):
     value identities are recorded as booleans in the checks field.  An
     explicit j_max below the certification window is raised to it.
     """
-    periods = factor_periods(order)
     counts = quot_series(order, zeta_j_max(order, j_max), ceiling=ceiling)
-    numer = _collapse(counts, periods)
-    top = 2 * order.delta
-    bad = [k for k in range(top + 1, len(numer)) if numer[k]]
-    if bad:
-        raise TruncationFailure(
-            f"nonzero collapsed coefficients at degrees {bad}, beyond "
-            f"the expected degree {top}")
-    poly = IntPoly(numer[:top + 1])
-    checks = {"truncation_ok": True}
-    z = ZetaPolynomial(poly, order.fq.q, order.delta, periods, counts,
-                       checks)
-    checks["degree_ok"] = poly.degree == top
-    checks["fe_ok"] = check_functional_equation(z)
-    try:
-        p_at_one, reflected = special_values(z)
-        checks["sv_ok"] = p_at_one == reflected
-    except NonIntegralSpecialValue:
-        checks["sv_ok"] = False
-    return z
+    poly = _collapse(counts, factor_periods(order), 2 * order.delta)
+    return _zeta_record(order, poly, counts)
 
 
 def check_functional_equation(z):
@@ -167,12 +179,12 @@ def special_values(z):
     return z.poly(1), numer // denom
 
 
-def variant_plan(order, lattice, j_max=None):
+def variant_plan(order, lattice):
     """Where variant_zeta enumerates: (base, j_max), with base the
     lattice scaled by the power of t that puts it inside the duality
-    lattice with the smallest colength gap, and j_max raised to the
-    tally length that certifies the zero tail.  Neither depends on the
-    order's precision."""
+    lattice with the smallest colength gap, and j_max the tally length
+    that certifies the zero tail.  Neither depends on the order's
+    precision."""
     if lattice.n != order.n:
         raise PreconditionViolated("lattice rank differs from the order")
     spanned = product_lattice(order.r_lattice, lattice,
@@ -193,11 +205,10 @@ def variant_plan(order, lattice, j_max=None):
             raise InvariantViolation("unbounded overlattice")
     base = lattice.shifted(shift)
     gap = relative_length(dual, base)
-    need = 2 * order.delta + gap + sum(factor_periods(order)) + 2
-    return base, max(j_max if j_max is not None else 0, need)
+    return base, 2 * order.delta + gap + sum(factor_periods(order)) + 2
 
 
-def variant_zeta(order, lattice, j_max=None, ceiling=None, plan=None):
+def variant_zeta(order, lattice, ceiling=None, plan=None):
     """Counting polynomial assembled from the stable sublattices of an
     arbitrary stable lattice instead of the duality lattice.
 
@@ -207,30 +218,17 @@ def variant_zeta(order, lattice, j_max=None, ceiling=None, plan=None):
     when it was computed beforehand).  Only the value identity P(1) =
     number of lattice classes is enforced; the degree and symmetry
     flags are reported but usually fail.  The collapsed series must
-    still show a zero tail as wide as the periods margin
-    (TruncationFailure otherwise; rerun with a larger j_max).
+    vanish in its last sum(periods) + 2 terms (TruncationFailure
+    otherwise); a longer tally is enumerated by passing
+    plan=(base, j_max) with a larger j_max.
     """
-    base, j_max = plan or variant_plan(order, lattice, j_max)
+    base, j_max = plan or variant_plan(order, lattice)
     periods = factor_periods(order)
-    margin = sum(periods) + 2
-    levels = stable_sublattice_levels(base, j_max, order.action_matrices,
-                                      ceiling=ceiling)
-    counts = tuple(len(level) for level in levels)
-    numer = _collapse(counts, periods)
-    degree = max((k for k, c in enumerate(numer) if c), default=0)
-    if len(numer) - 1 - degree < margin:
-        raise TruncationFailure(
-            f"no certified zero tail after degree {degree}; rerun with "
-            "a larger j_max")
-    poly = IntPoly(numer[:degree + 1])
+    counts = _tally(order, base, j_max, ceiling)
+    poly = _collapse(counts, periods, j_max - sum(periods) - 2)
     count = len(sandwich_representatives(order, ceiling=ceiling))
-    checks = {"truncation_ok": True}
-    z = ZetaPolynomial(poly, order.fq.q, order.delta, periods, counts,
-                       checks, class_count=count)
-    checks["degree_ok"] = poly.degree == 2 * order.delta
-    checks["fe_ok"] = check_functional_equation(z)
-    checks["sv_ok"] = poly(1) == count
-    if not checks["sv_ok"]:
+    z = _zeta_record(order, poly, counts, class_count=count)
+    if not z.checks["sv_ok"]:
         raise InvariantViolation(
             f"variant value P(1) = {poly(1)} differs from the class "
             f"count {count}")
@@ -276,7 +274,7 @@ def _class_index(lattice, canonicals, order):
         "a stable lattice matched no class representative")
 
 
-def per_class_refinement(order, j_max=None, ceiling=None):
+def per_class_refinement(order, ceiling=None):
     """Split the colength tallies by lattice class and verify the paired
     coefficient symmetry between each class and the class of its dual.
 
@@ -287,10 +285,8 @@ def per_class_refinement(order, j_max=None, ceiling=None):
     exactly one class, each class share must collapse to a polynomial
     of degree at most 2*delta, and the share of a class at coefficient
     2*delta-k must equal q^(delta-k) times the share of its dual class
-    at coefficient k.
+    at coefficient k.  The tallies run to the order's j_max.
     """
-    if j_max is None:
-        j_max = order.j_max
     reps = sandwich_representatives(order, ceiling=ceiling)
     canonicals = []
     sizes = []
@@ -304,9 +300,9 @@ def per_class_refinement(order, j_max=None, ceiling=None):
             sizes.append(1)
     labels = tuple(f"c{i}" for i in range(len(canonicals)))
     dual = order.dual_r_lattice
-    levels = stable_sublattice_levels(dual, j_max, order.action_matrices,
-                                      ceiling=ceiling)
-    table = [[0] * (j_max + 1) for _ in canonicals]
+    levels = stable_sublattice_levels(dual, order.j_max,
+                                      order.action_matrices, ceiling=ceiling)
+    table = [[0] * len(levels) for _ in canonicals]
     for j, level in enumerate(levels):
         for rel in level:
             lattice = compose_lattice(dual, rel)
@@ -317,15 +313,7 @@ def per_class_refinement(order, j_max=None, ceiling=None):
 
     periods = factor_periods(order)
     top = 2 * order.delta
-    contributions = []
-    for row in table:
-        numer = _collapse(row, periods)
-        bad = [k for k in range(top + 1, len(numer)) if numer[k]]
-        if bad:
-            raise TruncationFailure(
-                f"a class share has nonzero coefficients at {bad}, "
-                f"beyond degree {top}")
-        contributions.append(IntPoly(numer[:top + 1]))
+    contributions = [_collapse(row, periods, top) for row in table]
 
     pair = []
     for canon in canonicals:

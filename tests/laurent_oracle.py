@@ -188,14 +188,18 @@ def resultant_series(fq, f, g):
         inv = rows[k][k].inverse()
         for i in range(k + 1, size):
             if rows[i][k].is_zero():
-                # zero only to its window: the unknown digits above it
-                # still reach row i through row k
                 end = rows[i][k].abs_prec + inv.shift
-                rows[i] = [rows[i][j].trimmed(end + rows[k][j].shift)
-                           for j in range(size)]
-                continue
-            factor = (rows[i][k] * inv).normalized()
-            rows[i] = [rows[i][j] - factor * rows[k][j] for j in range(size)]
+            else:
+                factor = (rows[i][k] * inv).normalized()
+                if not factor.is_zero():
+                    rows[i] = [rows[i][j] - factor * rows[k][j]
+                               for j in range(size)]
+                    continue
+                end = factor.abs_prec
+            # a multiplier zero only to its window: its unknown digits,
+            # from t^end on, still reach row i through row k
+            rows[i] = [rows[i][j].trimmed(end + rows[k][j].shift)
+                       for j in range(size)]
         pivots.append(rows[k][k].normalized())
     det = pivots[0]
     for piv in pivots[1:]:

@@ -90,3 +90,45 @@ def test_no_unused_imports():
         unused += [f"{path.name}: {name}" for name in imported
                    if name not in read]
     assert not unused, f"imported but never used: {unused}"
+
+
+def _sets(call, index, name):
+    """Whether a call may set the parameter at this position (None for a
+    keyword-only one) or of this name."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index
+        or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    # an option that no call in src/ or tests/ sets is dead code too
+    calls = {}                # called name -> the calls
+    for _, tree in _parsed(PACKAGE) + [
+            (path, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted((ROOT / "tests").rglob("*.py"))]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr",
+                                                            None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path, tree in _parsed(PACKAGE):
+        for stmt in tree.body:
+            if not isinstance(stmt, ast.FunctionDef):
+                continue
+            args = stmt.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            options = [(i, a.arg) for i, a in enumerate(positional)
+                       if i >= first]
+            options += [(None, a.arg) for a, default
+                        in zip(args.kwonlyargs, args.kw_defaults)
+                        if default is not None]
+            unset += [f"{path.name}: {stmt.name}({name})"
+                      for index, name in options
+                      if not any(_sets(call, index, name)
+                                 for call in calls.get(stmt.name, ()))]
+    assert not unset, f"defaulted parameters that no call sets: {unset}"

@@ -1,6 +1,10 @@
 """Finite field contexts checked against hand-computed tables and axioms."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import orderzeta.fq
 from orderzeta.cli import main
 from orderzeta.errors import ParseError, PreconditionViolated
-from orderzeta.fq import Fq, FqSpec, embedding, find_irreducible
+from orderzeta.fq import (Fq, FqSpec, embedding, find_irreducible,
+                          prime_power)
 from orderzeta.parsing import parse_field
 
 
@@ -108,6 +113,42 @@ def test_table_cap_comes_before_the_modulus_search(monkeypatch, capsys):
         parse_field("3^100000")
     assert main(["analyze", "--q", "3^30", "--f", "X^2 - t^3"]) == 3
     assert "exceeds the desk-scale table cap 256" in capsys.readouterr().err
+
+
+# a 31-digit prime: trial division up to its square root takes 10^15 steps
+BIG_PRIME = "1000000000000000000000000000057"
+
+
+@pytest.mark.parametrize("spec", [BIG_PRIME, f"{BIG_PRIME}^1",
+                                  f"{BIG_PRIME}^1:u"])
+def test_large_prime_specs_exit_3_at_once(spec):
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "orderzeta", "analyze", "--q", spec,
+         "--f", "X^2-t^3"], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=5)
+    assert run.returncode == 3
+    assert run.stderr == (f"error: field size {BIG_PRIME} exceeds the "
+                          "desk-scale table cap 256\n")
+
+
+def test_prime_power_matches_trial_division():
+    def by_trial_division(n):
+        p = next(d for d in range(2, n + 1) if n % d == 0)   # a prime
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        return (p, e) if n == 1 else None
+    for n in range(2, 5000):
+        assert prime_power(n) == by_trial_division(n), n
+    # strong pseudoprimes to the first 1, 4, 8 and 12 prime bases
+    for n in (2047, 3215031751, 341550071728321, 318665857834031151167461):
+        assert prime_power(n) is None
+    assert prime_power(int(BIG_PRIME)) == (int(BIG_PRIME), 1)
+    assert prime_power(int(BIG_PRIME) ** 6) == (int(BIG_PRIME), 6)
+    assert prime_power(3 ** 500) == (3, 500)
+    assert prime_power(2 ** 89 - 1) == (2 ** 89 - 1, 1)
+    assert prime_power(6 ** 40) is None
 
 
 def test_spec_rejects_non_prime_powers_and_bad_moduli():

@@ -1,42 +1,32 @@
-"""Partition statistics and the two bound polynomial families."""
+"""Partition enumeration and the two bound polynomial families."""
 
-import pytest
-
-from orderzeta.partitions import (Partition, hilb_count_regular, m_poly,
-                                  n_poly, partitions)
+from orderzeta.partitions import (_partitions_of, hilb_count_regular,
+                                  m_poly, n_poly)
 from orderzeta.polynomials import IntPoly
 
 
-def parts_set(items):
-    return {lam.parts for lam in items}
-
-
-def test_partition_validation_and_statistics():
-    lam = Partition((3, 2, 1, 1))
-    assert lam.size == 7
-    assert lam.length == 4
-    assert lam.ones == 2
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
-    empty = Partition()
-    assert empty.size == 0 and empty.length == 0 and empty.ones == 0
+def partitions_up_to(size_cap):
+    """Every partition of size <= size_cap."""
+    for n in range(size_cap + 1):
+        yield from _partitions_of(n, n)
 
 
 def test_enumeration_examples():
-    assert parts_set(partitions(lambda s, l, m1: m1 < 1, 2)) == {(), (2,)}
-    assert parts_set(partitions(lambda s, l, m1: s == 3, 3)) == {
-        (3,), (2, 1), (1, 1, 1)}
-    assert parts_set(partitions(lambda s, l, m1: m1 < 2, 3)) == {
+    assert {lam for lam in partitions_up_to(2) if lam.count(1) < 1} == {
+        (), (2,)}
+    assert set(_partitions_of(3, 3)) == {(3,), (2, 1), (1, 1, 1)}
+    assert {lam for lam in partitions_up_to(3) if lam.count(1) < 2} == {
         (), (1,), (2,), (3,), (2, 1)}
 
 
-def test_enumeration_order_and_uniqueness():
-    got = [lam.parts for lam in partitions(lambda s, l, m1: True, 3)]
-    assert got == [(3,), (2, 1), (2,), (1, 1, 1), (1, 1), (1,), ()]
-    all4 = partitions(lambda s, l, m1: True, 4)
+def test_enumeration_yields_partitions_without_duplicates():
+    all4 = list(partitions_up_to(4))
     assert len(all4) == len(set(all4)) == 12   # p(0)+...+p(4)
+    for lam in all4:
+        assert all(part > 0 for part in lam)
+        assert list(lam) == sorted(lam, reverse=True)
+    assert list(_partitions_of(5, 2)) == [(2, 2, 1), (2, 1, 1, 1),
+                                          (1, 1, 1, 1, 1)]
 
 
 def test_m_poly_listed_values():
@@ -94,12 +84,13 @@ def test_append_ones_bijection():
         for r in range(1, 6):
             if j - r < 0:
                 continue
-            source = partitions(lambda s, l, m1: s == j - r, j - r)
-            target = parts_set(partitions(lambda s, l, m1: s == j and m1 >= r, j))
+            source = list(_partitions_of(j - r, j - r))
+            target = {lam for lam in _partitions_of(j, j)
+                      if lam.count(1) >= r}
             image = set()
             for mu in source:
-                lam = tuple(sorted(mu.parts + (1,) * r, reverse=True))
-                assert sum(lam) - len(lam) == mu.size - mu.length
+                lam = mu + (1,) * r
+                assert sum(lam) - len(lam) == sum(mu) - len(mu)
                 image.add(lam)
             assert len(image) == len(source)
             assert image == target

@@ -27,7 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderzeta.errors import (NotSquarefree, BadFactorization,
-                              NonIntegralSpecialValue, PreconditionViolated)
+                              NonIntegralSpecialValue, PreconditionViolated,
+                              TruncationFailure)
 from orderzeta.fq import Fq, FqSpec
 from orderzeta.lattices import (action_digits_needed, class_count_mod_lambda,
                                 hnf_from_generators, pad_exact,
@@ -278,6 +279,52 @@ def test_variant_rejects_unstable_lattice():
         F3, pad_exact((((1,), ()), ((), (0, 0, 1))), 2), 2)
     with pytest.raises(PreconditionViolated):
         variant_zeta(o, skew)
+
+
+def test_variant_refuses_a_tally_too_short_for_its_tail():
+    # the normalization variant of three lines over F_2 has degree 2 and
+    # a margin of sum(periods) + 2 = 5, so a 7-term tally certifies it
+    # and a 6-term one does not
+    o = n_lines_order(F2, 3)
+    base, j_max = variant_plan(o, o.o_e_lattice)
+    assert j_max == 11
+    z = variant_zeta(o, o.o_e_lattice, plan=(base, 7))
+    assert z.poly.coeffs == (1, 4, 1)
+    with pytest.raises(TruncationFailure,
+                       match=r"of 7 terms is nonzero at degrees \[2\], "
+                             r"beyond degree 1"):
+        variant_zeta(o, o.o_e_lattice, plan=(base, 6))
+
+
+# ---------------------------------------------------------------------------
+# truncation: a collapsed tally with a nonzero tail is refused
+# ---------------------------------------------------------------------------
+
+def test_zeta_polynomial_refuses_a_nonzero_tail(monkeypatch):
+    o = build_order(F3, CUSP3)
+    counts = quot_series(o, zeta_j_max(o))
+    assert counts == (1, 1, 4, 4, 4, 4)
+    monkeypatch.setattr("orderzeta.zeta.quot_series",
+                        lambda order, j_max, ceiling: counts[:-1] + (5,))
+    with pytest.raises(TruncationFailure,
+                       match=r"nonzero at degrees \[5\], beyond degree 2"):
+        zeta_polynomial(o)
+
+
+def test_class_shares_refuse_a_nonzero_tail(monkeypatch):
+    # a lattice counted twice at the last colength leaves its class share
+    # nonzero there
+    o = build_order(F3, CUSP3)
+
+    def doubled_last(*args, **kwargs):
+        levels = stable_sublattice_levels(*args, **kwargs)
+        levels[-1] = list(levels[-1]) + [levels[-1][0]]
+        return levels
+    monkeypatch.setattr("orderzeta.zeta.stable_sublattice_levels",
+                        doubled_last)
+    with pytest.raises(TruncationFailure,
+                       match=r"nonzero at degrees \[5\], beyond degree 2"):
+        per_class_refinement(o)
 
 
 # ---------------------------------------------------------------------------
