@@ -20,8 +20,7 @@ from .parsing import (format_order_description, format_xpoly, parse_field,
 from .zeta import (nlines_closed_form, per_class_refinement, quot_series,
                    special_values, variant_zeta, zeta_polynomial)
 from .orbital import (cross_validated_orbital, elliptic_ideal_formula,
-                      levi_fiber_check, levi_product, orbit_invariants,
-                      orbital_bounds, orbital_integral)
+                      levi_fiber_check, levi_product, orbital_bounds)
 from .report import (analyze_report, mnpoly_report, nlines_report,
                      selftest_report)
 
@@ -41,6 +40,6 @@ __all__ = [
     "nlines_closed_form", "per_class_refinement", "quot_series",
     "special_values", "variant_zeta", "zeta_polynomial",
     "cross_validated_orbital", "elliptic_ideal_formula", "levi_fiber_check",
-    "levi_product", "orbit_invariants", "orbital_bounds", "orbital_integral",
+    "levi_product", "orbital_bounds",
     "analyze_report", "mnpoly_report", "nlines_report", "selftest_report",
 ]

@@ -14,6 +14,7 @@ import sys
 
 from . import __version__
 from .errors import OrderZetaError, ParseError
+from .lattices import enumeration_ceiling
 from .parsing import parse_field, parse_order_description, parse_xpoly
 from .report import analyze_report, mnpoly_report, nlines_report, selftest_report
 
@@ -106,24 +107,24 @@ def _analyze_inputs(args):
 
 
 def _dispatch(args):
+    if args.command == "mnpoly":
+        return mnpoly_report(args.delta, args.r), 0
+    ceiling = enumeration_ceiling(args.ceiling)
     if args.command == "analyze":
         fq, f, factors, precision = _analyze_inputs(args)
         report = analyze_report(fq, f, factors=factors, precision=precision,
-                                j_max=args.j_max, ceiling=args.ceiling,
+                                j_max=args.j_max, ceiling=ceiling,
                                 seed=args.seed, per_class=args.per_class,
                                 fiber_sample=args.fibers)
         return report, 0 if report["all_checks_pass"] else 6
     if args.command == "nlines":
         fq = parse_field(args.q) if args.q else None
         report = nlines_report(args.n, fq=fq, j_max=args.j_max,
-                               ceiling=args.ceiling,
+                               ceiling=ceiling,
                                symbolic_only=args.symbolic_only)
         return report, 0 if report["all_checks_pass"] else 6
-    if args.command == "mnpoly":
-        report = mnpoly_report(args.delta, args.r)
-        return report, 0
     report = selftest_report(quick=args.quick, seed=args.seed,
-                             ceiling=args.ceiling)
+                             ceiling=ceiling)
     return report, 0 if report["all_pass"] else 1
 
 

@@ -53,8 +53,8 @@ from array import array
 from collections.abc import Sequence
 from itertools import combinations
 
-from .errors import (CeilingExceeded, InvariantViolation, PrecisionExhausted,
-                     RankDeficient)
+from .errors import (CeilingExceeded, InvariantViolation, ParseError,
+                     PrecisionExhausted, RankDeficient)
 from .series import (ser_add, ser_mul, ser_pad, ser_scale, ser_sub,
                      ser_unit_inv, ser_val)
 
@@ -63,16 +63,18 @@ DEFAULT_CEILING = 10 ** 8
 
 def enumeration_ceiling(override=None):
     """Work-unit guard for the enumerators.  An explicit argument wins,
-    then the ORDER_ZETA_CEILING environment variable, then the default."""
+    then the ORDER_ZETA_CEILING environment variable, then the default.
+    A variable that is not an integer raises ParseError."""
     if override is not None:
         return override
     env = os.environ.get("ORDER_ZETA_CEILING")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_CEILING
+    if not env:
+        return DEFAULT_CEILING
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(
+            f"ORDER_ZETA_CEILING must be an integer, got {env!r}") from None
 
 
 class LatticeHNF:
@@ -984,7 +986,7 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
 
 
 # ---------------------------------------------------------------------------
-# class counting, homothety, multiplier rings (duck-typed on the order)
+# class counting and homothety (duck-typed on the order)
 # ---------------------------------------------------------------------------
 
 def sandwich_representatives(order, ceiling=None):

@@ -30,36 +30,6 @@ from .partitions import m_poly, n_poly
 from .series import ser_add, ser_mul, ser_pad
 from .zeta import special_values, zeta_polynomial
 
-METHODS = ("zeta", "lattice", "levi")
-
-
-class OrbitInvariants:
-    """Numerical invariants that control the orbit count.
-
-    factors is the per-factor data of the order; delta the colength of
-    the order in the maximal one; rho the sum of pairwise resultant
-    valuations of the factors; elliptic records a single factor; lower
-    and upper are the proven two-sided bounds for the count.
-    """
-
-    __slots__ = ("factors", "delta", "rho", "elliptic", "lower", "upper")
-
-    def __init__(self, factors, delta, rho, elliptic, lower, upper):
-        self.factors = tuple(factors)
-        self.delta = delta
-        self.rho = rho
-        self.elliptic = elliptic
-        self.lower = lower
-        self.upper = upper
-
-    @property
-    def bounds(self):
-        return (self.lower, self.upper)
-
-    def __repr__(self):
-        return (f"OrbitInvariants(delta={self.delta}, rho={self.rho}, "
-                f"elliptic={self.elliptic}, bounds={self.bounds})")
-
 
 def _factor_data(order):
     factors = getattr(order, "factors", None)
@@ -69,8 +39,8 @@ def _factor_data(order):
     return factors
 
 
-def orbit_invariants(order):
-    """Assemble the invariants and the two-sided bounds for the count.
+def orbital_bounds(order):
+    """The proven (lower, upper) bracket for the orbit count.
 
     The colength identity delta = rho + sum of d_i * delta_i ties the
     pairwise resultant valuations to the per-factor colengths; it is
@@ -90,32 +60,7 @@ def orbit_invariants(order):
     if lower > upper:
         raise InvariantViolation(
             f"bound polynomials crossed: {lower} > {upper}")
-    return OrbitInvariants(factors, order.delta, order.rho,
-                           len(factors) == 1, lower, upper)
-
-
-def orbital_bounds(order):
-    """The proven (lower, upper) bracket for the orbit count."""
-    inv = orbit_invariants(order)
-    return inv.bounds
-
-
-def orbital_integral(order, method="zeta", ceiling=None):
-    """The orbit count by one of three independent routes.
-
-    zeta evaluates the counting polynomial at 1; lattice counts the
-    sandwich representatives directly; levi multiplies one-factor
-    counts and q to the pairwise resultant valuation.
-    """
-    if method == "zeta":
-        return special_values(zeta_polynomial(order, ceiling=ceiling))[0]
-    if method == "lattice":
-        return class_count_mod_lambda(order, ceiling=ceiling)
-    if method == "levi":
-        value, _ = levi_product(order, ceiling=ceiling)
-        return value
-    raise PreconditionViolated(
-        f"unknown method {method!r}; expected one of {METHODS}")
+    return lower, upper
 
 
 def levi_product(order, ceiling=None):
@@ -158,15 +103,26 @@ def levi_product(order, ceiling=None):
 
 
 def cross_validated_orbital(order, ceiling=None):
-    """All three method values, compared after collection.
+    """The orbit count by three routes, compared after collection.
 
-    Returns (count, per-method dict).  Raises MethodDisagreement with
-    the full value table when any two methods differ.
+    zeta is P(1) of the counting polynomial, a tally of the stable
+    sublattices of the duality lattice by colength.  lattice counts the
+    sandwich representatives, the stable lattices between the conductor
+    and the maximal order that span the maximal order.  The two share
+    the order data and the enumerator, not the enumeration.  levi is
+    q^rho times the one-factor counts: each factor is rebuilt as an
+    order of its own and its zeta tally recounted, so for a one-factor
+    order it rebuilds the whole order and repeats the zeta route on the
+    rebuilt data.  Returns (count, per-route dict).  Raises
+    MethodDisagreement with the full value table when any two routes
+    differ.
     """
-    values = {m: orbital_integral(order, m, ceiling=ceiling)
-              for m in METHODS}
-    distinct = set(values.values())
-    if len(distinct) != 1:
+    values = {
+        "zeta": special_values(zeta_polynomial(order, ceiling=ceiling))[0],
+        "lattice": class_count_mod_lambda(order, ceiling=ceiling),
+        "levi": levi_product(order, ceiling=ceiling)[0],
+    }
+    if len(set(values.values())) != 1:
         raise MethodDisagreement(
             "independent orbit counts differ", values=values)
     return values["zeta"], values

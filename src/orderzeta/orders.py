@@ -498,6 +498,21 @@ def _mul_vectors(fq, pw, n, v, w_vec, prec):
     return tuple(out)
 
 
+def _power_basis(fq, f, w, powers, traces):
+    """The power basis of O[X]/(f) to w digits: the table of the first
+    `powers` powers of X, the first `traces` traces, the trace Gram
+    columns, and the product of two coordinate vectors."""
+    n = len(f) - 1
+    pw = _power_table(fq, f, w, powers)
+    tau = _trace_vector(fq, pw, n, traces)
+    tcols = tuple(tuple(tau[i + j] for i in range(n)) for j in range(n))
+
+    def mul(v, z, prec):
+        return _mul_vectors(fq, pw, n, v, z, prec)
+
+    return pw, tau, tcols, mul
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
@@ -789,8 +804,8 @@ class OrderData:
     __slots__ = ("fq", "f", "f_window", "n", "precision", "build_precision",
                  "valres", "delta", "rho", "factors", "r_lattice",
                  "o_e_lattice", "dual_r_lattice", "conductor_lattice",
-                 "c_inv", "c_inv_scale", "idempotents", "action_matrices",
-                 "trace_gram_columns", "plain_gram_columns", "j_max", "_pw")
+                 "c_inv", "c_inv_scale", "action_matrices",
+                 "trace_gram_columns", "j_max", "_pw")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -818,13 +833,9 @@ def _sub_colength(fq, piece, w, guard):
     """Colength of the factor's own order in its normalization."""
     wp = min(w, piece.window) if piece.window is not None else w
     deg = piece.degree
-    pw = _power_table(fq, piece.coeffs, wp, 3 * deg - 2 if deg > 1 else 1)
-    tau = _trace_vector(fq, pw, deg, 2 * deg - 1)
-    tcols = tuple(tuple(tau[i + j] for i in range(deg)) for j in range(deg))
-
-    def mul(v, z, prec):
-        return _mul_vectors(fq, pw, deg, v, z, prec)
-
+    _, _, tcols, mul = _power_basis(fq, piece.coeffs, wp,
+                                    3 * deg - 2 if deg > 1 else 1,
+                                    2 * deg - 1)
     o_e = _normalize(fq, mul, tcols, deg, wp, guard)
     return relative_length(o_e, identity_lattice(fq, deg))
 
@@ -845,13 +856,8 @@ def _pair_resultant_val(fq, a, b, w):
 def _assemble(fq, fdigits, fwindow, pieces, w, valres):
     n = len(fdigits) - 1
     weff = min(w, fwindow) if fwindow is not None else w
-    pw = _power_table(fq, fdigits, weff, max(n + 1, 4 * n - 3))
-    tau = _trace_vector(fq, pw, n, 3 * n - 2)
-    tcols = tuple(tuple(tau[i + j] for i in range(n)) for j in range(n))
-
-    def mul(v, z, prec):
-        return _mul_vectors(fq, pw, n, v, z, prec)
-
+    pw, tau, tcols, mul = _power_basis(fq, fdigits, weff,
+                                       max(n + 1, 4 * n - 3), 3 * n - 2)
     guard = valres + 3
     r_lat = identity_lattice(fq, n)
     o_e = _normalize(fq, mul, tcols, n, weff, guard)
@@ -918,9 +924,8 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
         build_precision=weff, valres=valres, delta=delta, rho=rho,
         factors=tuple(factor_data), r_lattice=r_lat, o_e_lattice=o_e,
         dual_r_lattice=dual_r, conductor_lattice=conductor, c_inv=twist,
-        c_inv_scale=tw_scale, idempotents=idems,
-        action_matrices=(tuple(pw[1:n + 1]),), trace_gram_columns=gcols,
-        plain_gram_columns=tcols, j_max=j_max, _pw=pw)
+        c_inv_scale=tw_scale, action_matrices=(tuple(pw[1:n + 1]),),
+        trace_gram_columns=gcols, j_max=j_max, _pw=pw)
 
 
 def build_order(fq, f, factors=None, precision=None, f_window=None):

@@ -14,7 +14,7 @@ from .errors import (NonIntegralInput, NotSquarefree, OrderZetaError,
                      ParseError, PreconditionViolated)
 from .lattices import enumeration_ceiling
 from .orbital import (cross_validated_orbital, elliptic_ideal_formula,
-                      levi_fiber_check, levi_product, orbit_invariants)
+                      levi_fiber_check, levi_product, orbital_bounds)
 from .orders import build_order, n_lines_order
 from .parsing import format_field, format_xpoly, parse_field, parse_xpoly
 from .partitions import hilb_count_regular, m_poly, n_poly
@@ -46,8 +46,7 @@ def analyze_report(fq, f, factors=None, precision=None, j_max=None,
     at_one, reflected = special_values(z)
     count, methods = cross_validated_orbital(order, ceiling=ceiling)
     _, levi_notes = levi_product(order, ceiling=ceiling)
-    inv = orbit_invariants(order)
-    lower, upper = inv.bounds
+    lower, upper = orbital_bounds(order)
 
     formula = None
     if len(order.factors) == 1 and order.factors[0].d == 1:
@@ -303,36 +302,26 @@ _UPPER_TABLE = {
 }
 
 
-def _battery_results(qs, ceiling):
-    """One shared computation pass over the battery: order, counting
-    polynomial, special values, and the three orbit counts per member."""
+def _battery_reports(qs, ceiling):
+    """The analyze report of every battery member, with its label."""
     rows = []
     for q in qs:
         fq = parse_field(str(q))
-        for label, f in _battery_members(q):
-            order = build_order(fq, f)
-            z = zeta_polynomial(order, ceiling=ceiling)
-            at_one, reflected = special_values(z)
-            count, methods = cross_validated_orbital(order, ceiling=ceiling)
-            inv = orbit_invariants(order)
-            rows.append({
-                "q": q, "label": label, "order": order, "z": z,
-                "at_one": at_one, "reflected": reflected,
-                "count": count, "methods": methods, "inv": inv,
-            })
+        rows += [(label, analyze_report(fq, f, ceiling=ceiling))
+                 for label, f in _battery_members(q)]
     return rows
 
 
-def _check_lines_shape(qs):
+def _check_lines_shape(qs, ceiling):
     for q in qs:
         fq = parse_field(str(q))
         order = n_lines_order(fq, 3)
-        z = zeta_polynomial(order)
+        z = zeta_polynomial(order, ceiling=ceiling)
         want = (1, q - 2, 1, q * q - 2 * q, q * q)
         _expect(z.poly.coeffs == want,
                 f"q={q}: polynomial {z.poly.coeffs}, wanted {want}")
-        sharp = variant_zeta(order, order.o_e_lattice)
-        flat = variant_zeta(order, order.r_lattice)
+        sharp = variant_zeta(order, order.o_e_lattice, ceiling=ceiling)
+        flat = variant_zeta(order, order.r_lattice, ceiling=ceiling)
         target = 2 * q * q - q
         got = (z.poly(1), sharp.poly(1), flat.poly(1))
         _expect(got == (target,) * 3,
@@ -353,39 +342,42 @@ def _check_lines_closed(grid, ceiling):
 
 
 def _check_battery_zeta(rows):
-    for row in rows:
-        z = row["z"]
-        _expect(z.all_checks_pass(),
-                f"{row['label']} q={row['q']}: checks {z.checks}")
-        _expect(row["at_one"] == row["reflected"],
-                f"{row['label']} q={row['q']}: special values differ")
-        _expect(row["count"] == row["at_one"],
-                f"{row['label']} q={row['q']}: class count "
-                f"{row['count']} != value {row['at_one']}")
+    for label, r in rows:
+        checks = {k: r["checks"][k]
+                  for k in ("truncation_ok", "degree_ok", "fe_ok", "sv_ok")}
+        _expect(all(checks.values()),
+                f"{label} q={r['q']}: checks {checks}")
+        at_one = r["special_values"]["at_one"]
+        _expect(at_one == r["special_values"]["reflected"],
+                f"{label} q={r['q']}: special values differ")
+        count = r["orbital"]["O_gamma"]
+        _expect(count == at_one,
+                f"{label} q={r['q']}: class count {count} != value {at_one}")
     return f"{len(rows)} members: degree, symmetry, and value identities"
 
 
 def _check_battery_orbits(rows):
-    for row in rows:
-        values = set(row["methods"].values())
-        _expect(len(values) == 1,
-                f"{row['label']} q={row['q']}: routes {row['methods']}")
+    for label, r in rows:
+        methods = r["orbital"]["methods"]
+        _expect(len(set(methods.values())) == 1,
+                f"{label} q={r['q']}: routes {methods}")
     return f"{len(rows)} members: three orbit routes agree"
 
 
 def _check_battery_bounds(rows):
-    for row in rows:
-        lower, upper = row["inv"].bounds
-        _expect(lower <= row["count"] <= upper,
-                f"{row['label']} q={row['q']}: {row['count']} outside "
-                f"[{lower}, {upper}]")
-        tame = all(fd.delta == 0 or (fd.delta == 1 and fd.r == 1)
-                   for fd in row["order"].factors)
+    for label, r in rows:
+        count = r["orbital"]["O_gamma"]
+        bounds = r["orbital"]["bounds"]
+        lower, upper = bounds["lower"], bounds["upper"]
+        _expect(lower <= count <= upper,
+                f"{label} q={r['q']}: {count} outside [{lower}, {upper}]")
+        tame = all(fd["delta"] == 0 or (fd["delta"] == 1 and fd["r"] == 1)
+                   for fd in r["factors"])
         _expect((lower == upper) == tame,
-                f"{row['label']} q={row['q']}: tightness mismatch")
-        if row["label"] == "X^2-t^5" and row["q"] == 3:
-            _expect((lower, upper) == (10, 13) and row["count"] == 13,
-                    f"bounds ({lower}, {upper}) count {row['count']}")
+                f"{label} q={r['q']}: tightness mismatch")
+        if label == "X^2-t^5" and r["q"] == 3:
+            _expect((lower, upper) == (10, 13) and count == 13,
+                    f"bounds ({lower}, {upper}) count {count}")
     return f"{len(rows)} members: bounds bracket, tight exactly when tame"
 
 
@@ -436,7 +428,8 @@ def _check_robustness(seed, ceiling):
     cusp = ((0, 0, 0, 2), (), (1,))
     base = build_order(fq, cusp)
     doubled = build_order(fq, cusp, precision=2 * base.precision)
-    _expect(zeta_polynomial(base).poly == zeta_polynomial(doubled).poly,
+    _expect(zeta_polynomial(base, ceiling=ceiling).poly
+            == zeta_polynomial(doubled, ceiling=ceiling).poly,
             "doubling the precision changed the counting polynomial")
     first = analyze_report(fq, cusp, seed=seed, ceiling=ceiling)
     second = analyze_report(fq, cusp, seed=seed, ceiling=ceiling)
@@ -476,13 +469,26 @@ def selftest_report(quick=False, seed=0, ceiling=None):
         qs = (2, 3, 5)
         grid = ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3))
         line_qs = (2, 3, 5)
-    rows = _battery_results(qs, ceiling)
+    battery = []
+
+    def rows():
+        # built by the first battery check; a library error raised while
+        # building fails the three battery checks and no other
+        if not battery:
+            try:
+                battery.append(_battery_reports(qs, ceiling))
+            except OrderZetaError as exc:
+                battery.append(exc)
+        if isinstance(battery[0], OrderZetaError):
+            raise battery[0]
+        return battery[0]
+
     specs = [
-        ("three_lines_shape", lambda: _check_lines_shape(line_qs)),
+        ("three_lines_shape", lambda: _check_lines_shape(line_qs, ceiling)),
         ("lines_closed_form", lambda: _check_lines_closed(grid, ceiling)),
-        ("battery_zeta", lambda: _check_battery_zeta(rows)),
-        ("battery_orbit_routes", lambda: _check_battery_orbits(rows)),
-        ("battery_bounds", lambda: _check_battery_bounds(rows)),
+        ("battery_zeta", lambda: _check_battery_zeta(rows())),
+        ("battery_orbit_routes", lambda: _check_battery_orbits(rows())),
+        ("battery_bounds", lambda: _check_battery_bounds(rows())),
         ("per_class_pairing", lambda: _check_per_class(ceiling)),
         ("punctual_tallies", _check_punctual),
         ("projection_fibers", lambda: _check_fibers(not quick, ceiling)),

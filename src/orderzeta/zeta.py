@@ -62,9 +62,6 @@ class ZetaPolynomial:
         self.checks = checks
         self.class_count = class_count
 
-    def all_checks_pass(self):
-        return all(self.checks.values())
-
     def __repr__(self):
         return (f"ZetaPolynomial({self.poly.text()}, q={self.q}, "
                 f"delta={self.delta})")

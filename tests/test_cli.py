@@ -109,6 +109,13 @@ def test_analyze_env_ceiling(capsys, monkeypatch):
     assert json.loads(out)["ceiling"] == 123456
 
 
+def test_malformed_env_ceiling_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("ORDER_ZETA_CEILING", "1e3")
+    code, out, err = run(capsys, "analyze", "--q", "3", "--f", "X^2-t^5")
+    assert (code, out) == (2, "")
+    assert "ORDER_ZETA_CEILING" in err
+
+
 def test_analyze_order_description_file(capsys, tmp_path):
     path = tmp_path / "node.order"
     path.write_text("q = 5\nf = X^2 - t^2\nfactors = X - t; X + t\n")
@@ -205,7 +212,7 @@ def test_selftest_quick_is_deterministic(capsys):
 def test_selftest_reports_a_library_error_as_one_failed_check(
         capsys, monkeypatch):
     # every check is stubbed so the test is fast; one raises the error
-    monkeypatch.setattr(report, "_battery_results", lambda qs, ceiling: [])
+    monkeypatch.setattr(report, "_battery_reports", lambda qs, ceiling: [])
     for name in [n for n in vars(report) if n.startswith("_check_")]:
         monkeypatch.setattr(report, name, lambda *args: "stubbed")
 
@@ -225,6 +232,22 @@ def test_selftest_reports_a_library_error_as_one_failed_check(
     assert code == 1
     assert out.count("PASS") == 9
     assert "FAIL  per_class_pairing" in out
+
+
+def test_selftest_reports_the_ceiling_check_by_check(capsys):
+    # the battery is built inside its first check, so an enumeration
+    # over the ceiling fails checks instead of aborting the run
+    code, out, _ = run(capsys, "selftest", "--quick", "--ceiling", "10",
+                       "--format", "json")
+    assert code == 1
+    result = json.loads(out)
+    assert len(result["checks"]) == 10
+    status = {c["name"]: c["status"] for c in result["checks"]}
+    assert status["punctual_tallies"] == status["upper_bound_table"] == "pass"
+    for c in result["checks"]:
+        if c["name"].startswith("battery_"):
+            assert c["status"] == "fail"
+            assert c["detail"].startswith("CeilingExceeded: ")
 
 
 # ---------------------------------------------------------------------------

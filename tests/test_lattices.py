@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderzeta.errors import (CeilingExceeded, PrecisionExhausted,
-                              RankDeficient)
+from orderzeta.errors import (CeilingExceeded, ParseError,
+                              PrecisionExhausted, RankDeficient)
 from orderzeta.fq import Fq, FqSpec
 from orderzeta.lattices import (LatticeHNF, _action_on_lattice,
                                 _nonzero_entries, _relative_action,
@@ -734,7 +734,8 @@ def test_enumeration_ceiling_guard(monkeypatch):
     # explicit override beats the environment
     assert enumeration_ceiling(500) == 500
     monkeypatch.setenv("ORDER_ZETA_CEILING", "not a number")
-    assert enumeration_ceiling() == 10 ** 8
+    with pytest.raises(ParseError, match="ORDER_ZETA_CEILING"):
+        enumeration_ceiling()
 
 
 def test_action_precision_guard():

@@ -12,15 +12,15 @@ import pytest
 import orderzeta.lattices
 import orderzeta.orbital
 from orderzeta.errors import PreconditionViolated
-from orderzeta.lattices import (LatticeHNF, compose_lattice, identity_lattice,
+from orderzeta.lattices import (LatticeHNF, class_count_mod_lambda,
+                                compose_lattice, identity_lattice,
                                 stable_sublattice_levels)
 from orderzeta.orbital import (cross_validated_orbital, elliptic_ideal_formula,
-                               levi_fiber_check, levi_product,
-                               orbit_invariants, orbital_bounds,
-                               orbital_integral)
+                               levi_fiber_check, levi_product, orbital_bounds)
 from orderzeta.orders import build_order, n_lines_order
 from orderzeta.parsing import parse_field
 from orderzeta.partitions import hilb_count_regular, n_poly
+from orderzeta.zeta import special_values, zeta_polynomial
 
 F2 = parse_field("2")
 F3 = parse_field("3")
@@ -55,6 +55,11 @@ QUARTIC3 = ((1, 0, 0, 2, 0, 0, 1), (), (2, 0, 0, 1), (), (1,))
 # sitting inside the unramified quadratic, so r = 2 exceeds delta
 UNIT2_3 = ((1, 0, 1), (1,), (1,))
 UNIT4_3 = ((1, 0, 0, 0, 1), (1,), (1,))
+
+
+def zeta_at_one(order):
+    """The zeta route: the counting polynomial at 1."""
+    return special_values(zeta_polynomial(order))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +148,7 @@ def test_tally_formula_matches_direct_counts():
     cases = ((F3, CUSP[3]), (F2, CUSP[2]), (F3, RAMP5_3), (F2, CUBIC4_2))
     for fq, f in cases:
         o = build_order(fq, f)
-        assert elliptic_ideal_formula(o) == orbital_integral(o, "zeta")
+        assert elliptic_ideal_formula(o) == zeta_at_one(o)
 
 
 def test_tally_formula_literals():
@@ -169,7 +174,7 @@ def test_tally_formula_enumerates_once(monkeypatch):
     assert o.delta == 3
     value = elliptic_ideal_formula(o)
     assert calls == [o.delta]
-    assert value == orbital_integral(o, "zeta")
+    assert value == zeta_at_one(o)
 
 
 def test_tally_formula_with_residue_degree_two_unit_group():
@@ -222,10 +227,10 @@ def test_routes_agree_and_bounds_bracket(fq, f):
 
 
 def test_invariant_fields():
-    oi = orbit_invariants(build_order(F3, MIX3))
-    assert (oi.delta, oi.rho, oi.elliptic) == (3, 2, False)
-    assert oi.bounds == (36, 36)
-    assert orbit_invariants(build_order(F3, CUSP[3])).elliptic
+    o = build_order(F3, MIX3)
+    assert (o.delta, o.rho, len(o.factors) == 1) == (3, 2, False)
+    assert orbital_bounds(o) == (36, 36)
+    assert len(build_order(F3, CUSP[3]).factors) == 1
 
 
 def test_single_branch_lower_bound_formula():
@@ -303,17 +308,13 @@ def test_fiber_check_guards():
 # guards shared by every route
 # ---------------------------------------------------------------------------
 
-def test_unknown_route_is_rejected():
-    o = build_order(F3, NODE[3])
-    with pytest.raises(PreconditionViolated):
-        orbital_integral(o, "direct")
-
-
 def test_lines_order_supports_lattice_routes_only():
     lines = n_lines_order(F2, 3)
-    assert orbital_integral(lines, "zeta") == 6
-    assert orbital_integral(lines, "lattice") == 6
+    assert zeta_at_one(lines) == 6
+    assert class_count_mod_lambda(lines) == 6
     with pytest.raises(PreconditionViolated):
-        orbital_integral(lines, "levi")
+        levi_product(lines)
     with pytest.raises(PreconditionViolated):
-        orbit_invariants(lines)
+        cross_validated_orbital(lines)
+    with pytest.raises(PreconditionViolated):
+        orbital_bounds(lines)
