@@ -37,6 +37,15 @@ CASES = (
      ("analyze", "--q", "3", "--f", "(X-t)*(X-t^2)", "--fibers", "4")),
     ("q3-unramified",
      ("analyze", "--q", "3", "--f", "X^2+1")),
+    ("q3-recenter",
+     ("analyze", "--q", "3", "--f", "(X-1)^2-t^3")),
+    ("q3-recenter-split",
+     ("analyze", "--q", "3", "--f", "(X-1-t)*(X-1-t^2)")),
+    ("q3-descent",
+     ("analyze", "--q", "3", "--f", "(X^2+1)^2-t^3")),
+    ("q3-supplied-factors",
+     ("analyze", "--q", "3", "--f", "(X^2-t)*(X^2-t^3)",
+      "--factors", "X^2-t;X^2-t^3")),
     ("q4-split-per-class",
      ("analyze", "--q", "2^2:u^2+u+1", "--f", "X^2+t*X", "--per-class")),
     ("q4-node-fibers",
