@@ -54,7 +54,7 @@ from collections.abc import Sequence
 from itertools import combinations
 
 from .errors import (CeilingExceeded, InvariantViolation, ParseError,
-                     PrecisionExhausted, RankDeficient)
+                     PrecisionExhausted, PreconditionViolated, RankDeficient)
 from .series import (ser_add, ser_mul, ser_pad, ser_scale, ser_sub,
                      ser_unit_inv, ser_val)
 
@@ -64,17 +64,22 @@ DEFAULT_CEILING = 10 ** 8
 def enumeration_ceiling(override=None):
     """Work-unit guard for the enumerators.  An explicit argument wins,
     then the ORDER_ZETA_CEILING environment variable, then the default.
-    A variable that is not an integer raises ParseError."""
-    if override is not None:
-        return override
-    env = os.environ.get("ORDER_ZETA_CEILING")
-    if not env:
-        return DEFAULT_CEILING
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError(
-            f"ORDER_ZETA_CEILING must be an integer, got {env!r}") from None
+    A variable that is not an integer raises ParseError, and a ceiling
+    below 1 raises PreconditionViolated."""
+    value = override
+    if value is None:
+        env = os.environ.get("ORDER_ZETA_CEILING")
+        if not env:
+            return DEFAULT_CEILING
+        try:
+            value = int(env)
+        except ValueError:
+            raise ParseError(f"ORDER_ZETA_CEILING must be an integer, "
+                             f"got {env!r}") from None
+    if value < 1:
+        raise PreconditionViolated(
+            f"the work ceiling must be at least 1, got {value}")
+    return value
 
 
 class LatticeHNF:

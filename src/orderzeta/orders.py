@@ -8,17 +8,21 @@ self-dual, the dual and conductor lattices, and the numeric invariants
 (the colength delta of R in the maximal order, the pairwise resultant
 valuation rho, and residue and ramification data per factor).
 
-Factor irreducibility is certified, never assumed.  The Newton polygon
-must be a single segment whose residual polynomial is a power of one
-irreducible; repeated residual roots are resolved by recentering (for
-integral slopes) or by descent to the splitting field of the residual
-factor (for repeated nonlinear residuals).  Configurations that would
-need deeper ramification analysis are rejected with a request for an
-explicit factorization; they cannot arise below degree eight.
+Factors come from one Newton-polygon walker, _pieces, never from an
+assumption.  auto_factor runs it to split f; certify_factor runs it with
+whole=True on a supplied factor, and every step that would split the
+polynomial then rejects it as reducible.  The walker Hensel-splits
+coprime residual factors, recenters a repeated residual root away from
+the origin, rescales X -> t^h X along an integral last slope, and
+descends to the splitting field of a repeated nonlinear residual, where
+every conjugate piece must certify alike.  Its leaves are an
+irreducible residual and a single fractional-slope segment whose
+residual polynomial is irreducible.
 
-The automatic splitter in auto_factor handles coprime residual pieces,
-integral-slope rescalings X -> t^h Z, and recentering chains, which
-covers every polynomial whose factors it can also certify.
+A fractional-slope segment that must be separated from the rest of the
+polygon, and a repeated residual on a ramified segment, are rejected
+with a request for an explicit factorization; the second also rejects
+some irreducible quartics, such as (X^2 - t)^2 - t^3.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ def _fq_kernel(fq, cols, n):
 
 
 # ---------------------------------------------------------------------------
-# factor certification
+# factorization
 # ---------------------------------------------------------------------------
 
 class CertifiedFactor:
@@ -185,104 +189,14 @@ def _resultant_val(fq, f, g, window):
         raise
 
 
-def _certify(fq, coeffs, window, work, budget):
-    """(ramification index, residue degree) of a certified irreducible
-    monic polynomial; raises BadFactorization when it is reducible or
-    when the analysis would need an unsupported ramification depth."""
-    coeffs = _trim_digits(coeffs)
-    n = len(coeffs) - 1
-    if n < 1:
-        raise BadFactorization("constant factor")
-    if not _is_monic_digits(coeffs):
-        raise BadFactorization("factor is not monic in X")
-    if n == 1:
-        return (1, 1)
-    if budget < 0:
-        raise BadFactorization(
-            "factor certification did not terminate; "
-            "is the factorization squarefree?")
-    v0 = ser_val(coeffs[0])
-    if v0 is None:
-        if window is None:
-            raise BadFactorization("factor is divisible by X")
-        raise PrecisionExhausted(
-            "constant coefficient vanishes to working precision")
-    if window is not None and v0 >= window:
-        raise PrecisionExhausted(
-            "Newton polygon reaches below the stored precision")
-    if v0 == 0:
-        eprime, h = 1, 0
-    else:
-        g = gcd(v0, n)
-        eprime, h = n // g, v0 // g
-        for i in range(1, n):
-            vi = ser_val(coeffs[i])
-            if vi is not None and vi * n < v0 * (n - i):
-                raise BadFactorization(
-                    "factor splits along its Newton polygon")
-    j_top = n // eprime
-    resid = [_digit(coeffs[j * eprime], h * (j_top - j))
-             for j in range(j_top + 1)]
-    resid = up_trim(resid)
-    parts = up_factor(fq, resid)
-    if len(parts) > 1:
-        raise BadFactorization(
-            "factor splits along its residual polynomial")
-    base, k = parts[0]
-    b = len(base) - 1
-    if k == 1:
-        return (eprime, j_top)
-    if b == 1:
-        if eprime != 1:
-            raise BadFactorization(
-                "cannot certify: repeated residual root on a ramified "
-                "segment; supply an explicit factorization")
-        root = fq.neg(base[0])
-        shift = (0,) * h + (root,)
-        moved = xp_subst_x_shift(fq, coeffs, shift)
-        if window is not None:
-            moved = tuple(tuple(c[:window]) for c in moved)
-        return _certify(fq, moved, window, work, budget - 1)
-    if eprime != 1:
-        raise BadFactorization(
-            "cannot certify: repeated nonlinear residual on a ramified "
-            "segment; supply an explicit factorization")
-    # descend to the splitting field of the residual factor
-    scaled, swin = _scale_down(fq, coeffs, window, h)
-    big = Fq(FqSpec(fq.p, fq.e * b))
-    table = embedding(fq, big)
-    gb = tuple(tuple(table[d] for d in c) for c in scaled)
-    base_big = tuple(table[d] for d in base)
-    roots = up_roots(big, base_big)
-    if len(roots) != b:
-        raise InvariantViolation(
-            "descent field does not split the residual factor")
-    w2 = swin if swin is not None else work
-    if w2 < 4:
-        raise PrecisionExhausted("descent window is too small")
-    cur = tuple(ser_pad(c, w2) for c in gb)
-    sub = []
-    for idx, w in enumerate(roots):
-        gbar = up_pow(big, (big.neg(w), 1), k)
-        if idx == len(roots) - 1:
-            part = cur
-        else:
-            hbar, rem = up_divmod(big, _mod_t(cur), gbar)
-            if rem:
-                raise InvariantViolation("residual split went inexact")
-            part, cur = hensel_split(big, cur, gbar, hbar, w2)
-        sub.append(_certify(big, part, w2, w2, budget))
-    if len(set(sub)) != 1:
-        raise InvariantViolation("conjugate factors disagree")
-    e0, r0 = sub[0]
-    return (e0, b * r0)
+def _shifted(fq, coeffs, shift, window):
+    """f(X + shift), cut to the window."""
+    return tuple(c[:window] for c in xp_subst_x_shift(fq, coeffs, shift))
 
 
 def _scale_down(fq, coeffs, window, h):
     """Coefficients of f(t^h X) / t^(h deg f); requires the polygon to
     lie on or above the slope-h line."""
-    if h == 0:
-        return coeffs, window
     n = len(coeffs) - 1
     out = []
     for i, c in enumerate(coeffs):
@@ -297,6 +211,154 @@ def _scale_down(fq, coeffs, window, h):
     return tuple(out), window
 
 
+def _newton_min_slope(coeffs, v0):
+    """(index, valuation) of the left end of the last segment of the
+    lower Newton polygon: the point of least slope to (deg, 0), the
+    leftmost on ties.  v0 None leaves the constant coefficient out, and
+    (0, None) then means that no other coefficient is known."""
+    n = len(coeffs) - 1
+    best_i, best_v = 0, v0
+    for i in range(1, n):
+        vi = ser_val(coeffs[i])
+        if vi is None:
+            continue
+        if best_v is None or vi * (n - best_i) < best_v * (n - i):
+            best_i, best_v = i, vi
+    return best_i, best_v
+
+
+def _ramified_leaf(fq, coeffs, window, v0):
+    """The factor of a polygon that is one segment from (0, v0) to
+    (deg, 0) with a fractional slope: irreducible, with ramification
+    index e = deg / gcd(v0, deg), exactly when the residual polynomial of
+    the segment is irreducible."""
+    n = len(coeffs) - 1
+    g = gcd(v0, n)
+    e, h = n // g, v0 // g
+    resid = up_trim([_digit(coeffs[j * e], h * (g - j)) for j in range(g + 1)])
+    (base, k), *rest = up_factor(fq, resid)
+    if rest:
+        raise BadFactorization("factor splits along its residual polynomial")
+    if k > 1:
+        what = "residual root" if len(base) == 2 else "nonlinear residual"
+        raise BadFactorization(
+            f"cannot certify: repeated {what} on a ramified segment; "
+            "supply an explicit factorization")
+    return CertifiedFactor(coeffs, window, e, g)
+
+
+def _descend(fq, coeffs, window, work, budget, base, k):
+    """(e, r) of a polynomial whose residual is base^k, with base
+    irreducible of degree b > 1 and k > 1.  Over F_q^b the residual is a
+    product of b conjugate k-th powers; Hensel lifting splits the
+    polynomial along them, and it is irreducible when every conjugate
+    piece is, with the same (e, r0) and r = b * r0."""
+    b = len(base) - 1
+    big = Fq(FqSpec(fq.p, fq.e * b))
+    table = embedding(fq, big)
+    roots = up_roots(big, tuple(table[d] for d in base))
+    if len(roots) != b:
+        raise InvariantViolation(
+            "descent field does not split the residual factor")
+    w2 = window if window is not None else work
+    if w2 < 4:
+        raise PrecisionExhausted("descent window is too small")
+    cur = tuple(ser_pad(tuple(table[d] for d in c), w2) for c in coeffs)
+    parts = []
+    for w in roots[:-1]:
+        gbar = up_pow(big, (big.neg(w), 1), k)
+        hbar, rem = up_divmod(big, _mod_t(cur), gbar)
+        if rem:
+            raise InvariantViolation("residual split went inexact")
+        part, cur = hensel_split(big, cur, gbar, hbar, w2)
+        parts.append(part)
+    sub = {(p.ram_index, p.residue_degree) for part in parts + [cur]
+           for p in _pieces(big, part, w2, w2, budget, True)}
+    if len(sub) != 1:
+        raise InvariantViolation("conjugate factors disagree")
+    ((e0, r0),) = sub
+    return e0, b * r0
+
+
+def _pieces(fq, coeffs, window, work, budget, whole):
+    """Certified irreducible factors of a monic polynomial, as a list of
+    CertifiedFactor.
+
+    window is the number of exact digits per coefficient (None for an
+    exact polynomial), work the window of the pieces that a Hensel split
+    of an exact polynomial makes, and budget the number of recenterings
+    left.  With whole=True the polynomial must be irreducible: wherever
+    the walk would split it, BadFactorization is raised.
+    """
+    coeffs = _trim_digits(coeffs)
+    n = len(coeffs) - 1
+    if n < 1:
+        raise BadFactorization("constant factor")
+    if n == 1:
+        return [CertifiedFactor(coeffs, window, 1, 1)]
+    if budget < 0:
+        raise BadFactorization(
+            "factorization did not terminate; is the input squarefree?")
+    resid = _mod_t(coeffs)
+    parts = up_factor(fq, resid)
+    if len(parts) > 1:
+        if whole:
+            raise BadFactorization(
+                "factor splits along its residual polynomial")
+        gbar = up_pow(fq, parts[0][0], parts[0][1])
+        hbar, rem = up_divmod(fq, resid, gbar)
+        if rem:
+            raise InvariantViolation("residual factor split went inexact")
+        w2 = window if window is not None else work
+        return [piece for part in hensel_split(fq, coeffs, gbar, hbar, w2)
+                for piece in _pieces(fq, part, w2, w2, budget, False)]
+    base, k = parts[0]
+    if k == 1:
+        return [CertifiedFactor(coeffs, window, 1, n)]
+    if len(base) > 2:
+        e, r = _descend(fq, coeffs, window, work, budget, base, k)
+        return [CertifiedFactor(coeffs, window, e, r)]
+    if base[0]:
+        # repeated residual root away from the origin: recenter, walk,
+        # then shift the pieces back
+        root = fq.neg(base[0])
+        moved = _shifted(fq, coeffs, (root,), window)
+        return [CertifiedFactor(_shifted(fq, p.coeffs, (base[0],), p.window),
+                                p.window, p.ram_index, p.residue_degree)
+                for p in _pieces(fq, moved, window, work, budget - 1, whole)]
+    # residual is X^n: positive slopes only.  A constant coefficient
+    # that is zero to the window stays out of the polygon; the last
+    # segment is then known when it lies below every value the unknown
+    # coefficient can take.
+    v0 = ser_val(coeffs[0])
+    if v0 is None and window is None:
+        if whole:
+            raise BadFactorization("factor is divisible by X")
+        return ([CertifiedFactor(((), (1,)), None, 1, 1)]
+                + _pieces(fq, coeffs[1:], None, work, budget, False))
+    known = window is None or (v0 is not None and v0 < window)
+    vi, vv = _newton_min_slope(coeffs, v0 if known else None)
+    if not known and not (vi >= 1 and window * (n - vi) > vv * n):
+        raise PrecisionExhausted(
+            "constant coefficient vanishes to working precision")
+    span = n - vi
+    if vv % span == 0:
+        h = vv // span
+        scaled, swin = _scale_down(fq, coeffs, window, h)
+        return [CertifiedFactor(
+                    tuple((0,) * (h * (p.degree - i)) + tuple(c)
+                          for i, c in enumerate(p.coeffs)),
+                    p.window, p.ram_index, p.residue_degree)
+                for p in _pieces(fq, scaled, swin, work, budget, whole)]
+    if vi == 0:
+        return [_ramified_leaf(fq, coeffs, window, v0)]
+    if whole:
+        raise BadFactorization("factor splits along its Newton polygon")
+    raise BadFactorization(
+        "automatic factorization cannot separate a fractional-slope "
+        "segment; supply an explicit factorization")
+
+
 def certify_factor(fq, f, precision=None):
     """Certify a monic polynomial irreducible over F_q((t)).
 
@@ -304,111 +366,13 @@ def certify_factor(fq, f, precision=None):
     (ramification index, residue degree).
     """
     f = _trim_digits(f)
+    if not _is_monic_digits(f):
+        raise BadFactorization("factor is not monic in X")
     v = _resultant_val(fq, f, _derivative(fq, f), None)
-    budget = (v if v is not None else 0) + 3
+    budget = (v or 0) + 3
     work = precision if precision else 4 * (budget + len(f)) + 12
-    return _certify(fq, f, None, work, budget)
-
-
-# ---------------------------------------------------------------------------
-# automatic factorization
-# ---------------------------------------------------------------------------
-
-def _newton_min_slope(coeffs, v0):
-    """(vertex index, vertex valuation) of the right end of the lower
-    hull, excluding the terminal point (deg, 0)."""
-    n = len(coeffs) - 1
-    best_i, best_v = 0, v0
-    for i in range(1, n):
-        vi = ser_val(coeffs[i])
-        if vi is None:
-            continue
-        # smaller slope to (n, 0) wins; on ties take the leftmost point
-        if vi * (n - best_i) < best_v * (n - i):
-            best_i, best_v = i, vi
-    return best_i, best_v
-
-
-def _auto_pieces(fq, coeffs, window, work, budget):
-    coeffs = _trim_digits(coeffs)
-    n = len(coeffs) - 1
-    if n < 1:
-        raise BadFactorization("constant factor")
-    if budget < 0:
-        raise BadFactorization(
-            "automatic factorization did not terminate; "
-            "is the input squarefree?")
-    if n == 1:
-        return [CertifiedFactor(coeffs, window, 1, 1)]
-    resid = _mod_t(coeffs)
-    parts = up_factor(fq, resid)
-    if len(parts) >= 2:
-        gbar = up_pow(fq, parts[0][0], parts[0][1])
-        hbar, rem = up_divmod(fq, resid, gbar)
-        if rem:
-            raise InvariantViolation("residual factor split went inexact")
-        w2 = window if window is not None else work
-        out = []
-        for part in hensel_split(fq, coeffs, gbar, hbar, w2):
-            out.extend(_auto_pieces(fq, part, w2, w2, budget))
-        return out
-    base, k = parts[0]
-    if k == 1:
-        e, r = _certify(fq, coeffs, window, work, budget)
-        return [CertifiedFactor(coeffs, window, e, r)]
-    if len(base) == 2 and base[0] != 0:
-        # repeated residual root away from the origin: recenter, split,
-        # then shift the pieces back
-        root = fq.neg(base[0])
-        moved = xp_subst_x_shift(fq, coeffs, (root,))
-        if window is not None:
-            moved = tuple(tuple(c[:window]) for c in moved)
-        sub = _auto_pieces(fq, moved, window, work, budget - 1)
-        out = []
-        for piece in sub:
-            back = xp_subst_x_shift(fq, piece.coeffs, (fq.neg(root),))
-            if piece.window is not None:
-                back = tuple(tuple(c[:piece.window]) for c in back)
-            out.append(CertifiedFactor(back, piece.window,
-                                       piece.ram_index,
-                                       piece.residue_degree))
-        return out
-    if len(base) > 2:
-        # repeated nonlinear residual: certification handles the descent
-        e, r = _certify(fq, coeffs, window, work, budget)
-        return [CertifiedFactor(coeffs, window, e, r)]
-    # residual is X^n: positive slopes only
-    v0 = ser_val(coeffs[0])
-    if v0 is None:
-        if window is not None:
-            raise PrecisionExhausted(
-                "constant coefficient vanishes to working precision")
-        rest = _auto_pieces(fq, coeffs[1:], window, work, budget)
-        return [CertifiedFactor(((), (1,)), None, 1, 1)] + rest
-    if window is not None and v0 >= window:
-        raise PrecisionExhausted(
-            "Newton polygon reaches below the stored precision")
-    vi, vv = _newton_min_slope(coeffs, v0)
-    span = n - vi
-    if vv % span == 0:
-        h = vv // span
-        scaled, swin = _scale_down(fq, coeffs, window, h)
-        sub = _auto_pieces(fq, scaled, swin, work, budget - 1)
-        out = []
-        for piece in sub:
-            m = piece.degree
-            lifted = tuple((0,) * (h * (m - i)) + tuple(c)
-                           for i, c in enumerate(piece.coeffs))
-            out.append(CertifiedFactor(lifted, piece.window,
-                                       piece.ram_index,
-                                       piece.residue_degree))
-        return out
-    if vi == 0:
-        e, r = _certify(fq, coeffs, window, work, budget)
-        return [CertifiedFactor(coeffs, window, e, r)]
-    raise BadFactorization(
-        "automatic factorization cannot separate a fractional-slope "
-        "segment; supply an explicit factorization")
+    (piece,) = _pieces(fq, f, None, work, budget, True)
+    return piece.ram_index, piece.residue_degree
 
 
 def auto_factor(fq, f, precision, window=None):
@@ -427,7 +391,7 @@ def auto_factor(fq, f, precision, window=None):
         budget = v + 3
     else:
         budget = window + 2
-    pieces = _auto_pieces(fq, f, window, precision, budget)
+    pieces = _pieces(fq, f, window, precision, budget, False)
     pieces.sort(key=CertifiedFactor.sort_key)
     wmin = min([precision] + [p.window for p in pieces
                               if p.window is not None])
@@ -970,20 +934,14 @@ def build_order(fq, f, factors=None, precision=None, f_window=None):
         pieces = auto_factor(fq, f, w, window=f_window)
     else:
         supplied = [_trim_digits(g) for g in factors]
-        for g in supplied:
-            if not _is_monic_digits(g):
-                raise BadFactorization("every factor must be monic in X")
         prod = ((1,),)
         for g in supplied:
             prod = xp_mul(fq, prod, g)
         if xp_trim(prod) != xp_trim(f):
             raise BadFactorization("product of factors does not equal f")
-        pieces = []
-        for g in supplied:
-            e, r = certify_factor(fq, g, precision=w)
-            pieces.append(CertifiedFactor(g, None, e, r))
-        pieces.sort(key=CertifiedFactor.sort_key)
-        pieces = tuple(pieces)
+        pieces = tuple(sorted(
+            (CertifiedFactor(g, None, *certify_factor(fq, g, precision=w))
+             for g in supplied), key=CertifiedFactor.sort_key))
 
     order = _assemble(fq, f, f_window, pieces, w, valres)
     again = _assemble(fq, f, f_window, pieces, w + 2, valres)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from orderzeta.cli import main
-from orderzeta import report
+from orderzeta import cli, report
 from orderzeta.errors import ParseError, PrecisionExhausted
 from orderzeta.parsing import (format_order_description, parse_field,
                                parse_order_description)
@@ -114,6 +114,26 @@ def test_malformed_env_ceiling_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "analyze", "--q", "3", "--f", "X^2-t^5")
     assert (code, out) == (2, "")
     assert "ORDER_ZETA_CEILING" in err
+
+
+@pytest.mark.parametrize("env, flags", [
+    (None, ("--ceiling", "-1")),
+    (None, ("--ceiling", "0")),
+    ("0", ()),
+], ids=["flag-negative", "flag-zero", "env-zero"])
+def test_ceiling_below_one_exits_3_before_any_work(capsys, monkeypatch,
+                                                   env, flags):
+    if env is not None:
+        monkeypatch.setenv("ORDER_ZETA_CEILING", env)
+
+    def never(*args, **kwargs):
+        raise AssertionError("analysis started")
+
+    monkeypatch.setattr(cli, "analyze_report", never)
+    code, out, err = run(capsys, "analyze", "--q", "3", "--f", "X^2-t^3",
+                         *flags)
+    assert (code, out) == (3, "")
+    assert "ceiling must be at least 1" in err
 
 
 def test_analyze_order_description_file(capsys, tmp_path):

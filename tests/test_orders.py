@@ -1,12 +1,13 @@
 """Order construction: normalization, duals, conductors, certification."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orderzeta.errors import (BadFactorization, NotSquarefree,
-                              PrecisionExhausted)
+                              PrecisionExhausted, PreconditionViolated)
 from orderzeta.lattices import (_nonzero_entries, class_count_mod_lambda,
                                 compose_lattice, identity_lattice, mat_vec,
                                 relative_length, stable_sublattice_levels,
@@ -16,8 +17,8 @@ from orderzeta.orders import (CertifiedFactor, _derivative,
                               auto_factor, base_change_order, build_order,
                               certify_factor, n_lines_order)
 from orderzeta.parsing import parse_field
-from orderzeta.polynomials import up_trim, xp_mul, xp_trim
-from orderzeta.series import ser_val
+from orderzeta.polynomials import sp_mul, up_trim, xp_mul, xp_trim
+from orderzeta.series import ser_pad, ser_val
 
 from resultant_oracle import resultant_exact
 
@@ -287,6 +288,20 @@ def test_auto_factor_rescales_integral_slope():
         ((0, 1, 0), (1, 0, 0)), ((0, 2, 0), (1, 0, 0))]
 
 
+def test_auto_factor_separates_an_exact_root_inside_a_root_cluster():
+    # X (X - t) (X + 1): the Hensel split leaves X (X - t) known to a
+    # window, with a constant coefficient that is zero to it; the slope-1
+    # segment is fixed by the X coefficient alone
+    f = xp_mul(F3, xp_mul(F3, ((), (1,)), ((0, 2), (1,))), ((1,), (1,)))
+    pieces = auto_factor(F3, f, 24)
+    assert [p.degree for p in pieces] == [1, 1, 1]
+    assert sorted(ser_pad(p.coeffs[0], 3) for p in pieces) == [
+        (0, 0, 0), (0, 2, 0), (1, 0, 0)]
+    assert all(p.window is not None for p in pieces)
+    o = build_order(F3, f)
+    assert (o.delta, o.rho) == (1, 1)
+
+
 def test_fractional_slope_needs_explicit_factors():
     fa = ((0, 2), (), (1,))          # X^2 - t
     fb = ((0, 0, 0, 2), (), (1,))    # X^2 - t^3
@@ -510,6 +525,78 @@ def test_products_of_distinct_lines(data):
     assert o.rho == want_rho
     assert o.delta == want_rho
     assert all(fd.delta == 0 and fd.e == 1 for fd in o.factors)
+
+
+def _certified_factor(rng, fq):
+    """A random monic factor that certify_factor accepts: a line, a
+    ramified binomial X^e - u t^k, or a monic quadratic; None when the
+    draw is reducible."""
+    unit = rng.randrange(1, fq.q)
+    kind = rng.randrange(3)
+    if kind == 0:
+        root = tuple(rng.randrange(fq.q) for _ in range(rng.randint(1, 3)))
+        g = (tuple(fq.neg(c) for c in root), (1,))
+    elif kind == 1:
+        e = rng.choice([2, 3])
+        k = rng.choice([k for k in range(1, 6) if gcd(k, e) == 1])
+        g = ((0,) * k + (fq.neg(unit),),) + ((),) * (e - 1) + ((1,),)
+    else:
+        g = (tuple(rng.randrange(fq.q) for _ in range(2)),
+             tuple(rng.randrange(fq.q) for _ in range(2)), (1,))
+    g = tuple(up_trim(c) for c in g)
+    try:
+        return g, certify_factor(fq, g)
+    except BadFactorization:
+        return None
+
+
+@pytest.mark.parametrize("q", ["2", "3", "5", "9"])
+def test_supplied_and_automatic_factorizations_agree(q):
+    fq = parse_field(q)
+    rng = random.Random(1303 + int(q))
+    compared = 0
+    while compared < 5:
+        draws = [_certified_factor(rng, fq) for _ in range(rng.randint(1, 3))]
+        if None in draws or len({g for g, _ in draws}) < len(draws):
+            continue
+        factors = [g for g, _ in draws]
+        f = ((1,),)
+        for g in factors:
+            f = xp_mul(fq, f, g)
+        try:
+            pieces = auto_factor(fq, f, 40)
+        except NotSquarefree:
+            continue
+        except BadFactorization:
+            # fractional-slope segments that only a supplied
+            # factorization separates
+            continue
+        assert sorted((p.ram_index, p.residue_degree) for p in pieces) == \
+            sorted(er for _, er in draws)
+        assert build_order(fq, f).signature() == \
+            build_order(fq, f, factors=factors).signature()
+        compared += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 3]),
+       coeffs=st.lists(st.lists(st.integers(0, 2), max_size=4),
+                       min_size=1, max_size=4))
+def test_auto_factor_certifies_its_product_or_raises_a_library_error(
+        q, coeffs):
+    fq = F2 if q == 2 else F3
+    f = tuple(up_trim([c % q for c in cs]) for cs in coeffs) + ((1,),)
+    try:
+        pieces = auto_factor(fq, f, 30)
+    except (PreconditionViolated, PrecisionExhausted):
+        return
+    width = min([30] + [p.window for p in pieces if p.window is not None])
+    prod = (ser_pad((1,), width),)
+    for p in pieces:
+        prod = sp_mul(fq, prod, p.coeffs, width)
+    assert prod == tuple(ser_pad(c, width) for c in xp_trim(f))
+    assert sum(p.degree for p in pieces) == len(xp_trim(f)) - 1
+    assert all(p.ram_index * p.residue_degree == p.degree for p in pieces)
 
 
 @settings(max_examples=25, deadline=None)
