@@ -46,6 +46,12 @@ CASES = (
     ("q3-supplied-factors",
      ("analyze", "--q", "3", "--f", "(X^2-t)*(X^2-t^3)",
       "--factors", "X^2-t;X^2-t^3")),
+    ("q3-twist-mixed",
+     ("analyze", "--q", "3", "--f", "(X-t)*(X^2-t^3)")),
+    ("q3-twist-unramified",
+     ("analyze", "--q", "3", "--f", "(X^2+1)*(X-t)")),
+    ("q3-twist-three",
+     ("analyze", "--q", "3", "--f", "(X-t)*(X+t)*(X-t^2)")),
     ("q4-split-per-class",
      ("analyze", "--q", "2^2:u^2+u+1", "--f", "X^2+t*X", "--per-class")),
     ("q4-node-fibers",
