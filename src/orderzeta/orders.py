@@ -2,11 +2,16 @@
 
 For a monic squarefree f with integral coefficients this module builds
 everything the counting layers need: the power-basis multiplication
-table, the maximal order (multiplier-ring iteration on the radical of
-t*S), primitive idempotents, a trace twist that makes the maximal order
-self-dual, the dual and conductor lattices, and the numeric invariants
-(the colength delta of R in the maximal order, the pairwise resultant
-valuation rho, and residue and ramification data per factor).
+table, the maximal order O_E (multiplier-ring iteration on the radical
+of t*S, once per order), primitive idempotents, a trace twist that makes
+O_E self-dual, the dual and conductor lattices, and the numeric
+invariants: delta = [O_E : R], the pairwise resultant valuation rho, and
+residue and ramification data per factor.  The norm of b(X) on the
+branch of a factor g is res(g, b), and on that branch the first basis
+column b of the plain trace dual t^s*B of O_E with least v = v(res(g, b))
+generates the dual.  The twist sums the idempotent projections of these
+columns; g's colength in its normalization is (v(disc g) + v + s*deg g)/2
+(Dedekind), and delta = rho + the sum of these colengths is checked.
 
 Factors come from one Newton-polygon walker, _pieces, never from an
 assumption.  auto_factor runs it to split f; certify_factor runs it with
@@ -32,15 +37,14 @@ from math import gcd
 from .errors import (BadFactorization, InvariantViolation, NotSquarefree,
                      PrecisionExhausted, PreconditionViolated)
 from .fq import Fq, FqSpec, embedding
-from .lattices import (_nonzero_entries, colon_lattice,
-                       element_scaled_lattice, hnf_from_generators,
-                       identity_lattice, laurent_matrix_inverse, mat_vec,
-                       product_lattice, relative_length, resultant_valuation,
-                       solve_in_basis, trace_dual_lattice)
+from .lattices import (colon_lattice, element_scaled_lattice,
+                       hnf_from_generators, identity_lattice,
+                       laurent_matrix_inverse, product_lattice,
+                       relative_length, resultant_valuation, solve_in_basis,
+                       trace_dual_lattice)
 from .polynomials import (hensel_split, sp_mul, up_divmod, up_factor, up_pow,
                           up_roots, up_trim, xp_mul, xp_subst_x_shift, xp_trim)
-from .series import (ser_add, ser_mul, ser_neg, ser_pad, ser_scale, ser_sub,
-                      ser_val)
+from .series import ser_add, ser_mul, ser_neg, ser_pad, ser_scale, ser_val
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +251,14 @@ def _ramified_leaf(fq, coeffs, window, v0):
     return CertifiedFactor(coeffs, window, e, g)
 
 
-def _descend(fq, coeffs, window, work, budget, base, k):
+def _descend(fq, coeffs, window, work, budget, base, k, whole):
     """(e, r) of a polynomial whose residual is base^k, with base
     irreducible of degree b > 1 and k > 1.  Over F_q^b the residual is a
     product of b conjugate k-th powers; Hensel lifting splits the
     polynomial along them, and it is irreducible when every conjugate
-    piece is, with the same (e, r0) and r = b * r0."""
+    piece is, with the same (e, r0) and r = b * r0.  A conjugate piece
+    that splits makes the polynomial reducible, and the pieces are not
+    regrouped into factors over F_q: the automatic path rejects it."""
     b = len(base) - 1
     big = Fq(FqSpec(fq.p, fq.e * b))
     table = embedding(fq, big)
@@ -272,8 +278,13 @@ def _descend(fq, coeffs, window, work, budget, base, k):
             raise InvariantViolation("residual split went inexact")
         part, cur = hensel_split(big, cur, gbar, hbar, w2)
         parts.append(part)
-    sub = {(p.ram_index, p.residue_degree) for part in parts + [cur]
-           for p in _pieces(big, part, w2, w2, budget, True)}
+    walks = [_pieces(big, part, w2, w2, budget, whole)
+             for part in parts + [cur]]
+    if any(len(walk) > 1 for walk in walks):
+        raise BadFactorization(
+            "automatic factorization cannot split a repeated nonlinear "
+            "residual; supply an explicit factorization")
+    sub = {(p.ram_index, p.residue_degree) for walk in walks for p in walk}
     if len(sub) != 1:
         raise InvariantViolation("conjugate factors disagree")
     ((e0, r0),) = sub
@@ -316,7 +327,7 @@ def _pieces(fq, coeffs, window, work, budget, whole):
     if k == 1:
         return [CertifiedFactor(coeffs, window, 1, n)]
     if len(base) > 2:
-        e, r = _descend(fq, coeffs, window, work, budget, base, k)
+        e, r = _descend(fq, coeffs, window, work, budget, base, k, whole)
         return [CertifiedFactor(coeffs, window, e, r)]
     if base[0]:
         # repeated residual root away from the origin: recenter, walk,
@@ -626,67 +637,41 @@ def _idempotents(fq, mul, pieces, n, w):
     return tuple(out)
 
 
-def _mult_matrix(fq, mul, vec, n, w):
-    cols = []
-    for j in range(n):
-        unit = tuple((0,) * w if i != j else (1,) + (0,) * (w - 1)
-                     for i in range(n))
-        cols.append(mul(vec, unit, w))
-    return tuple(cols)
-
-
-def _component_divides(fq, mul, o_e, idem, y, z, n, w):
-    """Inside the component cut out by the idempotent, does y divide z
-    within the maximal order?  All three are (digit vector, scale)
-    pairs; y and z share a scale, which cancels in the quotient."""
-    one = (_unit_vector(n, w), 0)
-    (one_d, idem_d, y_d), base = _align_vectors([one, idem, y])
-    u = tuple(ser_add(fq, ser_sub(fq, one_d[k], idem_d[k]), y_d[k])
-              for k in range(n))
-    wu = min(len(e) for e in u)
-    u = tuple(e[:wu] for e in u)
-    inv_cols, shift = laurent_matrix_inverse(
-        fq, _mult_matrix(fq, mul, u, n, wu), wu)
-    z_d, z_s = z
-    ww = min([len(e) for col in inv_cols for e in col]
-             + [len(e) for e in z_d])
-    q_scale = z_s - base + shift
-    if ww + q_scale < 1:
-        raise PrecisionExhausted("division test window collapsed")
-    out = mat_vec(fq, _nonzero_entries(inv_cols), [e[:ww] for e in z_d], ww)
-    return o_e.contains_vector(tuple(out), q_scale)
-
-
-def _choose_twist(fq, mul, idems, o_e, plain_dual, n, w):
-    """A Laurent coordinate vector c with c * O_E equal to the plain
-    trace dual of O_E, picked componentwise as a minimal-valuation
-    projection of the dual basis; returns (digit vector, scale)."""
-    cols = plain_dual.columns(w)
-    scale = plain_dual.scale
-    chosen = []
-    for idem in idems:
-        idem_d, idem_s = idem
-        wv = min(w, *(len(e) for e in idem_d))
-        cands = []
-        for col in cols:
-            y = tuple(e[:wv] for e in mul(idem_d, col, wv))
-            if any(any(e) for e in y):
-                cands.append((y, idem_s + scale))
-        if not cands:
+def _branch_generators(fq, pieces, plain_dual):
+    """For each factor g, (j, v): the first basis column b_j of the plain
+    trace dual with the least valuation v of res(g, b_j(X)), its norm on
+    the branch of g, where it generates the dual.  A resultant that is
+    zero, or not certified to a windowed factor's window, is no candidate.
+    """
+    # HNF columns are exact polynomials at this width
+    cols = plain_dual.columns(plain_dual.max_exponent() + 1)
+    out = []
+    for piece in pieces:
+        best = None
+        for j, col in enumerate(cols):
+            try:
+                v = _resultant_val(fq, piece.coeffs, col, piece.window)
+            except PrecisionExhausted:
+                continue
+            if v is not None and (best is None or v < best[1]):
+                best = (j, v)
+        if best is None:
             raise InvariantViolation("dual lattice misses a component")
-        best = cands[0]
-        for z in cands[1:]:
-            if not _component_divides(fq, mul, o_e, idem, best, z, n, w):
-                if _component_divides(fq, mul, o_e, idem, z, best, n, w):
-                    best = z
-                else:
-                    raise PrecisionExhausted(
-                        "incomparable valuations in the twist search")
-        for z in cands:
-            if not _component_divides(fq, mul, o_e, idem, best, z, n, w):
-                raise PrecisionExhausted(
-                    "twist search failed the verification pass")
-        chosen.append(best)
+        out.append(best)
+    return out
+
+
+def _choose_twist(fq, mul, idems, picks, o_e, plain_dual, n, w):
+    """A Laurent coordinate vector c with c * O_E equal to the plain
+    trace dual of O_E: the sum of the idempotent projections of the
+    branch generators that _branch_generators picked; returns (digit
+    vector, scale)."""
+    cols = plain_dual.columns(w)
+    chosen = []
+    for (idem_d, idem_s), (j, _) in zip(idems, picks):
+        wv = min(w, *(len(e) for e in idem_d))
+        y = tuple(e[:wv] for e in mul(idem_d, cols[j], wv))
+        chosen.append((y, idem_s + plain_dual.scale))
     aligned, base = _align_vectors(chosen)
     total = list(aligned[0])
     for vec in aligned[1:]:
@@ -765,10 +750,9 @@ class FactorData:
 class OrderData:
     """Everything about one order R = O[X]/(f), immutable after build."""
 
-    __slots__ = ("fq", "f", "f_window", "n", "precision", "build_precision",
-                 "valres", "delta", "rho", "factors", "r_lattice",
-                 "o_e_lattice", "dual_r_lattice", "conductor_lattice",
-                 "c_inv", "c_inv_scale", "action_matrices",
+    __slots__ = ("fq", "f", "f_window", "n", "precision", "valres",
+                 "delta", "rho", "factors", "r_lattice", "o_e_lattice",
+                 "dual_r_lattice", "conductor_lattice", "action_matrices",
                  "trace_gram_columns", "j_max", "_pw")
 
     def __init__(self, **kw):
@@ -793,17 +777,6 @@ class OrderData:
                 f"rho={self.rho}, factors={len(self.factors)})")
 
 
-def _sub_colength(fq, piece, w, guard):
-    """Colength of the factor's own order in its normalization."""
-    wp = min(w, piece.window) if piece.window is not None else w
-    deg = piece.degree
-    _, _, tcols, mul = _power_basis(fq, piece.coeffs, wp,
-                                    3 * deg - 2 if deg > 1 else 1,
-                                    2 * deg - 1)
-    o_e = _normalize(fq, mul, tcols, deg, wp, guard)
-    return relative_length(o_e, identity_lattice(fq, deg))
-
-
 def _pair_resultant_val(fq, a, b, w):
     """Valuation of the resultant of two factors, exact when both are."""
     windows = [p.window for p in (a, b) if p.window is not None]
@@ -822,14 +795,15 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
     weff = min(w, fwindow) if fwindow is not None else w
     pw, tau, tcols, mul = _power_basis(fq, fdigits, weff,
                                        max(n + 1, 4 * n - 3), 3 * n - 2)
-    guard = valres + 3
     r_lat = identity_lattice(fq, n)
-    o_e = _normalize(fq, mul, tcols, n, weff, guard)
+    o_e = _normalize(fq, mul, tcols, n, weff, valres + 3)
     delta = relative_length(o_e, r_lat)
 
+    plain_dual = trace_dual_lattice(o_e, tcols, weff)
+    picks = _branch_generators(fq, pieces, plain_dual)
     factor_data = []
     sub_total = 0
-    for piece in pieces:
+    for piece, (_, v) in zip(pieces, picks):
         parts = up_factor(fq, _mod_t(piece.coeffs))
         if len(parts) != 1:
             raise InvariantViolation(
@@ -838,7 +812,18 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
         if len(pieces) == 1:
             ell = delta
         else:
-            ell = _sub_colength(fq, piece, weff, guard)
+            # v(disc g) = 2*ell + v(disc O_E_g) (Dedekind), and the dual
+            # generator t^s * b_j has norm valuation -v(disc O_E_g)
+            disc = _resultant_val(fq, piece.coeffs,
+                                  _derivative(fq, piece.coeffs), piece.window)
+            if disc is None:
+                raise PrecisionExhausted(
+                    "factor discriminant vanishes to working precision")
+            twice = disc + v + plain_dual.scale * piece.degree
+            if twice % 2 or twice < 0:
+                raise InvariantViolation(
+                    "branch colength from resultants is odd or negative")
+            ell = twice // 2
         if piece.residue_degree % d or ell % d:
             raise InvariantViolation("residue degree does not divide")
         factor_data.append(FactorData(
@@ -856,8 +841,8 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
             "resultant decomposition")
 
     idems = _idempotents(fq, mul, pieces, n, weff)
-    plain_dual = trace_dual_lattice(o_e, tcols, weff)
-    twist, tw_scale = _choose_twist(fq, mul, idems, o_e, plain_dual, n, weff)
+    twist, tw_scale = _choose_twist(fq, mul, idems, picks, o_e, plain_dual,
+                                    n, weff)
     gcols = _modified_gram(fq, tau, twist, tw_scale, n, weff)
     wg = min(len(e) for col in gcols for e in col)
 
@@ -885,10 +870,9 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
     j_max = 2 * delta + sum(fd.n for fd in factor_data) + 2
     return OrderData(
         fq=fq, f=fdigits, f_window=fwindow, n=n, precision=wg,
-        build_precision=weff, valres=valres, delta=delta, rho=rho,
-        factors=tuple(factor_data), r_lattice=r_lat, o_e_lattice=o_e,
-        dual_r_lattice=dual_r, conductor_lattice=conductor, c_inv=twist,
-        c_inv_scale=tw_scale, action_matrices=(tuple(pw[1:n + 1]),),
+        valres=valres, delta=delta, rho=rho, factors=tuple(factor_data),
+        r_lattice=r_lat, o_e_lattice=o_e, dual_r_lattice=dual_r,
+        conductor_lattice=conductor, action_matrices=(tuple(pw[1:n + 1]),),
         trace_gram_columns=gcols, j_max=j_max, _pw=pw)
 
 

@@ -45,10 +45,10 @@ class ZetaPolynomial:
     lattice classes (the variant path), otherwise None.
     """
 
-    __slots__ = ("poly", "q", "delta", "periods", "quot_counts", "checks",
+    __slots__ = ("poly", "q", "delta", "quot_counts", "checks",
                  "class_count")
 
-    def __init__(self, poly, q, delta, periods, quot_counts, checks,
+    def __init__(self, poly, q, delta, quot_counts, checks,
                  class_count=None):
         if poly.coefficient(0) != 1:
             raise InvariantViolation(
@@ -57,7 +57,6 @@ class ZetaPolynomial:
         self.poly = poly
         self.q = q
         self.delta = delta
-        self.periods = tuple(periods)
         self.quot_counts = tuple(quot_counts)
         self.checks = checks
         self.class_count = class_count
@@ -95,8 +94,8 @@ def _zeta_record(order, poly, counts, class_count=None):
     P(1) = class_count when a class count is given, and P(1) =
     q^delta * P(1/q) otherwise."""
     checks = {"truncation_ok": True}
-    z = ZetaPolynomial(poly, order.fq.q, order.delta, factor_periods(order),
-                       counts, checks, class_count=class_count)
+    z = ZetaPolynomial(poly, order.fq.q, order.delta, counts, checks,
+                       class_count=class_count)
     checks["degree_ok"] = poly.degree == 2 * order.delta
     checks["fe_ok"] = check_functional_equation(z)
     if class_count is not None:
@@ -244,13 +243,12 @@ class ClassRefinement:
     symmetry across dual classes.
     """
 
-    __slots__ = ("labels", "representatives", "class_sizes", "counts",
-                 "contributions", "dual_pairs", "pairing_ok")
+    __slots__ = ("labels", "class_sizes", "counts", "contributions",
+                 "dual_pairs", "pairing_ok")
 
-    def __init__(self, labels, representatives, class_sizes, counts,
-                 contributions, dual_pairs, pairing_ok):
+    def __init__(self, labels, class_sizes, counts, contributions,
+                 dual_pairs, pairing_ok):
         self.labels = labels
-        self.representatives = representatives
         self.class_sizes = class_sizes
         self.counts = counts
         self.contributions = contributions
@@ -330,7 +328,7 @@ def per_class_refinement(order, ceiling=None):
             if not balanced:
                 pairing_ok = False
     return ClassRefinement(
-        labels, dict(zip(labels, canonicals)), dict(zip(labels, sizes)),
+        labels, dict(zip(labels, sizes)),
         {lab: tuple(row) for lab, row in zip(labels, table)},
         dict(zip(labels, contributions)),
         {labels[i]: labels[j] for i, j in enumerate(pair)}, pairing_ok)

@@ -284,6 +284,20 @@ def test_exit_codes(capsys):
                "--ceiling", "10")[0] == 5
 
 
+def test_conjugate_factors_need_an_explicit_factorization(capsys):
+    # two quadratics with the same residual X^2 + X + 1 over F_2: the
+    # descent to F_4 splits f, which the automatic path does not regroup
+    f = "(X^2+X+1)*(X^2+(1+t^2)*X+1+t)"
+    code, _, err = run(capsys, "analyze", "--q", "2", "--f", f)
+    assert code == 3
+    assert "cannot split a repeated nonlinear residual" in err
+    assert "supply an explicit factorization" in err
+    code, out, _ = run(capsys, "analyze", "--q", "2", "--f", f,
+                       "--factors", "X^2+X+1;X^2+(1+t^2)*X+1+t")
+    assert code == 0
+    assert "O_gamma = 4 (zeta 4, lattice 4, levi 4)" in out
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "--q", "2", "--f", "X^3-t^5", "--precision", "10"),
     ("analyze", "--q", "3", "--f", "X^2-t^7", "--per-class",

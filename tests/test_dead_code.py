@@ -5,8 +5,10 @@ somewhere in the package outside its own definition, where a re-export
 from __init__.py counts as a use; every method of a class there that is
 not a dunder must be read, as an attribute or a name, somewhere in the
 package outside its own definition (a function or method that only
-tests call belongs in the tests); and no module but __init__.py (which
-re-exports the public API) may import a name it never uses.
+tests call belongs in the tests); every __slots__ field of a class there
+must be read as an attribute somewhere in the package; and no module but
+__init__.py (which re-exports the public API) may import a name it never
+uses.
 """
 
 import ast
@@ -132,3 +134,25 @@ def test_every_defaulted_parameter_is_set_somewhere():
                       if not any(_sets(call, index, name)
                                  for call in calls.get(stmt.name, ()))]
     assert not unset, f"defaulted parameters that no call sets: {unset}"
+
+
+def test_every_record_field_is_read_in_the_package():
+    # a __slots__ name that no code in src/ reads as an attribute is a
+    # field that is stored and never used
+    fields = []               # (module path, class name, field name)
+    read = set()
+    for path, tree in _parsed(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                fields += [(path, node.name, elt.value)
+                           for stmt in node.body
+                           if isinstance(stmt, ast.Assign)
+                           and any(getattr(t, "id", None) == "__slots__"
+                                   for t in stmt.targets)
+                           for elt in stmt.value.elts]
+    unread = [f"{path.name}: {cls}.{name}" for path, cls, name in fields
+              if name not in read]
+    assert not unread, f"record fields never read in the package: {unread}"

@@ -463,12 +463,13 @@ def test_build_is_deterministic():
     a = build_order(F5, ((0, 0, 0, 4), (), (1,)))
     b = build_order(F5, ((0, 0, 0, 4), (), (1,)))
     assert a.signature() == b.signature()
-    assert a.c_inv == b.c_inv and a.c_inv_scale == b.c_inv_scale
+    assert a.trace_gram_columns == b.trace_gram_columns
 
 
 def test_explicit_precision_stable():
+    # the default working precision is 6*3 + 4*2 + 16 + 4 = 46 digits
     base = build_order(F3, CUSP3)
-    wide = build_order(F3, CUSP3, precision=base.build_precision + 10)
+    wide = build_order(F3, CUSP3, precision=56)
     assert base.signature() == wide.signature()
 
 
@@ -576,6 +577,31 @@ def test_supplied_and_automatic_factorizations_agree(q):
         assert build_order(fq, f).signature() == \
             build_order(fq, f, factors=factors).signature()
         compared += 1
+
+
+@pytest.mark.parametrize("q", ["2", "3", "5", "9"])
+def test_branch_colengths_match_each_factor_normalized_alone(q):
+    # build_order takes a factor's colength from resultant valuations;
+    # the factor built as an order of its own is normalized directly
+    fq = parse_field(q)
+    rng = random.Random(2420 + int(q))
+    compared = 0
+    while compared < 3:
+        draws = [_certified_factor(rng, fq) for _ in range(rng.randint(2, 3))]
+        if None in draws or len({g for g, _ in draws}) < len(draws):
+            continue
+        f = ((1,),)
+        for g, _ in draws:
+            f = xp_mul(fq, f, g)
+        try:
+            o = build_order(fq, f)
+        except (NotSquarefree, BadFactorization):
+            continue
+        for fd in o.factors:
+            alone = build_order(fq, fd.coeffs, f_window=fd.window)
+            assert fd.d * fd.delta == alone.delta
+        # count the orders with a singular branch
+        compared += any(fd.delta for fd in o.factors)
 
 
 @settings(max_examples=60, deadline=None)

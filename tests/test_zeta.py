@@ -63,7 +63,7 @@ def test_cusp_polynomial():
     z = zeta_polynomial(o)
     assert z.quot_counts[:6] == (1, 1, 4, 4, 4, 4)
     assert z.poly.coeffs == (1, 0, 3)
-    assert z.periods == (1,)
+    assert factor_periods(o) == (1,)
     assert all(z.checks.values())
     assert special_values(z) == (4, 4)
     assert class_count_mod_lambda(o) == 4
@@ -74,7 +74,7 @@ def test_node_polynomial():
     z = zeta_polynomial(o)
     assert z.quot_counts == (1, 1, 4, 7, 10, 13, 16)
     assert z.poly.coeffs == (1, -1, 3)
-    assert z.periods == (1, 1)
+    assert factor_periods(o) == (1, 1)
     assert all(z.checks.values())
     assert special_values(z) == (3, 3)
     assert class_count_mod_lambda(o) == 3
@@ -85,7 +85,7 @@ def test_maximal_order_is_trivial():
     z = zeta_polynomial(o)
     assert z.quot_counts == (1, 0, 1, 0, 1)
     assert z.poly.coeffs == (1,)
-    assert z.periods == (2,)
+    assert factor_periods(o) == (2,)
     assert all(z.checks.values())
     assert special_values(z) == (1, 1)
 
