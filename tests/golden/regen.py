@@ -70,6 +70,8 @@ CASES = (
     ("nlines-n2-q5", ("nlines", "--n", "2", "--q", "5")),
     ("nlines-n3-q2", ("nlines", "--n", "3", "--q", "2")),
     ("nlines-n3-symbolic", ("nlines", "--n", "3", "--symbolic-only")),
+    ("nlines-n5-symbolic", ("nlines", "--n", "5", "--symbolic-only")),
+    ("nlines-n8-symbolic", ("nlines", "--n", "8", "--symbolic-only")),
     ("mnpoly-d2-r2", ("mnpoly", "--delta", "2", "--r", "2")),
     ("mnpoly-d3-r1", ("mnpoly", "--delta", "3", "--r", "1")),
     ("selftest-quick", ("selftest", "--quick")),
