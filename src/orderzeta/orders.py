@@ -809,21 +809,18 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
             raise InvariantViolation(
                 "certified factor has a split residue ring")
         d = len(parts[0][0]) - 1
-        if len(pieces) == 1:
-            ell = delta
-        else:
-            # v(disc g) = 2*ell + v(disc O_E_g) (Dedekind), and the dual
-            # generator t^s * b_j has norm valuation -v(disc O_E_g)
-            disc = _resultant_val(fq, piece.coeffs,
-                                  _derivative(fq, piece.coeffs), piece.window)
-            if disc is None:
-                raise PrecisionExhausted(
-                    "factor discriminant vanishes to working precision")
-            twice = disc + v + plain_dual.scale * piece.degree
-            if twice % 2 or twice < 0:
-                raise InvariantViolation(
-                    "branch colength from resultants is odd or negative")
-            ell = twice // 2
+        # v(disc g) = 2*ell + v(disc O_E_g) (Dedekind), and the dual
+        # generator t^s * b_j has norm valuation -v(disc O_E_g)
+        disc = _resultant_val(fq, piece.coeffs,
+                              _derivative(fq, piece.coeffs), piece.window)
+        if disc is None:
+            raise PrecisionExhausted(
+                "factor discriminant vanishes to working precision")
+        twice = disc + v + plain_dual.scale * piece.degree
+        if twice % 2 or twice < 0:
+            raise InvariantViolation(
+                "branch colength from resultants is odd or negative")
+        ell = twice // 2
         if piece.residue_degree % d or ell % d:
             raise InvariantViolation("residue degree does not divide")
         factor_data.append(FactorData(
@@ -884,6 +881,8 @@ def build_order(fq, f, factors=None, precision=None, f_window=None):
     that many exact digits per coefficient, in which case factors must
     be omitted and are found automatically.
     """
+    if precision is not None and precision < 1:
+        raise PreconditionViolated("precision must be positive")
     f = _trim_digits(f)
     if not _is_monic_digits(f):
         raise BadFactorization("f must be monic in X")

@@ -369,7 +369,8 @@ def parse_order_description(text):
     """Parse a key = value description of an order.
 
     Recognised keys: q (required), f (required), factors (optional,
-    semicolon-separated), precision (optional positive integer).
+    semicolon-separated), precision (optional integer; build_order
+    rejects one below 1).
     Returns a dict with keys fq, f, factors, precision.
     """
     seen = {}
@@ -404,8 +405,6 @@ def parse_order_description(text):
             precision = int(seen["precision"])
         except ValueError:
             raise ParseError("precision must be an integer") from None
-        if precision < 1:
-            raise ParseError("precision must be positive")
     return {"fq": fq, "f": f, "factors": factors, "precision": precision}
 
 

@@ -12,8 +12,8 @@ Two coefficient domains appear, both with dense low-degree-first tuples:
 X-polynomials with truncated power series coefficients are tuples of
 series digit tuples (see series.py); `hensel_split` lifts factorisations
 on them, and their resultant valuation is an elimination in lattices.py.
-The integer-coefficient classes `IntPoly` / `BiPoly` hold counting
-polynomials and their two-variable symbolic forms.
+The integer-coefficient class `IntPoly` holds counting polynomials; the
+n-lines closed form is a tuple of them, in q, indexed by the power of t.
 """
 
 from __future__ import annotations
@@ -321,9 +321,6 @@ class IntPoly:
     def coefficient(self, k):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = IntPoly((other,))
@@ -375,10 +372,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def shift(self, k):
-        """Multiply by the variable to the k-th power."""
-        return IntPoly((0,) * k + self.coeffs)
-
     def text(self, var="t"):
         if not self.coeffs:
             return "0"
@@ -401,77 +394,3 @@ class IntPoly:
 
     def __repr__(self):
         return f"IntPoly({self.text()})"
-
-
-class BiPoly:
-    """Polynomial in t whose coefficients are integer polynomials in q."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = [x if isinstance(x, IntPoly) else IntPoly((x,)) for x in coeffs]
-        while c and c[-1].is_zero():
-            c.pop()
-        self.coeffs = tuple(c)
-
-    def coefficient(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else IntPoly()
-
-    def __eq__(self, other):
-        return isinstance(other, BiPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [IntPoly()] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [IntPoly()] * (n - len(other.coeffs))
-        return BiPoly(x + y for x, y in zip(a, b))
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [IntPoly()] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [IntPoly()] * (n - len(other.coeffs))
-        return BiPoly(x - y for x, y in zip(a, b))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, IntPoly)):
-            o = other if isinstance(other, IntPoly) else IntPoly((other,))
-            return BiPoly(c * o for c in self.coeffs)
-        if not self.coeffs or not other.coeffs:
-            return BiPoly()
-        out = [IntPoly() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def at_q(self, q):
-        """Specialise q to an integer, leaving a polynomial in t."""
-        return IntPoly([c(q) for c in self.coeffs])
-
-    def text(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            cq = c.text(var="q")
-            pw = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            if not pw:
-                parts.append(f"({cq})" if " " in cq else cq)
-            elif cq == "1":
-                parts.append(pw)
-            elif " " in cq or "+" in cq or "-" in cq[1:]:
-                parts.append(f"({cq})*{pw}")
-            else:
-                parts.append(f"{cq}*{pw}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"BiPoly({self.text()})"

@@ -139,20 +139,38 @@ def _variant_dict(z):
     }
 
 
+def _closed_text(closed):
+    """The closed form as one line in t, each coefficient a polynomial
+    in q, parenthesized when it has more than one term."""
+    parts = []
+    for k, c in enumerate(closed):
+        if not c.coeffs:
+            continue
+        cq = c.text(var="q")
+        pw = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
+        if not pw:
+            parts.append(f"({cq})" if " " in cq else cq)
+        elif cq == "1":
+            parts.append(pw)
+        elif " " in cq or "+" in cq or "-" in cq[1:]:
+            parts.append(f"({cq})*{pw}")
+        else:
+            parts.append(f"{cq}*{pw}")
+    return " + ".join(parts)
+
+
 def nlines_report(n, fq=None, j_max=None, ceiling=None, symbolic_only=False):
     """Closed-form and (unless symbolic_only) brute-force counting
     polynomials for the order of n coordinate lines glued at a point,
     plus the two variant tallies and the agreement verdicts."""
     closed = nlines_closed_form(n)
-    value = IntPoly(())
-    for c in closed.coeffs:
-        value = value + c
+    value = sum(closed, IntPoly())
     closed_section = {
         "by_t_degree": [
             {"t_power": k, "coeffs": list(c.coeffs), "text": c.text("q")}
-            for k, c in enumerate(closed.coeffs)
+            for k, c in enumerate(closed)
         ],
-        "text": closed.text(),
+        "text": _closed_text(closed),
         "value_at_one": {
             "coeffs": list(value.coeffs),
             "text": value.text("q"),
@@ -161,7 +179,8 @@ def nlines_report(n, fq=None, j_max=None, ceiling=None, symbolic_only=False):
     }
     specialized = None
     if fq is not None:
-        specialized = _poly_dict(closed.at_q(fq.q), "t")
+        at_q = IntPoly(c(fq.q) for c in closed)
+        specialized = _poly_dict(at_q, "t")
 
     brute = sharp = flat = None
     checks = {
@@ -183,10 +202,8 @@ def nlines_report(n, fq=None, j_max=None, ceiling=None, symbolic_only=False):
                 "brute force is limited to n <= 6; use --symbolic-only")
         order, (sharp_plan, flat_plan) = planned_nlines_order(fq, n, j_max)
         z = zeta_polynomial(order, j_max=j_max, ceiling=ceiling)
-        sharp = variant_zeta(order, order.o_e_lattice, ceiling=ceiling,
-                             plan=sharp_plan)
-        flat = variant_zeta(order, order.r_lattice, ceiling=ceiling,
-                            plan=flat_plan)
+        sharp = variant_zeta(order, sharp_plan, ceiling=ceiling)
+        flat = variant_zeta(order, flat_plan, ceiling=ceiling)
         j_used = len(z.quot_counts) - 1
         brute = {
             "coeffs": list(z.poly.coeffs),
@@ -195,7 +212,7 @@ def nlines_report(n, fq=None, j_max=None, ceiling=None, symbolic_only=False):
             "class_count": flat.class_count,
             "value_at_one": z.poly(1),
         }
-        checks["closed_matches_brute"] = closed.at_q(fq.q) == z.poly
+        checks["closed_matches_brute"] = at_q == z.poly
         checks["truncation_ok"] = z.checks["truncation_ok"]
         checks["degree_ok"] = z.checks["degree_ok"]
         checks["fe_ok"] = z.checks["fe_ok"]
@@ -315,13 +332,13 @@ def _battery_reports(qs, ceiling):
 def _check_lines_shape(qs, ceiling):
     for q in qs:
         fq = parse_field(str(q))
-        order = n_lines_order(fq, 3)
+        order, (sharp_plan, flat_plan) = planned_nlines_order(fq, 3)
         z = zeta_polynomial(order, ceiling=ceiling)
         want = (1, q - 2, 1, q * q - 2 * q, q * q)
         _expect(z.poly.coeffs == want,
                 f"q={q}: polynomial {z.poly.coeffs}, wanted {want}")
-        sharp = variant_zeta(order, order.o_e_lattice, ceiling=ceiling)
-        flat = variant_zeta(order, order.r_lattice, ceiling=ceiling)
+        sharp = variant_zeta(order, sharp_plan, ceiling=ceiling)
+        flat = variant_zeta(order, flat_plan, ceiling=ceiling)
         target = 2 * q * q - q
         got = (z.poly(1), sharp.poly(1), flat.poly(1))
         _expect(got == (target,) * 3,
@@ -332,7 +349,7 @@ def _check_lines_shape(qs, ceiling):
 def _check_lines_closed(grid, ceiling):
     for n, q in grid:
         fq = parse_field(str(q))
-        closed = nlines_closed_form(n).at_q(q)
+        closed = IntPoly(c(q) for c in nlines_closed_form(n))
         z = zeta_polynomial(n_lines_order(fq, n), ceiling=ceiling)
         _expect(closed == z.poly,
                 f"n={n} q={q}: closed {closed.coeffs} vs "

@@ -23,7 +23,7 @@ from .lattices import (action_digits_needed, compose_lattice, is_homothetic,
                        sandwich_representatives, stable_sublattice_levels,
                        trace_dual_lattice)
 from .orders import n_lines_order
-from .polynomials import BiPoly, IntPoly
+from .polynomials import IntPoly
 
 
 def factor_periods(order):
@@ -204,21 +204,20 @@ def variant_plan(order, lattice):
     return base, 2 * order.delta + gap + sum(factor_periods(order)) + 2
 
 
-def variant_zeta(order, lattice, ceiling=None, plan=None):
+def variant_zeta(order, plan, ceiling=None):
     """Counting polynomial assembled from the stable sublattices of an
     arbitrary stable lattice instead of the duality lattice.
 
     The tally is invariant under scaling the lattice by powers of t, so
-    the lattice is first scaled to sit inside the duality lattice with
-    the smallest colength gap (variant_plan; pass its result as `plan`
-    when it was computed beforehand).  Only the value identity P(1) =
-    number of lattice classes is enforced; the degree and symmetry
-    flags are reported but usually fail.  The collapsed series must
-    vanish in its last sum(periods) + 2 terms (TruncationFailure
-    otherwise); a longer tally is enumerated by passing
-    plan=(base, j_max) with a larger j_max.
+    it runs on plan = (base, j_max) from variant_plan: the lattice
+    scaled to sit inside the duality lattice with the smallest colength
+    gap, and the tally length.  Only the value identity P(1) = number
+    of lattice classes is enforced; the degree and symmetry flags are
+    reported but usually fail.  The collapsed series must vanish in its
+    last sum(periods) + 2 terms (TruncationFailure otherwise); a longer
+    tally is enumerated by passing a plan with a larger j_max.
     """
-    base, j_max = plan or variant_plan(order, lattice)
+    base, j_max = plan
     periods = factor_periods(order)
     counts = _tally(order, base, j_max, ceiling)
     poly = _collapse(counts, periods, j_max - sum(periods) - 2)
@@ -378,26 +377,25 @@ def planned_nlines_order(fq, n, j_max=None):
 
 def nlines_closed_form(n):
     """Counting polynomial of the order of n coordinate lines through a
-    common point, as a polynomial in t with coefficients in Z[q].
+    common point, as a tuple of polynomials in q: entry k is the
+    coefficient of t^k.
 
     The assembly sums, over the number r of coordinates where an ideal
-    generator is a unit, a binomial term times a corner coefficient of
-    a truncated geometric product; the product depth grows by one when
-    r = 0.  Guarded to n <= 8 to keep the symbolic size modest.
+    generator is a unit, comb(n, r) * t^(n-r) * (1-t)^r times the corner
+    coefficients of a truncated geometric product; the product depth
+    grows by one when r = 0.  Guarded to n <= 8 to keep the symbolic
+    size modest.
     """
     if not 2 <= n <= 8:
         raise PreconditionViolated("supported range is 2 <= n <= 8")
-    one = IntPoly((1,))
-    one_minus_t = BiPoly((one, IntPoly((-1,))))
-    total = BiPoly()
+    total = [IntPoly() for _ in range(2 * n)]
     for r in range(n + 1):
         extra = 0 if r > 0 else 1
-        inner = BiPoly()
         for c in range(n):
             coeff = _corner_coefficient(n - r, c + extra, n - c - 1)
-            inner = inner + BiPoly((IntPoly(),) * c + (coeff,))
-        term = BiPoly((IntPoly(),) * (n - r) + (one,))
-        for _ in range(r):
-            term = term * one_minus_t
-        total = total + comb(n, r) * (term * inner)
-    return total
+            for k in range(r + 1):
+                total[n - r + k + c] += coeff * (comb(n, r) * comb(r, k)
+                                                 * (-1) ** k)
+    while not total[-1].coeffs:
+        total.pop()
+    return tuple(total)

@@ -311,6 +311,36 @@ def test_generator_vanishing_to_the_window_exits_4(capsys, argv):
     assert "vanish to the working window" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_precision_below_one_exits_3_from_either_spelling(capsys, tmp_path,
+                                                          value):
+    code, _, err = run(capsys, "analyze", "--q", "3", "--f", "X^2-t^3",
+                       "--precision", value)
+    assert code == 3
+    assert "precision must be positive" in err
+    path = tmp_path / "o.order"
+    path.write_text(f"q = 3\nf = X^2 - t^3\nprecision = {value}\n")
+    code, _, err = run(capsys, "analyze", "--file", str(path))
+    assert code == 3
+    assert "precision must be positive" in err
+
+
+def test_precision_spellings_keep_their_other_exit_codes(capsys, tmp_path):
+    # a non-integer is a parse error; a positive value too small for f
+    # is a precision failure
+    path = tmp_path / "o.order"
+    path.write_text("q = 3\nf = X^2 - t^3\nprecision = zero\n")
+    assert run(capsys, "analyze", "--file", str(path))[0] == 2
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "analyze", "--q", "3", "--f", "X^2-t^3",
+            "--precision", "zero")
+    assert exc.value.code == 2
+    path.write_text("q = 3\nf = X^2 - t^3\nprecision = 2\n")
+    assert run(capsys, "analyze", "--file", str(path))[0] == 4
+    assert run(capsys, "analyze", "--q", "3", "--f", "X^2-t^3",
+               "--precision", "2")[0] == 4
+
+
 def test_file_flag_conflicts_with_inline_flags(capsys, tmp_path):
     path = tmp_path / "o.order"
     path.write_text("q = 3\nf = X^2 - t^3\n")

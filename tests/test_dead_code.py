@@ -3,12 +3,12 @@
 Every module-level function and class of src/orderzeta must be used
 somewhere in the package outside its own definition, where a re-export
 from __init__.py counts as a use; every method of a class there that is
-not a dunder must be read, as an attribute or a name, somewhere in the
-package outside its own definition (a function or method that only
-tests call belongs in the tests); every __slots__ field of a class there
-must be read as an attribute somewhere in the package; and no module but
-__init__.py (which re-exports the public API) may import a name it never
-uses.
+not a dunder must be read as an attribute somewhere in the package
+outside its own definition (a local variable of the same name is not a
+use, and a function or method that only tests call belongs in the
+tests); every __slots__ field of a class there must be read as an
+attribute somewhere in the package; and no module but __init__.py
+(which re-exports the public API) may import a name it never uses.
 """
 
 import ast
@@ -68,8 +68,9 @@ def test_every_method_has_a_use_in_the_package():
                 if owner and not (owner[2].startswith("__")
                                   and owner[2].endswith("__")):
                     defined.append(owner)
-                for name in _names_used(node):
-                    uses.setdefault(name, set()).add(owner)
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute):
+                        uses.setdefault(sub.attr, set()).add(owner)
     dead = [f"{path.name}: {cls}.{name}" for path, cls, name in defined
             if not uses.get(name, set()) - {(path, cls, name)}]
     assert not dead, f"methods never read in the package: {dead}"

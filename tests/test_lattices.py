@@ -797,8 +797,8 @@ def test_relative_action_is_the_child_action_mod_t(make):
 
 
 def test_enumeration_memory_is_bounded(monkeypatch):
-    # the jmax-13 enumeration that variant_zeta(order, order.r_lattice)
-    # runs on three lines over F_2 returns 2,198 lattices; its peak of
+    # the jmax-13 enumeration that variant_zeta runs on the order lattice
+    # of three lines over F_2 returns 2,198 lattices; its peak of
     # traced memory is about 1.3 MB now that each lattice is kept as one
     # packed bytes key and the levels decode on access, 2.4 MB with
     # (diag, off) tuple keys and eagerly built output, and 9.0 MB when
