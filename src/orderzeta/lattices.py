@@ -26,9 +26,10 @@ simple module, killed by t), so the immediate children of M are the
 preimages of the proper subspaces of M/tM stable under the induced
 action, and every stable sublattice of finite colength is reached by a
 chain of such steps.  Candidates found along different chains merge by
-canonical form.  The deterministic order of each level is: diagonal
-shape compared colexicographically, then off-diagonal digits read
-column by column as one little-endian number.
+canonical form.  Levels, like LatticeHNF.sort_key, follow one
+deterministic order: the scale, then the diagonal shape compared
+colexicographically, then the off-diagonal digits read column by column
+as one little-endian number.
 
 Each lattice found is kept as one packed bytes key: the diagonal
 exponents of its canonical form relative to the base, each in a number
@@ -117,19 +118,11 @@ class LatticeHNF:
         return _basis_columns(self.diag, self.off, precision)
 
     def sort_key(self):
-        q = self.fq.q
-        num = 0
-        power = 1
-        for j in range(self.n):
-            for i in range(j):
-                for d in self.off[j][i]:
-                    num += d * power
-                    power *= q
-        return (self.scale, tuple(reversed(self.diag)), num)
+        return _order_key(self.scale, self.diag, self.off)
 
     def contains_vector(self, vec, vec_scale=0):
         """Membership test for a vector with exact polynomial entries."""
-        return _solve_vector(self, vec, vec_scale) is not None
+        return solve_in_basis(self, vec, vec_scale) is not None
 
     def contains_lattice(self, other):
         cols = other.columns(other.max_exponent() + 1)
@@ -190,6 +183,19 @@ def _build_canonical(fq, scale, diag, off):
         off = tuple(tuple(digits[shift:] for digits in col) for col in off)
         scale += shift
     return LatticeHNF(fq, scale, diag, off)
+
+
+def _order_key(scale, diag, off):
+    """Sort key, in the documented order, of the canonical form of t^scale
+    times the triangular matrix (diag, off), without building it: the
+    scale, then the diagonal read from its last entry, then the
+    off-diagonal digits read column by column as one little-endian
+    number.  Equal diagonals have equally many digits (q <= 256, one
+    byte each), so that number compares as the reversed digit string."""
+    shift = _canonical_scale_shift(diag, off)
+    digits = b"".join([bytes(e[shift:]) for col in off for e in col])
+    return (scale + shift, tuple(a - shift for a in reversed(diag)),
+            digits[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +310,11 @@ def relative_length(m1, m2):
 
 
 def solve_in_basis(base, vec, vec_scale=0):
-    """Coordinates of a polynomial vector in the basis of `base`, or None
-    when the vector is not in the lattice.  The coordinates are for the
-    integral part (the base scale is already accounted for)."""
-    y = _solve_vector(base, vec, vec_scale)
-    return None if y is None else tuple(y)
-
-
-def _solve_vector(base, vec, vec_scale):
-    """solve_in_basis as a list: the vector t^vec_scale * vec, with exact
-    polynomial entries, is brought to the scale of `base` and padded to a
-    window that no digit of the solve can leave."""
+    """Coordinates of the vector t^vec_scale * vec, with exact polynomial
+    entries, in the basis of `base`, or None when the vector is not in
+    the lattice.  The coordinates are for the integral part (the base
+    scale is already accounted for); the vector is padded to a window
+    that no digit of the solve can leave."""
     shift = vec_scale - base.scale
     maxdeg = max((len(e) for e in vec), default=0)
     need = maxdeg + sum(base.diag) + abs(shift) + 2
@@ -326,7 +326,8 @@ def _solve_vector(base, vec, vec_scale):
         if any(any(e[:k]) for e in v):
             return None
         v = [e[k:] + (0,) * k for e in v]
-    return _solve_upper(base.fq, base.diag, base.columns(need), v)
+    y = _solve_upper(base.fq, base.diag, base.columns(need), v)
+    return None if y is None else tuple(y)
 
 
 def relative_to(base, other):
@@ -869,14 +870,8 @@ class _Level(Sequence):
 
     def _sort_key(self, key):
         """LatticeHNF.sort_key of the decoded lattice, without building
-        it: lattices with equal scale and diagonal have equally many
-        digits, so comparing their little-endian digit numbers is
-        comparing the reversed digit strings."""
-        diag, off = _unpack_key(key, self._n, self._dcode)
-        shift = _canonical_scale_shift(diag, off)
-        digits = b"".join([bytes(e[shift:]) for col in off for e in col])
-        return (shift, tuple(a - shift for a in reversed(diag)),
-                digits[::-1])
+        it."""
+        return _order_key(0, *_unpack_key(key, self._n, self._dcode))
 
 
 def _relative_action(fq, root_entries, diag, off, width):
@@ -904,8 +899,8 @@ def action_digits_needed(base, jmax):
     return sum(base.diag) + jmax + 3
 
 
-def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
-                             ceiling=None, containing=None):
+def stable_sublattice_levels(base, jmax, ambient_mats, *, ceiling=None,
+                             containing=None):
     """For each colength 0..jmax, the stable sublattices of `base`.
 
     The returned lattices are canonical forms RELATIVE to the basis of
@@ -913,33 +908,30 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
     each level is a sequence sorted in the documented deterministic
     order, whose lattices are built only when they are read.
 
-    `ambient_mats` is a sequence of multiplication matrices (columns of
-    raw coefficient tuples, in ambient coordinates) which together with
-    scalars generate the acting ring; an empty sequence means no
-    constraint.  `containing`, if given, is a lattice relative to
-    `base`; the enumeration is pruned to sublattices containing it.
+    `ambient_mats` is a nonempty sequence of multiplication matrices
+    (columns of raw coefficient tuples, in ambient coordinates) which
+    together with scalars generate the acting ring; they are known to
+    their shortest entry, which must reach action_digits_needed.
+    `containing`, if given, is a lattice relative to `base`; the
+    enumeration is pruned to sublattices containing it.
     """
     fq = base.fq
     n = base.n
     cap = enumeration_ceiling(ceiling)
-    if ambient_mats:
-        if precision is None:
-            precision = min(min(len(e) for col in m for e in col)
-                            for m in ambient_mats)
-        root_digits = jmax + 2
-        need = action_digits_needed(base, jmax)
-        if precision < need:
-            raise PrecisionExhausted(
-                f"need {need} digits of the action matrices, have "
-                f"{precision} (stable sublattices to jmax={jmax} of the "
-                f"base lattice with diagonal {base.diag})")
-        root_mats = tuple(
-            tuple(tuple(e[:root_digits] for e in col) for col in mat)
-            for mat in _action_on_lattice(fq, base, ambient_mats, precision))
-        width = min(len(e) for mat in root_mats for col in mat for e in col)
-        root_entries = tuple(_nonzero_entries(m) for m in root_mats)
-    else:
-        root_mats = ()
+    precision = min(min(len(e) for col in m for e in col)
+                    for m in ambient_mats)
+    root_digits = jmax + 2
+    need = action_digits_needed(base, jmax)
+    if precision < need:
+        raise PrecisionExhausted(
+            f"need {need} digits of the action matrices, have "
+            f"{precision} (stable sublattices to jmax={jmax} of the "
+            f"base lattice with diagonal {base.diag})")
+    root_mats = tuple(
+        tuple(tuple(e[:root_digits] for e in col) for col in mat)
+        for mat in _action_on_lattice(fq, base, ambient_mats, precision))
+    width = min(len(e) for mat in root_mats for col in mat for e in col)
+    root_entries = tuple(_nonzero_entries(m) for m in root_mats)
 
     # every diagonal exponent relative to the base is at most jmax
     dcode = _diagonal_code(jmax)
@@ -976,14 +968,10 @@ def stable_sublattice_levels(base, jmax, ambient_mats, precision=None,
                         child = LatticeHNF(fq, 0, cdiag, coff)
                         if not child.contains_lattice(containing):
                             continue
-                    if root_mats:
-                        child_action = _relative_action(fq, root_entries,
-                                                        cdiag, coff, width)
-                        child_action = shared.setdefault(child_action,
-                                                         child_action)
-                    else:
-                        child_action = ()
-                    bucket[ckey] = child_action
+                    child_action = _relative_action(fq, root_entries,
+                                                    cdiag, coff, width)
+                    bucket[ckey] = shared.setdefault(child_action,
+                                                     child_action)
         # an expanded level is final: keep only its sorted keys
         levels[level] = _Level(fq, levels[level], n, dcode)
     levels[jmax] = _Level(fq, levels[jmax], n, dcode)
@@ -1008,7 +996,6 @@ def sandwich_representatives(order, ceiling=None):
     cond_rel = relative_to(o_e, cond)
     depth = relative_length(o_e, cond)
     levels = stable_sublattice_levels(o_e, depth, order.action_matrices,
-                                      precision=order.precision,
                                       ceiling=ceiling, containing=cond_rel)
     out = []
     for level in levels:
@@ -1043,7 +1030,8 @@ def is_homothetic(m1, m2, order):
     The scan is bilinear: the product is F_q-bilinear and carry free, so
     the generators x*m_k of a candidate x = sum_j c_j C_j are the same
     combinations sum_j c_j (C_j * m_k) of the n^2 products of colon and
-    M1 basis columns, which are computed once, digit for digit.
+    M1 basis columns.  These are computed once, at the window w below,
+    where they have the digits of the full-precision products.
 
     Each candidate's Hermite form is computed at the witness's own
     window w = sum(d) + max(d) + 1, where d_i = diag_i(M2) + scale(M2)
@@ -1072,8 +1060,7 @@ def is_homothetic(m1, m2, order):
     d = [a + m2.scale - scale for a in m2.diag]
     window = min(prec, sum(d) + max(d) + 1)
     # products[j][k]: the product of colon column j and M1 column k
-    products = [[tuple(e[:window] for e in mul(cc, v, prec)) for v in c1]
-                for cc in ccols]
+    products = [[mul(cc, v, window) for v in c1] for cc in ccols]
     zero = (0,) * window
     q = fq.q
     target = m2.key

@@ -26,8 +26,12 @@ residual polynomial is irreducible.
 
 A fractional-slope segment that must be separated from the rest of the
 polygon, and a repeated residual on a ramified segment, are rejected
-with a request for an explicit factorization; the second also rejects
-some irreducible quartics, such as (X^2 - t)^2 - t^3.
+with a request for an explicit factorization.  The second also rejects
+quartics such as (X^2 - t)^2 - t^3 and (X^2 - t)^2 - t^5 in odd
+characteristic: with s^2 = t their roots +-s*sqrt(1 +- s) and
++-s*sqrt(1 +- s^3) lie in F_q((s)), so each splits into two quadratics
+whose coefficients are power series, not polynomials, and no explicit
+factorization can be supplied.
 """
 
 from __future__ import annotations

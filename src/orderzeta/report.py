@@ -10,8 +10,8 @@ rendering lives in the cli module.
 import json
 
 from . import __version__
-from .errors import (NonIntegralInput, NotSquarefree, OrderZetaError,
-                     ParseError, PreconditionViolated)
+from .errors import (CeilingExceeded, NonIntegralInput, NotSquarefree,
+                     OrderZetaError, ParseError, PreconditionViolated)
 from .lattices import enumeration_ceiling
 from .orbital import (cross_validated_orbital, elliptic_ideal_formula,
                       levi_fiber_check, levi_product, orbital_bounds)
@@ -40,13 +40,25 @@ def analyze_report(fq, f, factors=None, precision=None, j_max=None,
                    ceiling=None, seed=0, per_class=False, fiber_sample=0):
     """Run the full pipeline on one order and fold the results into a
     report dict.  The companion exit code is 0 exactly when every check
-    in the report passed."""
+    in the report passed.
+
+    The lattice route finds the O_gamma sandwich representatives in one
+    enumeration, which spends a work unit or more on every lattice it
+    finds but the first.  So when lower - 1, for the lower bound of
+    orbital_bounds, exceeds the ceiling, CeilingExceeded is raised at
+    once, before any enumeration."""
     order = build_order(fq, f, factors=factors, precision=precision)
+    lower, upper = orbital_bounds(order)
+    cap = enumeration_ceiling(ceiling)
+    if lower - 1 > cap:
+        raise CeilingExceeded(
+            f"the orbit count has the lower bound {lower}, so enumerating "
+            f"its classes needs at least {lower - 1} work units, more "
+            f"than the work ceiling {cap}")
     z = zeta_polynomial(order, j_max=j_max, ceiling=ceiling)
     at_one, reflected = special_values(z)
     count, methods = cross_validated_orbital(order, ceiling=ceiling)
     _, levi_notes = levi_product(order, ceiling=ceiling)
-    lower, upper = orbital_bounds(order)
 
     formula = None
     if len(order.factors) == 1 and order.factors[0].d == 1:
@@ -95,7 +107,7 @@ def analyze_report(fq, f, factors=None, precision=None, j_max=None,
         "f": format_xpoly(fq, f),
         "precision": order.precision,
         "j_max": len(z.quot_counts) - 1,
-        "ceiling": enumeration_ceiling(ceiling),
+        "ceiling": cap,
         "seed": seed,
         "delta": order.delta,
         "rho": order.rho,
@@ -276,30 +288,23 @@ def _expect(cond, msg):
         raise _CheckFailure(msg)
 
 
-def _battery_members(q):
+def _battery_members(fq):
     """Defining polynomials of the standard battery that stay separable
-    in characteristic p, labelled for the verdict matrix."""
-    neg = q - 1
-    out = []
-    if q == 2:
-        out.append(("X^2+t^2*X+t^3", ((0, 0, 0, 1), (0, 0, 1), (1,))))
-        out.append(("X^2+t*X", ((), (0, 1), (1,))))
-    else:
-        out.append(("X^2-t^3", ((0, 0, 0, neg), (), (1,))))
-        out.append(("X^2-t^2", ((0, 0, neg), (), (1,))))
-        out.append(("X^2-t^5", ((0, 0, 0, 0, 0, neg), (), (1,))))
+    in characteristic p, each with its text as the label for the verdict
+    matrix."""
+    q = fq.q
+    labels = (["X^2+t^2*X+t^3", "X^2+t*X"] if q == 2
+              else ["X^2-t^3", "X^2-t^2", "X^2-t^5"])
     if q != 3:
-        out.append(("X^3-t^4", ((0, 0, 0, 0, neg), (), (), (1,))))
-        out.append(("X^3-t^5", ((0, 0, 0, 0, 0, neg), (), (), (1,))))
+        labels += ["X^3-t^4", "X^3-t^5"]
     if q != 2:
-        out.append(("(X-t)(X^2-t^3)",
-                    ((0, 0, 0, 0, 1), (0, 0, 0, neg), (0, neg), (1,))))
-    out.append(("(X-t)(X-t^2)", ((0, 0, 0, 1), (0, neg, neg), (1,))))
+        labels.append("(X-t)(X^2-t^3)")
+    labels.append("(X-t)(X-t^2)")
     if q == 3:
-        out.append(("X^2+1", ((1,), (), (1,))))
+        labels.append("X^2+1")
     if q == 5:
-        out.append(("X^2-2", ((3,), (), (1,))))
-    return out
+        labels.append("X^2-2")
+    return [(label, parse_xpoly(fq, label)) for label in labels]
 
 
 # the published table of upper bound factor polynomials, as (delta, r)
@@ -325,7 +330,7 @@ def _battery_reports(qs, ceiling):
     for q in qs:
         fq = parse_field(str(q))
         rows += [(label, analyze_report(fq, f, ceiling=ceiling))
-                 for label, f in _battery_members(q)]
+                 for label, f in _battery_members(fq)]
     return rows
 
 
@@ -400,7 +405,7 @@ def _check_battery_bounds(rows):
 
 def _check_per_class(ceiling):
     fq = parse_field("2")
-    for label, f in _battery_members(2)[:2]:
+    for label, f in _battery_members(fq)[:2]:
         order = build_order(fq, f)
         ref = per_class_refinement(order, ceiling=ceiling)
         _expect(ref.pairing_ok, f"{label}: class pairing failed")
@@ -416,15 +421,12 @@ def _check_punctual():
 
 
 def _check_fibers(exhaustive, ceiling):
-    fq2 = parse_field("2")
-    fq3 = parse_field("3")
-    node = {2: ((), (0, 1), (1,)), 3: ((0, 0, 2), (), (1,))}
-    lines = {2: ((0, 0, 0, 1), (0, 1, 1), (1,)),
-             3: ((0, 0, 0, 1), (0, 2, 2), (1,))}
     sample = None if exhaustive else 3
-    cases = ((fq2, node[2]), (fq3, node[3]), (fq2, lines[2]),
-             (fq3, lines[3]))
-    for fq, f in cases:
+    cases = (("2", "X^2+t*X"), ("3", "X^2-t^2"), ("2", "(X-t)(X-t^2)"),
+             ("3", "(X-t)(X-t^2)"))
+    for q, text in cases:
+        fq = parse_field(q)
+        f = parse_xpoly(fq, text)
         order = build_order(fq, f)
         _expect(levi_fiber_check(order, sample, seed=0, ceiling=ceiling),
                 f"fiber of size != q^rho at q={fq.q}, f={format_xpoly(fq, f)}")
@@ -442,7 +444,7 @@ def _check_upper_table():
 
 def _check_robustness(seed, ceiling):
     fq = parse_field("3")
-    cusp = ((0, 0, 0, 2), (), (1,))
+    cusp = parse_xpoly(fq, "X^2-t^3")
     base = build_order(fq, cusp)
     doubled = build_order(fq, cusp, precision=2 * base.precision)
     _expect(zeta_polynomial(base, ceiling=ceiling).poly
@@ -452,7 +454,7 @@ def _check_robustness(seed, ceiling):
     second = analyze_report(fq, cusp, seed=seed, ceiling=ceiling)
     _expect(json.dumps(first) == json.dumps(second),
             "two identical runs produced different reports")
-    squareful = ((0, 0, 0, 1), (0, 0, 2), (0, 2), (1,))  # (X-t)^2 (X+t)
+    squareful = parse_xpoly(fq, "(X-t)^2*(X+t)")
     try:
         build_order(fq, squareful)
         raise _CheckFailure("a squareful polynomial was accepted")

@@ -284,6 +284,26 @@ def test_exit_codes(capsys):
                "--ceiling", "10")[0] == 5
 
 
+def test_ceiling_below_the_orbit_bound_exits_5_before_enumerating(
+        capsys, monkeypatch):
+    # X^2 - t^7 over F_3 has at least 28 classes, so the lattice route
+    # needs at least 27 work units: a ceiling of 12 stops the run before
+    # the first enumeration, and a ceiling of 27 stops it in one
+    argv = ("analyze", "--q", "3", "--f", "X^2-t^7", "--ceiling")
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the zeta phase ran")
+    with monkeypatch.context() as patch:
+        patch.setattr(report, "zeta_polynomial", no_enumeration)
+        code, _, err = run(capsys, *argv, "12")
+    assert code == 5
+    assert "lower bound 28" in err
+    assert "work ceiling 12" in err
+    code, _, err = run(capsys, *argv, "27")
+    assert code == 5
+    assert "enumeration exceeded the work ceiling 27" in err
+
+
 def test_conjugate_factors_need_an_explicit_factorization(capsys):
     # two quadratics with the same residual X^2 + X + 1 over F_2: the
     # descent to F_4 splits f, which the automatic path does not regroup

@@ -51,6 +51,12 @@ def vec(entries, n):
     return tuple(pad(e, n) for e in entries)
 
 
+def scalar_action(fq, n, width):
+    """The scalars alone as the acting ring: the identity matrix, known
+    to `width` digits.  Every lattice is stable under it."""
+    return (tuple(identity_lattice(fq, n).columns(width)),)
+
+
 # ---------------------------------------------------------------------------
 # toy ambient algebras (no order engine needed)
 # ---------------------------------------------------------------------------
@@ -64,9 +70,9 @@ class SplitAlgebraOrder:
         self.precision = precision
         self.o_e_lattice = identity_lattice(fq, 2)
         self.conductor_lattice = identity_lattice(fq, 2)
-        self.action_matrices = ()
-        eye = identity_lattice(fq, 2).columns(precision)
-        self.trace_gram_columns = tuple(eye)
+        # the scalars act, and the trace form is the dot product
+        self.action_matrices = scalar_action(fq, 2, precision)
+        self.trace_gram_columns = self.action_matrices[0]
 
     def multiply_vectors(self, v, w, prec):
         return (ser_mul(self.fq, v[0], w[0], prec),
@@ -578,11 +584,10 @@ def compositions(total, parts):
             yield (first,) + rest
 
 
-def stable_sublattices(base, j, ambient_mats, precision=None):
+def stable_sublattices(base, j, ambient_mats):
     """The stable sublattices of `base` of colength exactly j, composed
     into ambient coordinates, in the documented order."""
-    level = stable_sublattice_levels(base, j, ambient_mats,
-                                     precision=precision)[j]
+    level = stable_sublattice_levels(base, j, ambient_mats)[j]
     return sorted((compose_lattice(base, rel) for rel in level),
                   key=LatticeHNF.sort_key)
 
@@ -638,16 +643,14 @@ def test_enumerator_matches_brute_force_cusp():
     for fq in (F2, F3):
         order = CuspOrder(fq)
         levels = stable_sublattice_levels(
-            identity_lattice(fq, 2), 4, order.action_matrices,
-            precision=order.precision)
+            identity_lattice(fq, 2), 4, order.action_matrices)
         q = fq.q
         assert [len(lv) for lv in levels] == [1, 1, q + 1, q + 1, q + 1]
         for j in range(5):
             brute = brute_stable_sublattices(fq, 2, j, order.action_matrices,
                                              order.precision)
             composed = stable_sublattices(identity_lattice(fq, 2), j,
-                                          order.action_matrices,
-                                          precision=order.precision)
+                                          order.action_matrices)
             assert composed == brute
 
 
@@ -657,15 +660,13 @@ def test_enumerator_matches_brute_force_node():
         q = fq.q
         # base O x O: every line mod t is stable under u = (t, 0)
         levels = stable_sublattice_levels(
-            identity_lattice(fq, 2), 3, order.action_matrices,
-            precision=order.precision)
+            identity_lattice(fq, 2), 3, order.action_matrices)
         assert [len(lv) for lv in levels] == [1, q + 1, 2 * q + 1, 3 * q + 1]
         for j in range(4):
             brute = brute_stable_sublattices(fq, 2, j, order.action_matrices,
                                              order.precision)
             composed = stable_sublattices(identity_lattice(fq, 2), j,
-                                          order.action_matrices,
-                                          precision=order.precision)
+                                          order.action_matrices)
             assert composed == brute
 
 
@@ -677,8 +678,7 @@ def test_node_order_lattice_colength_counts():
         r = hnf_from_generators(
             fq, [vec([(1,), (1,)], 12), vec([(0, 1), ()], 12)],
             2, precision=12)
-        levels = stable_sublattice_levels(r, 3, order.action_matrices,
-                                          precision=order.precision)
+        levels = stable_sublattice_levels(r, 3, order.action_matrices)
         q = fq.q
         assert [len(lv) for lv in levels] == [1, 1, q + 1, 2 * q + 1]
         for j, level in enumerate(levels):
@@ -703,19 +703,19 @@ def test_enumerator_matches_brute_force_three_lines():
             cols.append(tuple(col))
         mats.append(tuple(cols))
     mats = tuple(mats)
-    levels = stable_sublattice_levels(identity_lattice(fq, n), 3, mats,
-                                      precision=prec)
+    levels = stable_sublattice_levels(identity_lattice(fq, n), 3, mats)
     assert len(levels[1]) == fq.q ** 2 + fq.q + 1
     for j in range(4):
         brute = brute_stable_sublattices(fq, n, j, mats, prec)
-        composed = stable_sublattices(identity_lattice(fq, n), j, mats,
-                                      precision=prec)
+        composed = stable_sublattices(identity_lattice(fq, n), j, mats)
         assert composed == brute
 
 
 def test_unconstrained_sublattices_of_plane():
-    # no action: all colength-1 sublattices of O^2, in the documented order
-    got = stable_sublattices(identity_lattice(F2, 2), 1, ())
+    # scalars only: all colength-1 sublattices of O^2, in the documented
+    # order
+    got = stable_sublattices(identity_lattice(F2, 2), 1,
+                             scalar_action(F2, 2, 4))
     assert len(got) == 3
     assert [h.key for h in got] == [
         (0, (1, 0), ((), ((0,),))),
@@ -726,11 +726,13 @@ def test_unconstrained_sublattices_of_plane():
 
 def test_enumeration_ceiling_guard(monkeypatch):
     with pytest.raises(CeilingExceeded):
-        stable_sublattice_levels(identity_lattice(F3, 2), 2, (), ceiling=1)
+        stable_sublattice_levels(identity_lattice(F3, 2), 2,
+                                 scalar_action(F3, 2, 5), ceiling=1)
     monkeypatch.setenv("ORDER_ZETA_CEILING", "1")
     assert enumeration_ceiling() == 1
     with pytest.raises(CeilingExceeded):
-        stable_sublattice_levels(identity_lattice(F3, 2), 2, ())
+        stable_sublattice_levels(identity_lattice(F3, 2), 2,
+                                 scalar_action(F3, 2, 5))
     # explicit override beats the environment
     assert enumeration_ceiling(500) == 500
     monkeypatch.setenv("ORDER_ZETA_CEILING", "not a number")
@@ -831,8 +833,8 @@ def test_levels_decode_lazily_in_the_documented_order():
     # scale 0) and diagonals with leading zero digits; three lines over
     # F_2 has a nontrivial action
     order = n_lines_order(F2, 3)
-    cases = [(identity_lattice(F3, 2), 4, ()),
-             (identity_lattice(F2, 3), 3, ()),
+    cases = [(identity_lattice(F3, 2), 4, scalar_action(F3, 2, 7)),
+             (identity_lattice(F2, 3), 3, scalar_action(F2, 3, 6)),
              (order.dual_r_lattice, 6, order.action_matrices)]
     for base, jmax, mats in cases:
         levels = stable_sublattice_levels(base, jmax, mats)
@@ -841,6 +843,7 @@ def test_levels_decode_lazily_in_the_documented_order():
             lats = list(level)
             assert len(lats) == len(level) > 0
             assert lats == sorted(lats, key=LatticeHNF.sort_key)
+            assert lats == sorted(lats, key=base_q_sort_key)
             assert len(set(lats)) == len(lats)
             assert all(relative_length(identity_lattice(base.fq, base.n),
                                        lat) == j for lat in lats)
@@ -849,12 +852,59 @@ def test_levels_decode_lazily_in_the_documented_order():
             with pytest.raises(IndexError):
                 level[len(level)]
     assert any(lat.scale for level in stable_sublattice_levels(
-        identity_lattice(F3, 2), 4, ()) for lat in level)
+        identity_lattice(F3, 2), 4, scalar_action(F3, 2, 7))
+        for lat in level)
+
+
+def base_q_sort_key(lat):
+    """The documented order as a numeric key, kept as an oracle: the
+    scale, the diagonal read from its last entry, then the off-diagonal
+    digits read column by column as one base-q number, least significant
+    digit first."""
+    q = lat.fq.q
+    num = 0
+    power = 1
+    for j in range(lat.n):
+        for i in range(j):
+            for d in lat.off[j][i]:
+                num += d * power
+                power *= q
+    return (lat.scale, tuple(reversed(lat.diag)), num)
+
+
+@pytest.mark.parametrize("same_diagonal", [True, False])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sort_key_orders_like_the_base_q_number(same_diagonal, data):
+    fq = data.draw(st.sampled_from((F2, F3, F5, F9)))
+    n = data.draw(st.integers(1, 3))
+    shapes = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+
+    def draw_lattice(shape, scale):
+        # a zero on the diagonal makes the form primitive, so canonical
+        diag = tuple(a - min(shape) for a in shape)
+        off = tuple(tuple(tuple(data.draw(st.lists(
+            st.integers(0, fq.q - 1), min_size=diag[i], max_size=diag[i])))
+            for i in range(j)) for j in range(n))
+        return LatticeHNF(fq, scale, diag, off)
+
+    shape = data.draw(shapes)
+    lats = set()
+    for _ in range(data.draw(st.integers(2, 8))):
+        if same_diagonal:
+            lats.add(draw_lattice(shape, 0))
+        else:
+            lats.add(draw_lattice(data.draw(shapes),
+                                  data.draw(st.integers(-1, 1))))
+    lats = list(lats)
+    assert (sorted(lats, key=LatticeHNF.sort_key)
+            == sorted(lats, key=base_q_sort_key))
 
 
 def test_diagonal_exponents_above_one_byte():
     # jmax 300 needs two bytes per diagonal exponent in the packed keys
-    levels = stable_sublattice_levels(identity_lattice(F2, 1), 300, ())
+    levels = stable_sublattice_levels(identity_lattice(F2, 1), 300,
+                                      scalar_action(F2, 1, 303))
     assert len(levels) == 301
     assert all(len(level) == 1 for level in levels)
     assert [level[0] for level in levels] == [

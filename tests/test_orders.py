@@ -172,8 +172,7 @@ def test_dual_is_involution_on_stable_lattices(f):
     g = o.trace_gram_columns
     seen = []
     base = o.dual_r_lattice
-    level = stable_sublattice_levels(base, 2, o.action_matrices,
-                                     o.precision)[2]
+    level = stable_sublattice_levels(base, 2, o.action_matrices)[2]
     for lat in (compose_lattice(base, rel) for rel in level):
         dual = trace_dual_lattice(lat, g, o.precision)
         assert trace_dual_lattice(dual, g, o.precision) == lat
@@ -195,11 +194,11 @@ def test_class_counts_of_small_orders():
 def test_dual_level_counts_for_counting_layer():
     cusp = build_order(F3, CUSP3)
     levels = stable_sublattice_levels(cusp.dual_r_lattice, 4,
-                                      cusp.action_matrices, cusp.precision)
+                                      cusp.action_matrices)
     assert [len(l) for l in levels] == [1, 1, 4, 4, 4]
     node = build_order(F3, NODE3)
     levels = stable_sublattice_levels(node.dual_r_lattice, 4,
-                                      node.action_matrices, node.precision)
+                                      node.action_matrices)
     assert [len(l) for l in levels] == [1, 1, 4, 7, 10]
 
 
