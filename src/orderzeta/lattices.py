@@ -210,7 +210,7 @@ def pad_exact(vectors, n):
     return [tuple(ser_pad(e, width) for e in v) for v in vectors]
 
 
-def hnf_from_generators(fq, vectors, n, scale=0, precision=None):
+def hnf_from_generators(fq, vectors, n, scale=0):
     """Canonical Hermite form of the span of the given column vectors.
 
     Vectors are tuples of raw coefficient tuples, each known to its
@@ -229,8 +229,6 @@ def hnf_from_generators(fq, vectors, n, scale=0, precision=None):
             f"need {n} independent generators, {len(given) - len(vecs)} of "
             f"{len(given)} vanish to the working window; raise the precision")
     window = min(min(len(e) for e in v) for v in vecs)
-    if precision is not None:
-        window = min(window, precision)
     if window < 1:
         raise PrecisionExhausted("no working precision at all")
     work = [[ser_pad(e, window) for e in v] for v in vecs]
@@ -651,8 +649,7 @@ def element_scaled_lattice(x, x_scale, h, mul, precision):
     integral coordinate vector and a t-power scale."""
     cols = h.columns(precision)
     gens = [mul(x, c, precision) for c in cols]
-    return hnf_from_generators(h.fq, gens, h.n, scale=h.scale + x_scale,
-                               precision=precision)
+    return hnf_from_generators(h.fq, gens, h.n, scale=h.scale + x_scale)
 
 
 def product_lattice(h1, h2, mul, precision):
@@ -661,9 +658,7 @@ def product_lattice(h1, h2, mul, precision):
     c1 = h1.columns(precision)
     c2 = h2.columns(precision)
     gens = [mul(v, w, precision) for v in c1 for w in c2]
-    return hnf_from_generators(h1.fq, gens, h1.n,
-                               scale=h1.scale + h2.scale,
-                               precision=precision)
+    return hnf_from_generators(h1.fq, gens, h1.n, scale=h1.scale + h2.scale)
 
 
 def trace_dual_lattice(h, gram_cols, precision):
@@ -678,9 +673,7 @@ def trace_dual_lattice(h, gram_cols, precision):
     # symmetric and the dual of t^s C O^n is t^{-s} (C^T T)^{-1} O^n
     inv_cols, shift = laurent_matrix_inverse(fq, prod, precision)
     tcols = [tuple(inv_cols[i][j] for i in range(n)) for j in range(n)]
-    prec = min(len(e) for col in tcols for e in col)
-    return hnf_from_generators(fq, tcols, n, scale=-h.scale + shift,
-                               precision=prec)
+    return hnf_from_generators(fq, tcols, n, scale=-h.scale + shift)
 
 
 def colon_lattice(a, b, mul, gram_cols, precision):
@@ -1079,8 +1072,7 @@ def is_homothetic(m1, m2, order):
                         g[i] = ser_add(fq, g[i], ser_scale(fq, coords[j], e))
             gens.append(g)
         try:
-            cand = hnf_from_generators(fq, gens, n, scale=scale,
-                                       precision=window)
+            cand = hnf_from_generators(fq, gens, n, scale=scale)
         except (RankDeficient, PrecisionExhausted):
             continue
         if cand.key == target:

@@ -528,7 +528,7 @@ def _radical_lattice(fq, s_lat, mul, n, w):
                     vec[i] = ser_add(fq, vec[i],
                                      tuple(fq.mul(c, d) for d in cols[j][i]))
         gens.append(tuple(vec))
-    return hnf_from_generators(fq, gens, n, scale=scale, precision=w)
+    return hnf_from_generators(fq, gens, n, scale=scale)
 
 
 def _normalize(fq, mul, gram_cols, n, w, guard):
@@ -757,7 +757,7 @@ class OrderData:
     __slots__ = ("fq", "f", "f_window", "n", "precision", "valres",
                  "delta", "rho", "factors", "r_lattice", "o_e_lattice",
                  "dual_r_lattice", "conductor_lattice", "action_matrices",
-                 "trace_gram_columns", "j_max", "_pw")
+                 "trace_gram_columns", "_pw")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -868,13 +868,12 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
     if r_lat.contains_lattice(probe):
         raise InvariantViolation("conductor is not maximal")
 
-    j_max = 2 * delta + sum(fd.n for fd in factor_data) + 2
     return OrderData(
         fq=fq, f=fdigits, f_window=fwindow, n=n, precision=wg,
         valres=valres, delta=delta, rho=rho, factors=tuple(factor_data),
         r_lattice=r_lat, o_e_lattice=o_e, dual_r_lattice=dual_r,
         conductor_lattice=conductor, action_matrices=(tuple(pw[1:n + 1]),),
-        trace_gram_columns=gcols, j_max=j_max, _pw=pw)
+        trace_gram_columns=gcols, _pw=pw)
 
 
 def build_order(fq, f, factors=None, precision=None, f_window=None):
@@ -958,7 +957,7 @@ class NLinesOrder:
     """The order of n coordinate lines glued at one point: vectors in
     O^n whose coordinates all agree modulo t, inside split E = F^n."""
 
-    __slots__ = ("fq", "n", "precision", "delta", "j_max", "r_lattice",
+    __slots__ = ("fq", "n", "precision", "delta", "r_lattice",
                  "o_e_lattice", "dual_r_lattice", "conductor_lattice",
                  "action_matrices", "trace_gram_columns")
 
@@ -971,7 +970,6 @@ class NLinesOrder:
         w = precision if precision is not None else 2 * delta + n + 12
         self.precision = w
         self.delta = delta
-        self.j_max = 2 * delta + n + 2
         self.o_e_lattice = identity_lattice(fq, n)
         self.conductor_lattice = (identity_lattice(fq, n, scale=1)
                                   if n > 1 else identity_lattice(fq, n))
@@ -979,7 +977,7 @@ class NLinesOrder:
         for i in range(n):
             gens.append(tuple((0, 1) + (0,) * (w - 2) if k == i
                               else (0,) * w for k in range(n)))
-        self.r_lattice = hnf_from_generators(fq, gens, n, precision=w)
+        self.r_lattice = hnf_from_generators(fq, gens, n)
         if self.r_lattice.colength() != delta:
             raise InvariantViolation("lines lattice has the wrong index")
         mats = []

@@ -5,10 +5,12 @@ The expression grammar accepts integers, the names u (generator of an
 extension field), t (the series variable), and X (the polynomial
 variable), with + - * ^ and parentheses.  Multiplication may be implicit
 ("2t^3" means 2*t^3).  Exponents are nonnegative integers, except that a
-bare t may carry a negative exponent; such Laurent monomials survive
-parsing so that validation can reject them with a pointed message.  The
-modulus of a field spec "p^e:modulus" is read with the same grammar over
-F_p, with u as its variable and t and X undefined.
+bare t may carry a negative exponent.  The parser evaluates straight to
+X-polynomials: each value is a pair (pole, f) standing for t^-pole * f,
+so a pole can cancel or be cleared by a product, and one final
+conversion rejects any pole left with a pointed message.  The modulus
+of a field spec "p^e:modulus" is read with the same grammar over F_p,
+with u as its variable and t and X undefined.
 
 Printers emit one canonical spelling per value, so format(parse(s)) is a
 normal form and round-trips byte for byte.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from .errors import NonIntegralInput, ParseError
 from .fq import Fq, FqSpec, prime_power
-from .polynomials import up_trim, xp_trim
+from .polynomials import up_scale, up_trim, xp_add, xp_mul, xp_trim
 
 
 # ---------------------------------------------------------------------------
@@ -57,13 +59,20 @@ def tokenize(text):
 
 
 # ---------------------------------------------------------------------------
-# parser producing {(x_degree, t_degree): element_code} monomial dicts
+# parser evaluating to (pole, X-polynomial) pairs
 # ---------------------------------------------------------------------------
 
+def _t_power(k):
+    """The X-polynomial t^k."""
+    return ((0,) * k + (1,),)
+
+
 class _Parser:
-    """Recursive descent over the tokens; `names` maps each defined
-    variable to its monomial dict, and `where` says, in the message for
-    any other name, where that name is undefined."""
+    """Recursive descent over the tokens.  Each value is a pair
+    (pole, f) standing for t^-pole * f with f an X-polynomial over
+    F_q[t]; `names` maps each defined variable to its value, and `where`
+    says, in the message for any other name, where that name is
+    undefined."""
 
     def __init__(self, fq, tokens, names, where):
         self.fq = fq
@@ -86,17 +95,31 @@ class _Parser:
             raise ParseError(f"expected {ch!r} at position {pos}")
 
     def parse(self):
-        mono = self.expr()
+        value = self.expr()
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input at position {pos}")
-        return mono
+        return value
+
+    def neg(self, value):
+        minus_one = self.fq.neg(1)
+        return value[0], tuple(up_scale(self.fq, minus_one, c)
+                               for c in value[1])
+
+    def add(self, a, b):
+        pole = max(a[0], b[0])
+        fq = self.fq
+        return pole, xp_add(fq, xp_mul(fq, a[1], _t_power(pole - a[0])),
+                            xp_mul(fq, b[1], _t_power(pole - b[0])))
+
+    def mul(self, a, b):
+        return a[0] + b[0], xp_mul(self.fq, a[1], b[1])
 
     def expr(self):
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            acc = _mneg(self.fq, self.term())
+            acc = self.neg(self.term())
         else:
             acc = self.term()
         while True:
@@ -105,8 +128,8 @@ class _Parser:
                 self.take()
                 rhs = self.term()
                 if val == "-":
-                    rhs = _mneg(self.fq, rhs)
-                acc = _madd(self.fq, acc, rhs)
+                    rhs = self.neg(rhs)
+                acc = self.add(acc, rhs)
             else:
                 return acc
 
@@ -116,9 +139,9 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                acc = _mmul(self.fq, acc, self.factor())
+                acc = self.mul(acc, self.factor())
             elif kind in ("int", "name") or (kind == "op" and val == "("):
-                acc = _mmul(self.fq, acc, self.factor())
+                acc = self.mul(acc, self.factor())
             else:
                 return acc
 
@@ -126,7 +149,7 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.take()
-            return _mneg(self.fq, self.factor())
+            return self.neg(self.factor())
         base, base_name = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -144,20 +167,25 @@ class _Parser:
                 if base_name != "t":
                     raise ParseError(
                         f"negative exponent is only allowed on t (position {pos})")
-                return {(0, k): 1}
-            return _mpow(self.fq, base, k)
+                return -k, _t_power(0)
+            out = (0, _t_power(0))
+            while k:
+                if k & 1:
+                    out = self.mul(out, base)
+                base = self.mul(base, base)
+                k >>= 1
+            return out
         return base
 
     def atom(self):
         kind, val, pos = self.take()
         if kind == "int":
-            c = self.fq.from_int(val)
-            return ({(0, 0): c} if c else {}), None
+            return (0, xp_trim([(self.fq.from_int(val),)])), None
         if kind == "name":
             if val not in self.names:
                 raise ParseError(
                     f"{val} is undefined {self.where} (position {pos})")
-            return dict(self.names[val]), val
+            return self.names[val], val
         if kind == "op" and val == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -165,80 +193,36 @@ class _Parser:
         raise ParseError(f"unexpected token at position {pos}")
 
 
-def _madd(fq, a, b):
-    out = dict(a)
-    for key, c in b.items():
-        s = fq.add(out.get(key, 0), c)
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
+def _integral(value):
+    """The X-polynomial t^-pole * f of a parsed value (pole, f).
 
-def _mneg(fq, a):
-    return {key: fq.neg(c) for key, c in a.items()}
-
-def _mmul(fq, a, b):
-    out = {}
-    for (xa, ta), ca in a.items():
-        for (xb, tb), cb in b.items():
-            key = (xa + xb, ta + tb)
-            s = fq.add(out.get(key, 0), fq.mul(ca, cb))
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-def _mpow(fq, a, k):
-    out = {(0, 0): 1}
-    base = a
-    while k:
-        if k & 1:
-            out = _mmul(fq, out, base)
-        base = _mmul(fq, base, base)
-        k >>= 1
-    return out
+    Rejects negative t-exponents, naming the term with the lowest t
+    exponent and then the lowest X power: the input must lie in the
+    integers of the field, not merely in the field.
+    """
+    pole, f = value
+    bad = [(j - pole, x) for x, c in enumerate(f)
+           for j, d in enumerate(c[:pole]) if d]
+    if bad:
+        t, x = min(bad)
+        where = f"X^{x}*t^{t}" if x else f"t^{t}"
+        raise NonIntegralInput(
+            f"coefficient term {where} has a pole at t = 0; "
+            "clear denominators (substitute X -> t^k X and rescale) and retry")
+    return xp_trim(c[pole:] for c in f)
 
 
 # ---------------------------------------------------------------------------
 # public parse entry points
 # ---------------------------------------------------------------------------
 
-def parse_monomials(fq, text):
-    """Parse to a raw monomial dict, Laurent t-exponents permitted."""
-    names = {"t": {(0, 1): 1}, "X": {(1, 0): 1}}
-    if fq.e > 1:
-        names["u"] = {(0, 0): fq.gen}
-    return _Parser(fq, tokenize(text), names, "over a prime field").parse()
-
-
-def mono_to_xpoly(fq, mono):
-    """Convert a monomial dict to an exact X-polynomial over F_q[t].
-
-    Rejects negative t-exponents: the input must lie in the integers of
-    the field, not merely in the field.
-    """
-    bad = sorted((t, x) for (x, t) in mono if t < 0)
-    if bad:
-        t, x = bad[0]
-        where = f"X^{x}*t^{t}" if x else f"t^{t}"
-        raise NonIntegralInput(
-            f"coefficient term {where} has a pole at t = 0; "
-            "clear denominators (substitute X -> t^k X and rescale) and retry")
-    if not mono:
-        return ()
-    xdeg = max(x for (x, _) in mono)
-    cols = [[0] * (1 + max((t for (x, t) in mono if x == i), default=0))
-            for i in range(xdeg + 1)]
-    for (x, t), c in mono.items():
-        cols[x][t] = c
-    return xp_trim([up_trim(col) for col in cols])
-
-
 def parse_xpoly(fq, text):
     """Parse a polynomial in X over F_q[t], rejecting Laurent input."""
-    return mono_to_xpoly(fq, parse_monomials(fq, text))
+    names = {"t": (0, _t_power(1)), "X": (0, ((), (1,)))}
+    if fq.e > 1:
+        names["u"] = (0, ((fq.gen,),))
+    return _integral(_Parser(fq, tokenize(text), names,
+                             "over a prime field").parse())
 
 
 def parse_field(text):
@@ -259,8 +243,8 @@ def parse_field(text):
             return Fq(FqSpec(p, e))
         fp = Fq(FqSpec(p))
         # u takes the place of t, so the modulus reads as a constant in X
-        modulus = mono_to_xpoly(fp, _Parser(
-            fp, tokenize(modtext), {"u": {(0, 1): 1}},
+        modulus = _integral(_Parser(
+            fp, tokenize(modtext), {"u": (0, _t_power(1))},
             "in a field modulus").parse())
         return Fq(FqSpec(p, e, modulus[0] if modulus else ()))
     try:

@@ -3,8 +3,9 @@
 A partition is a weakly decreasing tuple of positive integers.  The
 three statistics that matter here are size (sum of parts), length
 (number of parts), and the multiplicity of 1 among the parts.  Every
-polynomial below is a sum over partitions, so the order in which they
-are generated does not matter.
+polynomial below is a sum over partitions that depends on those
+statistics alone, so it is read off one table of counts by size and
+length instead of enumerating the partitions.
 """
 
 from __future__ import annotations
@@ -12,30 +13,40 @@ from __future__ import annotations
 from .polynomials import IntPoly
 
 
-def _partitions_of(n, max_part):
-    """Partitions of n with parts <= max_part, lexicographically descending."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions_of(n - first, first):
-            yield (first,) + rest
+def _counts_by_length(n):
+    """c[s][l], the number of partitions of s into exactly l parts, for
+    0 <= s, l <= n: a partition either has a part 1 (drop it) or has
+    every part at least 2 (lower each by 1), so
+    c[s][l] = c[s-1][l-1] + c[s-l][l]."""
+    c = [[1] + [0] * n]
+    for s in range(1, n + 1):
+        row = [0] * (n + 1)
+        for length in range(1, s + 1):
+            row[length] = c[s - 1][length - 1] + c[s - length][length]
+        c.append(row)
+    return c
 
 
 def m_poly(delta, r):
     """Upper-bound polynomial: one term x^(delta - length) for each
     partition of size <= delta with fewer than r ones, plus one term
     x^(size - length) for each partition with max(0, delta - r) <= size
-    < delta.  Monic of degree delta."""
+    < delta.  Monic of degree delta.
+
+    The partitions of size s and length l with exactly k ones are those
+    of s - l into l - k parts (drop the ones, lower every other part by
+    1), so c[s-l][l-k] of them."""
     if delta < 0 or r < 1:
         raise ValueError("need delta >= 0 and r >= 1")
+    c = _counts_by_length(delta)
     coeffs = [0] * (delta + 1)
     for size in range(delta + 1):
-        for parts in _partitions_of(size, size):
-            if parts.count(1) < r:
-                coeffs[delta - len(parts)] += 1
+        for length in range(size + 1):
+            coeffs[delta - length] += sum(
+                c[size - length][length - k]
+                for k in range(min(r, length + 1)))
             if delta - r <= size < delta:
-                coeffs[size - len(parts)] += 1
+                coeffs[size - length] += c[size][length]
     return IntPoly(coeffs)
 
 
@@ -55,7 +66,5 @@ def hilb_count_regular(j):
     field size: one term q^(j - length) per partition of j."""
     if j < 0:
         raise ValueError("colength must be >= 0")
-    coeffs = [0] * (j + 1)
-    for parts in _partitions_of(j, j):
-        coeffs[j - len(parts)] += 1
-    return IntPoly(coeffs)
+    c = _counts_by_length(j)
+    return IntPoly(c[j][length] for length in range(j, -1, -1))

@@ -311,8 +311,8 @@ class IntPoly:
         self.coeffs = tuple(c)
 
     @classmethod
-    def monomial(cls, k, c=1):
-        return cls((0,) * k + (c,))
+    def monomial(cls, k):
+        return cls((0,) * k + (1,))
 
     @property
     def degree(self):

@@ -115,7 +115,7 @@ def quot_series(order, j_max=None, ceiling=None):
     under the order's action matrices equals the number of fractional
     ideals of that colength inside the duality lattice."""
     if j_max is None:
-        j_max = order.j_max
+        j_max = zeta_j_max(order)
     floor = 2 * order.delta + max(factor_periods(order))
     if j_max < floor:
         raise PreconditionViolated(
@@ -126,9 +126,9 @@ def quot_series(order, j_max=None, ceiling=None):
 
 def zeta_j_max(order, j_max=None):
     """The tally length zeta_polynomial uses: the requested j_max raised
-    to the certification window and to the order's default."""
+    to the certification window 2*delta + (sum of the periods) + 2."""
     need = 2 * order.delta + sum(factor_periods(order)) + 2
-    return max(j_max if j_max is not None else 0, need, order.j_max)
+    return max(j_max if j_max is not None else 0, need)
 
 
 def zeta_polynomial(order, j_max=None, ceiling=None):
@@ -279,7 +279,7 @@ def per_class_refinement(order, ceiling=None):
     exactly one class, each class share must collapse to a polynomial
     of degree at most 2*delta, and the share of a class at coefficient
     2*delta-k must equal q^(delta-k) times the share of its dual class
-    at coefficient k.  The tallies run to the order's j_max.
+    at coefficient k.  The tallies run to zeta_j_max(order).
     """
     reps = sandwich_representatives(order, ceiling=ceiling)
     canonicals = []
@@ -294,7 +294,7 @@ def per_class_refinement(order, ceiling=None):
             sizes.append(1)
     labels = tuple(f"c{i}" for i in range(len(canonicals)))
     dual = order.dual_r_lattice
-    levels = stable_sublattice_levels(dual, order.j_max,
+    levels = stable_sublattice_levels(dual, zeta_j_max(order),
                                       order.action_matrices, ceiling=ceiling)
     table = [[0] * len(levels) for _ in canonicals]
     for j, level in enumerate(levels):

@@ -6,7 +6,9 @@ from __init__.py counts as a use; every method of a class there that is
 not a dunder must be read as an attribute somewhere in the package
 outside its own definition (a local variable of the same name is not a
 use, and a function or method that only tests call belongs in the
-tests); every __slots__ field of a class there must be read as an
+tests); every defaulted parameter of a function, method or
+constructor there must be set by some call in the package or the
+tests; every __slots__ field of a class there must be read as an
 attribute somewhere in the package; and no module but __init__.py
 (which re-exports the public API) may import a name it never uses.
 """
@@ -105,6 +107,24 @@ def _sets(call, index, name):
         or any(isinstance(arg, ast.Starred) for arg in call.args))
 
 
+def _callables(stmt):
+    """(called name, label, definition, leading self/cls parameters) for
+    a module-level function, or for each method of a class: a
+    constructor is called by its class name, and the other dunders by
+    operators, so they are left out."""
+    if isinstance(stmt, ast.FunctionDef):
+        yield stmt.name, stmt.name, stmt, 0
+    elif isinstance(stmt, ast.ClassDef):
+        for sub in stmt.body:
+            if not isinstance(sub, ast.FunctionDef):
+                continue
+            label = f"{stmt.name}.{sub.name}"
+            if sub.name == "__init__":
+                yield stmt.name, label, sub, 1
+            elif not (sub.name.startswith("__") and sub.name.endswith("__")):
+                yield sub.name, label, sub, 1
+
+
 def test_every_defaulted_parameter_is_set_somewhere():
     # an option that no call in src/ or tests/ sets is dead code too
     calls = {}                # called name -> the calls
@@ -120,20 +140,19 @@ def test_every_defaulted_parameter_is_set_somewhere():
     unset = []
     for path, tree in _parsed(PACKAGE):
         for stmt in tree.body:
-            if not isinstance(stmt, ast.FunctionDef):
-                continue
-            args = stmt.args
-            positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            options = [(i, a.arg) for i, a in enumerate(positional)
-                       if i >= first]
-            options += [(None, a.arg) for a, default
-                        in zip(args.kwonlyargs, args.kw_defaults)
-                        if default is not None]
-            unset += [f"{path.name}: {stmt.name}({name})"
-                      for index, name in options
-                      if not any(_sets(call, index, name)
-                                 for call in calls.get(stmt.name, ()))]
+            for called, label, func, bound in _callables(stmt):
+                args = func.args
+                positional = (args.posonlyargs + args.args)[bound:]
+                first = len(positional) - len(args.defaults)
+                options = [(i, a.arg) for i, a in enumerate(positional)
+                           if i >= first]
+                options += [(None, a.arg) for a, default
+                            in zip(args.kwonlyargs, args.kw_defaults)
+                            if default is not None]
+                unset += [f"{path.name}: {label}({name})"
+                          for index, name in options
+                          if not any(_sets(call, index, name)
+                                     for call in calls.get(called, ()))]
     assert not unset, f"defaulted parameters that no call sets: {unset}"
 
 

@@ -11,8 +11,7 @@ from orderzeta.errors import NonIntegralInput, ParseError
 from orderzeta.fq import Fq, find_irreducible
 from orderzeta.parsing import (format_field, format_order_description,
                                format_tpoly, format_xpoly, parse_field,
-                               parse_monomials, parse_order_description,
-                               parse_xpoly)
+                               parse_order_description, parse_xpoly)
 from orderzeta.polynomials import xp_trim
 
 F2 = parse_field("2")
@@ -52,12 +51,26 @@ def test_parenthesised_powers():
 
 
 def test_laurent_monomials_survive_raw_parse_but_fail_validation():
-    mono = parse_monomials(F3, "X^2 - t^-1")
-    assert mono == {(2, 0): 1, (0, -1): 2}
-    with pytest.raises(NonIntegralInput):
-        parse_xpoly(F3, "X^2 - t^-1")
-    with pytest.raises(NonIntegralInput):
-        parse_xpoly(F3, "t^-2 * X + 1")
+    # a parsed value carries its pole to the final conversion, which
+    # names the term with the lowest t exponent, then the lowest X power
+    for text, term in [("X^2 - t^-1", "t^-1"),
+                       ("t^-2 * X + 1", "X^1*t^-2"),
+                       ("t^-2 + X*t^-1", "t^-2"),
+                       ("X*t^-2 + X^2*t^-2 + t^-1", "X^1*t^-2"),
+                       ("(t^-1)^2*X", "X^1*t^-2")]:
+        with pytest.raises(NonIntegralInput) as info:
+            parse_xpoly(F3, text)
+        assert str(info.value) == (
+            f"coefficient term {term} has a pole at t = 0; clear "
+            "denominators (substitute X -> t^k X and rescale) and retry")
+
+
+def test_poles_that_cancel_or_clear_are_accepted():
+    want = parse_xpoly(F3, "X^2 - t^3")
+    assert parse_xpoly(F3, "X^2 - t^3 + t^-1 - t^-1") == want
+    assert parse_xpoly(F3, "t^-1*t*X^2 - t^3") == want
+    assert parse_xpoly(F3, "t^-2*(t^2*X^2 - t^5)") == want
+    assert parse_xpoly(F3, "t^-0") == ((1,),)
 
 
 def test_parse_errors():
@@ -196,6 +209,7 @@ def test_modulus_uses_the_expression_grammar():
     assert parse_field("2^2:u*u + u + 1") is F4
     assert parse_field("3^2: (u + 1)^2 - 2u") is F9      # u^2 + 1
     assert parse_field("3^2:u^2 + 4") is F9              # 4 = 1 mod 3
+    assert parse_field("3^2:u^2+1").spec.modulus == (1, 0, 1)
 
 
 @pytest.mark.parametrize("text", ["2^2:u^2+t", "2^2:X^2+1", "2^2:", "3^2:u^"])

@@ -1,8 +1,36 @@
 """Partition enumeration and the two bound polynomial families."""
 
-from orderzeta.partitions import (_partitions_of, hilb_count_regular,
-                                  m_poly, n_poly)
+import json
+
+from orderzeta.cli import main
+from orderzeta.partitions import hilb_count_regular, m_poly, n_poly
 from orderzeta.polynomials import IntPoly
+
+
+def _partitions_of(n, max_part):
+    """Partitions of n with parts <= max_part, lexicographically
+    descending: the reference enumeration for the counting tables."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _partitions_of(n - first, first):
+            yield (first,) + rest
+
+
+def reference_m_poly(delta, r, partitions):
+    """m_poly summed term by term over the given partitions (every
+    partition of size <= delta, and possibly larger ones)."""
+    coeffs = [0] * (delta + 1)
+    for parts in partitions:
+        size = sum(parts)
+        if size > delta:
+            continue
+        if parts.count(1) < r:
+            coeffs[delta - len(parts)] += 1
+        if delta - r <= size < delta:
+            coeffs[size - len(parts)] += 1
+    return IntPoly(coeffs)
 
 
 def partitions_up_to(size_cap):
@@ -94,3 +122,34 @@ def test_append_ones_bijection():
                 image.add(lam)
             assert len(image) == len(source)
             assert image == target
+
+
+def test_counting_tables_match_the_enumeration():
+    partitions = list(partitions_up_to(20))
+    for delta in range(21):
+        for r in range(1, delta + 3):
+            assert m_poly(delta, r) == reference_m_poly(
+                delta, r, partitions), (delta, r)
+        want = [0] * (delta + 1)
+        for parts in _partitions_of(delta, delta):
+            want[delta - len(parts)] += 1
+        assert hilb_count_regular(delta) == IntPoly(want), delta
+
+
+def test_mnpoly_at_delta_100(capsys):
+    # at x = 1 the upper factor counts the partitions of size <= 100
+    # with fewer than 3 ones, plus those of sizes 97..99; a partition
+    # of s with exactly k ones is one of s - k without ones, and there
+    # are p(m) - p(m - 1) of those
+    assert main(["mnpoly", "--delta", "100", "--r", "3",
+                 "--format", "json"]) == 0
+    coeffs = json.loads(capsys.readouterr().out)["upper"]["coeffs"]
+    assert len(coeffs) == 101 and coeffs[-1] == 1
+    p = [1] + [0] * 100
+    for part in range(1, 101):
+        for m in range(part, 101):
+            p[m] += p[m - part]
+    no_ones = [p[m] - (p[m - 1] if m else 0) for m in range(101)]
+    assert sum(coeffs) == (
+        sum(no_ones[s - k] for s in range(101) for k in range(min(3, s + 1)))
+        + sum(p[97:100]))

@@ -182,7 +182,7 @@ def lines_model_counts(q, n, jmax):
 def test_lines_tally_matches_leading_subspace_model(fq, n):
     o = n_lines_order(fq, n)
     got = quot_series(o)
-    assert got == lines_model_counts(fq.q, n, o.j_max)
+    assert got == lines_model_counts(fq.q, n, zeta_j_max(o))
 
 
 def test_three_lines_tally_literals():
