@@ -9,7 +9,7 @@ from .errors import (BadFactorization, CeilingExceeded, InvariantViolation,
                      NonIntegralSpecialValue, NotSquarefree, OrderZetaError,
                      ParseError, PrecisionExhausted, PreconditionViolated,
                      RankDeficient, TruncationFailure)
-from .fq import Fq, FqSpec
+from .fq import Fq
 from .orders import auto_factor, base_change_order, build_order, n_lines_order
 from .lattices import (class_count_mod_lambda, enumeration_ceiling,
                        hnf_from_generators, identity_lattice, relative_length,
@@ -30,7 +30,7 @@ __all__ = [
     "MethodDisagreement", "NonIntegralInput", "NonIntegralSpecialValue",
     "NotSquarefree", "OrderZetaError", "ParseError", "PrecisionExhausted",
     "PreconditionViolated", "RankDeficient", "TruncationFailure",
-    "Fq", "FqSpec",
+    "Fq",
     "auto_factor", "base_change_order", "build_order", "n_lines_order",
     "class_count_mod_lambda", "enumeration_ceiling", "hnf_from_generators",
     "identity_lattice", "relative_length", "sandwich_representatives",

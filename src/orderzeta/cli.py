@@ -48,8 +48,6 @@ def build_parser():
                                    "--q/--f/--factors")
     pa.add_argument("--precision", type=int,
                     help="working t-adic precision override")
-    pa.add_argument("--j-max", type=int, dest="j_max",
-                    help="tally window override (raised if insufficient)")
     pa.add_argument("--ceiling", type=int,
                     help="enumeration candidate ceiling override")
     pa.add_argument("--per-class", action="store_true", dest="per_class",
@@ -65,7 +63,6 @@ def build_parser():
     pn.add_argument("--symbolic-only", action="store_true",
                     dest="symbolic_only",
                     help="skip brute force; emit the closed form only")
-    pn.add_argument("--j-max", type=int, dest="j_max")
     pn.add_argument("--ceiling", type=int)
     _common_flags(pn)
 
@@ -113,14 +110,13 @@ def _dispatch(args):
     if args.command == "analyze":
         fq, f, factors, precision = _analyze_inputs(args)
         report = analyze_report(fq, f, factors=factors, precision=precision,
-                                j_max=args.j_max, ceiling=ceiling,
-                                seed=args.seed, per_class=args.per_class,
+                                ceiling=ceiling, seed=args.seed,
+                                per_class=args.per_class,
                                 fiber_sample=args.fibers)
         return report, 0 if report["all_checks_pass"] else 6
     if args.command == "nlines":
         fq = parse_field(args.q) if args.q else None
-        report = nlines_report(args.n, fq=fq, j_max=args.j_max,
-                               ceiling=ceiling,
+        report = nlines_report(args.n, fq=fq, ceiling=ceiling,
                                symbolic_only=args.symbolic_only)
         return report, 0 if report["all_checks_pass"] else 6
     report = selftest_report(quick=args.quick, seed=args.seed,

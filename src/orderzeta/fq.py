@@ -18,8 +18,8 @@ from .polynomials import (monic_polys_over_fq, up_eval, up_factor, up_mod,
 
 # Every field builds full q^2-entry tables, whose cost grows as q^2: about
 # 0.5 s at q = 256 and 2.5 s at q = 512 (Python 3.11, one Xeon core).  A
-# larger field has no spec, so it is refused before any table is built; a
-# levi extension rebuild above the cap falls back to the base-field count.
+# larger field is refused before any table is built; a levi extension
+# rebuild above the cap falls back to the base-field count.
 _TABLE_CAP = 256
 
 
@@ -79,22 +79,26 @@ def prime_power(n):
 
 def find_irreducible(p, deg):
     """Lexicographically smallest monic irreducible of given degree over F_p."""
-    fp = Fq(FqSpec(p))
+    fp = Fq(p)
     return next(cand for cand in monic_polys_over_fq(fp, deg)
                 if up_factor(fp, cand) == [(cand, 1)])
 
 
-class FqSpec:
-    """Description of a finite field: characteristic, degree, modulus.
+class Fq:
+    """One finite field F_q, q = p^e: its modulus and operation tables.
 
     The modulus is a monic polynomial over F_p stored as a coefficient
-    tuple (low degree first, length e+1).  For e = 1 it is always (0, 1),
-    i.e. u; for e > 1 it defaults to the smallest irreducible.
+    tuple (low degree first, length e+1).  It defaults to the smallest
+    irreducible, and for e = 1 it is always (0, 1), i.e. u.  Fq(p, e,
+    modulus) checks its arguments and returns the one context per
+    (p, e, modulus).  Codes are ints in [0, q).  All the series/lattice
+    arithmetic funnels through `add`/`sub`/`mul`/`neg`/`inv` lookups on
+    this object.
     """
 
-    __slots__ = ("p", "e", "modulus")
+    _cache = {}
 
-    def __init__(self, p, e=1, modulus=None):
+    def __new__(cls, p, e=1, modulus=None):
         huge = e >= _TABLE_CAP.bit_length()      # p^e > cap, as p >= 2
         if p >= 2 and e >= 1 and (huge or p ** e > _TABLE_CAP):
             # before the primality test and the modulus search, which
@@ -111,56 +115,28 @@ class FqSpec:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != e + 1 or modulus[-1] != 1:
             raise PreconditionViolated("modulus must be monic of degree e")
-        if e > 1 and up_factor(Fq(FqSpec(p)), modulus) != [(modulus, 1)]:
-            raise PreconditionViolated("modulus is reducible over F_p")
-        self.p = p
-        self.e = e
-        self.modulus = modulus if e > 1 else (0, 1)
-
-    @property
-    def q(self):
-        return self.p ** self.e
-
-    def __eq__(self, other):
-        return (isinstance(other, FqSpec)
-                and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
-
-    def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
-
-    def __repr__(self):
-        return f"FqSpec({self.p}, {self.e}, {self.modulus})"
-
-
-class Fq:
-    """Operation-table context for one finite field.
-
-    Codes are ints in [0, q).  All the series/lattice arithmetic funnels
-    through `add`/`sub`/`mul`/`neg`/`inv` lookups on this object.
-    """
-
-    _cache = {}
-
-    def __new__(cls, spec):
-        inst = cls._cache.get(spec)
-        if inst is not None:
-            return inst
-        inst = super().__new__(cls)
-        inst._init(spec)
-        cls._cache[spec] = inst
+        if e == 1:
+            modulus = (0, 1)
+        key = (p, e, modulus)
+        inst = cls._cache.get(key)
+        if inst is None:
+            if e > 1 and up_factor(Fq(p), modulus) != [(modulus, 1)]:
+                raise PreconditionViolated("modulus is reducible over F_p")
+            inst = super().__new__(cls)
+            inst._init(p, e, modulus)
+            cls._cache[key] = inst
         return inst
 
-    def _init(self, spec):
-        p, e, q = spec.p, spec.e, spec.q
-        self.spec = spec
+    def _init(self, p, e, modulus):
+        q = p ** e
         self.p = p
         self.e = e
         self.q = q
-        self.zero = 0
-        self.one = 1
+        self.modulus = modulus
         self.gen = p if e > 1 else 1  # class of u, or just 1 in a prime field
 
         def decode(code):
+            """Base-p digit tuple (coefficients of the residue polynomial)."""
             digits = []
             for _ in range(e):
                 digits.append(code % p)
@@ -178,7 +154,7 @@ class Fq:
         add = [[0] * q for _ in range(q)]
         mul = [[0] * q for _ in range(q)]
         neg = [0] * q
-        fp = Fq(FqSpec(p)) if e > 1 else None
+        fp = Fq(p) if e > 1 else None
         for a in range(q):
             da = decode(a)
             neg[a] = encode(tuple((-x) % p for x in da))
@@ -190,7 +166,7 @@ class Fq:
                 if fp is None:
                     m = a * b % p
                 else:
-                    m = encode(up_mod(fp, up_mul(fp, da, db), spec.modulus))
+                    m = encode(up_mod(fp, up_mul(fp, da, db), modulus))
                 mul[a][b] = m
                 mul[b][a] = m
         inv = [0] * q
@@ -228,12 +204,8 @@ class Fq:
         """Image of the rational integer n in the prime subfield."""
         return n % self.p
 
-    def decode(self, code):
-        """Base-p digit tuple (coefficients of the residue polynomial)."""
-        return self._decode(code)
-
     def __repr__(self):
-        return f"Fq({self.spec!r})"
+        return f"Fq({self.p}, {self.e}, {self.modulus})"
 
 
 def embedding(small, big):
@@ -248,8 +220,8 @@ def embedding(small, big):
         raise PreconditionViolated("no embedding between these fields")
     if small.e == 1:
         return list(range(small.p))
-    roots = up_roots(big, small.spec.modulus)
+    roots = up_roots(big, small.modulus)
     if not roots:
         raise PreconditionViolated("modulus has no root in the target field")
-    return [up_eval(big, small.decode(code), roots[0])
+    return [up_eval(big, small._decode(code), roots[0])
             for code in range(small.q)]

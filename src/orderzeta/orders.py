@@ -40,7 +40,7 @@ from math import gcd
 
 from .errors import (BadFactorization, InvariantViolation, NotSquarefree,
                      PrecisionExhausted, PreconditionViolated)
-from .fq import Fq, FqSpec, embedding
+from .fq import Fq, embedding
 from .lattices import (colon_lattice, element_scaled_lattice,
                        hnf_from_generators, identity_lattice,
                        laurent_matrix_inverse, product_lattice,
@@ -264,7 +264,7 @@ def _descend(fq, coeffs, window, work, budget, base, k, whole):
     that splits makes the polynomial reducible, and the pieces are not
     regrouped into factors over F_q: the automatic path rejects it."""
     b = len(base) - 1
-    big = Fq(FqSpec(fq.p, fq.e * b))
+    big = Fq(fq.p, fq.e * b)
     table = embedding(fq, big)
     roots = up_roots(big, tuple(table[d] for d in base))
     if len(roots) != b:
@@ -943,7 +943,7 @@ def base_change_order(order, d):
     if d == 1:
         return order
     fq = order.fq
-    big = Fq(FqSpec(fq.p, fq.e * d))
+    big = Fq(fq.p, fq.e * d)
     table = embedding(fq, big)
     f_big = tuple(tuple(table[c] for c in coeff) for coeff in order.f)
     return build_order(big, f_big, f_window=order.f_window)

@@ -19,7 +19,7 @@ normal form and round-trips byte for byte.
 from __future__ import annotations
 
 from .errors import NonIntegralInput, ParseError
-from .fq import Fq, FqSpec, prime_power
+from .fq import Fq, prime_power
 from .polynomials import up_scale, up_trim, xp_add, xp_mul, xp_trim
 
 
@@ -240,13 +240,13 @@ def parse_field(text):
         except ValueError:
             raise ParseError(f"bad field spec {text!r}") from None
         if not colon:
-            return Fq(FqSpec(p, e))
-        fp = Fq(FqSpec(p))
+            return Fq(p, e)
+        fp = Fq(p)
         # u takes the place of t, so the modulus reads as a constant in X
         modulus = _integral(_Parser(
             fp, tokenize(modtext), {"u": (0, _t_power(1))},
             "in a field modulus").parse())
-        return Fq(FqSpec(p, e, modulus[0] if modulus else ()))
+        return Fq(p, e, modulus[0] if modulus else ())
     try:
         n = int(text)
     except ValueError:
@@ -254,7 +254,7 @@ def parse_field(text):
     power = prime_power(n) if n >= 2 else None
     if power is None:
         raise ParseError(f"{text!r} is not a prime power")
-    return Fq(FqSpec(*power))
+    return Fq(*power)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +277,14 @@ def _u_poly_text(coeffs):
 def format_field(fq):
     """Canonical spec of a field: "p" for a prime field, "p^e:modulus"
     otherwise; parse_field reads it back to the same field."""
-    spec = fq.spec
-    if spec.e == 1:
-        return str(spec.p)
-    return f"{spec.p}^{spec.e}:{_u_poly_text(spec.modulus)}"
+    if fq.e == 1:
+        return str(fq.p)
+    return f"{fq.p}^{fq.e}:{_u_poly_text(fq.modulus)}"
 
 
 def format_element(fq, code):
     """Canonical text of one element: an integer or a u-polynomial."""
-    return _u_poly_text(fq.decode(code))
+    return _u_poly_text(fq._decode(code))
 
 
 def _coeff_text(fq, code, wrap):

@@ -36,8 +36,8 @@ def _join(values):
 # analyze
 # ---------------------------------------------------------------------------
 
-def analyze_report(fq, f, factors=None, precision=None, j_max=None,
-                   ceiling=None, seed=0, per_class=False, fiber_sample=0):
+def analyze_report(fq, f, factors=None, precision=None, ceiling=None,
+                   seed=0, per_class=False, fiber_sample=0):
     """Run the full pipeline on one order and fold the results into a
     report dict.  The companion exit code is 0 exactly when every check
     in the report passed.
@@ -55,7 +55,7 @@ def analyze_report(fq, f, factors=None, precision=None, j_max=None,
             f"the orbit count has the lower bound {lower}, so enumerating "
             f"its classes needs at least {lower - 1} work units, more "
             f"than the work ceiling {cap}")
-    z = zeta_polynomial(order, j_max=j_max, ceiling=ceiling)
+    z = zeta_polynomial(order, ceiling=ceiling)
     at_one, reflected = special_values(z)
     count, methods = cross_validated_orbital(order, ceiling=ceiling)
     _, levi_notes = levi_product(order, ceiling=ceiling)
@@ -171,7 +171,7 @@ def _closed_text(closed):
     return " + ".join(parts)
 
 
-def nlines_report(n, fq=None, j_max=None, ceiling=None, symbolic_only=False):
+def nlines_report(n, fq=None, ceiling=None, symbolic_only=False):
     """Closed-form and (unless symbolic_only) brute-force counting
     polynomials for the order of n coordinate lines glued at a point,
     plus the two variant tallies and the agreement verdicts."""
@@ -212,8 +212,8 @@ def nlines_report(n, fq=None, j_max=None, ceiling=None, symbolic_only=False):
         if n > 6:
             raise PreconditionViolated(
                 "brute force is limited to n <= 6; use --symbolic-only")
-        order, (sharp_plan, flat_plan) = planned_nlines_order(fq, n, j_max)
-        z = zeta_polynomial(order, j_max=j_max, ceiling=ceiling)
+        order, (sharp_plan, flat_plan) = planned_nlines_order(fq, n)
+        z = zeta_polynomial(order, ceiling=ceiling)
         sharp = variant_zeta(order, sharp_plan, ceiling=ceiling)
         flat = variant_zeta(order, flat_plan, ceiling=ceiling)
         j_used = len(z.quot_counts) - 1
@@ -257,11 +257,20 @@ def nlines_report(n, fq=None, j_max=None, ceiling=None, symbolic_only=False):
 # mnpoly
 # ---------------------------------------------------------------------------
 
+# m_poly builds a (delta+1)^2 table of partition counts, whose memory
+# grows as delta^2 (a 43 MB process at delta = 1000, Python 3.11), so a
+# larger delta is refused before the table is built.
+_MNPOLY_DELTA_CAP = 1000
+
+
 def mnpoly_report(delta, r):
     """The degree-delta upper and lower bound factor polynomials for one
     branch with the given colength defect and unit-group depth."""
     if delta < 0:
         raise PreconditionViolated("delta must be >= 0")
+    if delta > _MNPOLY_DELTA_CAP:
+        raise PreconditionViolated(
+            f"delta must be <= {_MNPOLY_DELTA_CAP}, the cap of mnpoly")
     if r < 1:
         raise PreconditionViolated("r must be >= 1")
     return {

@@ -66,10 +66,10 @@ class ZetaPolynomial:
                 f"delta={self.delta})")
 
 
-def _tally(order, base, j_max, ceiling):
-    """Number of stable sublattices of base, by colength 0..j_max."""
+def _tally(order, base, last, ceiling):
+    """Number of stable sublattices of base, by colength 0..last."""
     return tuple(len(level) for level in stable_sublattice_levels(
-        base, j_max, order.action_matrices, ceiling=ceiling))
+        base, last, order.action_matrices, ceiling=ceiling))
 
 
 def _collapse(counts, periods, top):
@@ -109,38 +109,31 @@ def _zeta_record(order, poly, counts, class_count=None):
     return z
 
 
-def quot_series(order, j_max=None, ceiling=None):
+def quot_series(order, ceiling=None):
     """Number of stable sublattices of the duality lattice, by colength
-    0..j_max.  The count of colength-j sublattices that are stable
-    under the order's action matrices equals the number of fractional
-    ideals of that colength inside the duality lattice."""
-    if j_max is None:
-        j_max = zeta_j_max(order)
-    floor = 2 * order.delta + max(factor_periods(order))
-    if j_max < floor:
-        raise PreconditionViolated(
-            f"need at least {floor} tally terms to certify the tail, "
-            f"got {j_max}")
-    return _tally(order, order.dual_r_lattice, j_max, ceiling)
+    0..zeta_j_max(order).  The count of colength-j sublattices that are
+    stable under the order's action matrices equals the number of
+    fractional ideals of that colength inside the duality lattice."""
+    return _tally(order, order.dual_r_lattice, zeta_j_max(order), ceiling)
 
 
-def zeta_j_max(order, j_max=None):
-    """The tally length zeta_polynomial uses: the requested j_max raised
-    to the certification window 2*delta + (sum of the periods) + 2."""
-    need = 2 * order.delta + sum(factor_periods(order)) + 2
-    return max(j_max if j_max is not None else 0, need)
+def zeta_j_max(order):
+    """The tally length zeta_polynomial uses, the certification window
+    2*delta + (sum of the periods) + 2.  Every count past it is a
+    coefficient of P(t) / prod (1 - t^period), so a longer tally adds
+    nothing."""
+    return 2 * order.delta + sum(factor_periods(order)) + 2
 
 
-def zeta_polynomial(order, j_max=None, ceiling=None):
+def zeta_polynomial(order, ceiling=None):
     """Assemble and verify the counting polynomial of an order.
 
     The tally series is collapsed by the periods product; every
     coefficient beyond degree 2*delta must vanish within the computed
     window (TruncationFailure otherwise).  The degree, symmetry, and
-    value identities are recorded as booleans in the checks field.  An
-    explicit j_max below the certification window is raised to it.
+    value identities are recorded as booleans in the checks field.
     """
-    counts = quot_series(order, zeta_j_max(order, j_max), ceiling=ceiling)
+    counts = quot_series(order, ceiling=ceiling)
     poly = _collapse(counts, factor_periods(order), 2 * order.delta)
     return _zeta_record(order, poly, counts)
 
@@ -176,9 +169,9 @@ def special_values(z):
 
 
 def variant_plan(order, lattice):
-    """Where variant_zeta enumerates: (base, j_max), with base the
+    """Where variant_zeta enumerates: (base, last), with base the
     lattice scaled by the power of t that puts it inside the duality
-    lattice with the smallest colength gap, and j_max the tally length
+    lattice with the smallest colength gap, and last the tally length
     that certifies the zero tail.  Neither depends on the order's
     precision."""
     if lattice.n != order.n:
@@ -209,18 +202,18 @@ def variant_zeta(order, plan, ceiling=None):
     arbitrary stable lattice instead of the duality lattice.
 
     The tally is invariant under scaling the lattice by powers of t, so
-    it runs on plan = (base, j_max) from variant_plan: the lattice
+    it runs on plan = (base, last) from variant_plan: the lattice
     scaled to sit inside the duality lattice with the smallest colength
     gap, and the tally length.  Only the value identity P(1) = number
     of lattice classes is enforced; the degree and symmetry flags are
     reported but usually fail.  The collapsed series must vanish in its
     last sum(periods) + 2 terms (TruncationFailure otherwise); a longer
-    tally is enumerated by passing a plan with a larger j_max.
+    tally is enumerated by passing a plan with a larger length.
     """
-    base, j_max = plan
+    base, last = plan
     periods = factor_periods(order)
-    counts = _tally(order, base, j_max, ceiling)
-    poly = _collapse(counts, periods, j_max - sum(periods) - 2)
+    counts = _tally(order, base, last, ceiling)
+    poly = _collapse(counts, periods, last - sum(periods) - 2)
     count = len(sandwich_representatives(order, ceiling=ceiling))
     z = _zeta_record(order, poly, counts, class_count=count)
     if not z.checks["sv_ok"]:
@@ -348,14 +341,13 @@ def _corner_coefficient(binom_power, geom_top, degree):
     return coeffs[degree]
 
 
-def planned_nlines_order(fq, n, j_max=None):
+def planned_nlines_order(fq, n):
     """The lines order at a precision planned before any enumeration,
     with the plans of its two variants: (order, (plan on the
     normalization lattice, plan on the order lattice)).
 
     The demand of each enumeration the nlines report runs (the tally of
-    zeta_polynomial at j_max, both variant tallies and the class
-    representatives) is known from its base lattice and length alone
+    zeta_polynomial, both variant tallies and the class representatives) is known from its base lattice and length alone
     (action_digits_needed), so the order is built at the default
     precision 3n + 10 when that covers every demand and at the largest
     demand otherwise.  The order-anchored variant needs about 6n digits
@@ -367,9 +359,9 @@ def planned_nlines_order(fq, n, j_max=None):
     plans = (variant_plan(order, order.o_e_lattice),
              variant_plan(order, order.r_lattice))
     depth = relative_length(order.o_e_lattice, order.conductor_lattice)
-    runs = ((order.dual_r_lattice, zeta_j_max(order, j_max)),
+    runs = ((order.dual_r_lattice, zeta_j_max(order)),
             (order.o_e_lattice, depth)) + plans
-    demand = max(action_digits_needed(base, jmax) for base, jmax in runs)
+    demand = max(action_digits_needed(base, last) for base, last in runs)
     if demand > order.precision:
         order = n_lines_order(fq, n, precision=demand)
     return order, plans

@@ -1,6 +1,7 @@
 """Command line front end: parsing, reports, formats, exit codes."""
 
 import json
+from time import perf_counter
 
 import pytest
 
@@ -212,6 +213,16 @@ def test_mnpoly_rejects_bad_ranges(capsys):
     assert run(capsys, "mnpoly", "--delta", "2", "--r", "0")[0] == 3
 
 
+def test_mnpoly_refuses_a_delta_above_its_cap_at_once(capsys):
+    # the partition table grows as delta^2, so delta = 1001 is refused
+    # before it is built
+    start = perf_counter()
+    code, out, err = run(capsys, "mnpoly", "--delta", "1001", "--r", "2")
+    assert perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "error: delta must be <= 1000, the cap of mnpoly\n"
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------
@@ -359,6 +370,16 @@ def test_precision_spellings_keep_their_other_exit_codes(capsys, tmp_path):
     assert run(capsys, "analyze", "--file", str(path))[0] == 4
     assert run(capsys, "analyze", "--q", "3", "--f", "X^2-t^3",
                "--precision", "2")[0] == 4
+
+
+def test_tally_length_is_not_an_option(capsys):
+    # every tally runs to the length the code plans
+    for argv in (["analyze", "--q", "3", "--f", "X^2-t^3", "--j-max", "2"],
+                 ["nlines", "--n", "3", "--q", "2", "--j-max", "9"]):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --j-max" in capsys.readouterr().err
 
 
 def test_file_flag_conflicts_with_inline_flags(capsys, tmp_path):

@@ -8,9 +8,11 @@ outside its own definition (a local variable of the same name is not a
 use, and a function or method that only tests call belongs in the
 tests); every defaulted parameter of a function, method or
 constructor there must be set by some call in the package or the
-tests; every __slots__ field of a class there must be read as an
-attribute somewhere in the package; and no module but __init__.py
-(which re-exports the public API) may import a name it never uses.
+tests; every __slots__ field of a class there, and every attribute that
+a method of it stores on self (or on the instance that __new__ builds),
+must be read as an attribute somewhere in the package; and no module
+but __init__.py (which re-exports the public API) may import a name it
+never uses.
 """
 
 import ast
@@ -110,8 +112,8 @@ def _sets(call, index, name):
 def _callables(stmt):
     """(called name, label, definition, leading self/cls parameters) for
     a module-level function, or for each method of a class: a
-    constructor is called by its class name, and the other dunders by
-    operators, so they are left out."""
+    constructor (__init__ or __new__) is called by its class name, and
+    the other dunders by operators, so they are left out."""
     if isinstance(stmt, ast.FunctionDef):
         yield stmt.name, stmt.name, stmt, 0
     elif isinstance(stmt, ast.ClassDef):
@@ -119,7 +121,7 @@ def _callables(stmt):
             if not isinstance(sub, ast.FunctionDef):
                 continue
             label = f"{stmt.name}.{sub.name}"
-            if sub.name == "__init__":
+            if sub.name in ("__init__", "__new__"):
                 yield stmt.name, label, sub, 1
             elif not (sub.name.startswith("__") and sub.name.endswith("__")):
                 yield sub.name, label, sub, 1
@@ -176,3 +178,41 @@ def test_every_record_field_is_read_in_the_package():
     unread = [f"{path.name}: {cls}.{name}" for path, cls, name in fields
               if name not in read]
     assert not unread, f"record fields never read in the package: {unread}"
+
+
+def _instances(method):
+    """The names a method calls its own instance: self, or in __new__
+    each name bound to the result of a __new__ call."""
+    if method.name != "__new__":
+        return {a.arg for a in method.args.args[:1]}
+    return {target.id for node in ast.walk(method)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "attr", None) == "__new__"
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def test_every_instance_attribute_is_read_in_the_package():
+    # an attribute that a method stores on its instance and no code in
+    # src/ reads is stored and never used
+    stored = []               # (module path, class name, attribute)
+    read = set()
+    for path, tree in _parsed(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if not isinstance(method, ast.FunctionDef):
+                        continue
+                    names = _instances(method)
+                    stored += [(path, node.name, sub.attr)
+                               for sub in ast.walk(method)
+                               if isinstance(sub, ast.Attribute)
+                               and isinstance(sub.ctx, ast.Store)
+                               and getattr(sub.value, "id", None) in names]
+    unread = sorted({f"{path.name}: {cls}.{name}"
+                     for path, cls, name in stored if name not in read})
+    assert not unread, f"instance attributes never read in the package: " \
+        f"{unread}"

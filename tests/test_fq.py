@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 import orderzeta.fq
 from orderzeta.cli import main
 from orderzeta.errors import ParseError, PreconditionViolated
-from orderzeta.fq import (Fq, FqSpec, embedding, find_irreducible,
-                          prime_power)
+from orderzeta.fq import Fq, embedding, find_irreducible, prime_power
 from orderzeta.parsing import parse_field
 
 
@@ -84,7 +83,7 @@ def test_context_is_cached():
 
 def test_table_cap_refuses_huge_fields():
     with pytest.raises(PreconditionViolated):
-        Fq(FqSpec(2, 13))
+        Fq(2, 13)
 
 
 def test_table_cap_refuses_q_257_before_building_tables(capsys):
@@ -93,7 +92,7 @@ def test_table_cap_refuses_q_257_before_building_tables(capsys):
     tracemalloc.start()
     try:
         with pytest.raises(PreconditionViolated, match="257"):
-            Fq(FqSpec(257))
+            Fq(257)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -161,7 +160,7 @@ def test_spec_rejects_non_prime_powers_and_bad_moduli():
     with pytest.raises(PreconditionViolated):
         parse_field("2^2:u^2+1")  # (u+1)^2, reducible
     with pytest.raises(PreconditionViolated):
-        FqSpec(4)
+        Fq(4)
 
 
 def test_find_irreducible_is_lex_smallest():
@@ -198,8 +197,8 @@ def test_tables_match_schoolbook_arithmetic_mod_p(p, e):
         return all(any(remainder(m, d, p))
                    for k in range(1, e // 2 + 1) for d in monics(k))
 
-    fq = Fq(FqSpec(p, e))
-    modulus = list(fq.spec.modulus)
+    fq = Fq(p, e)
+    modulus = list(fq.modulus)
     assert irreducible(modulus)
     assert modulus == next(m for m in monics(e) if irreducible(m))
 

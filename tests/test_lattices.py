@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from orderzeta.errors import (CeilingExceeded, ParseError,
                               PrecisionExhausted, RankDeficient)
-from orderzeta.fq import Fq, FqSpec
+from orderzeta.fq import Fq
 from orderzeta.lattices import (LatticeHNF, _action_on_lattice,
                                 _nonzero_entries, _relative_action,
                                 class_count_mod_lambda,
@@ -36,9 +36,9 @@ from orderzeta.zeta import quot_series
 
 from laurent_oracle import LaurentSeries
 
-F2 = Fq(FqSpec(2))
-F3 = Fq(FqSpec(3))
-F5 = Fq(FqSpec(5))
+F2 = Fq(2)
+F3 = Fq(3)
+F5 = Fq(5)
 F4 = parse_field("4")
 F9 = parse_field("9")
 

@@ -201,7 +201,7 @@ def test_field_specs_round_trip(monkeypatch):
 
 def test_default_moduli_are_the_smallest_irreducibles():
     for q, (p, e) in {4: (2, 2), 8: (2, 3), 9: (3, 2)}.items():
-        assert parse_field(str(q)).spec.modulus == find_irreducible(p, e)
+        assert parse_field(str(q)).modulus == find_irreducible(p, e)
     assert format_field(parse_field("8")) == "2^3:u^3+u+1"
 
 
@@ -209,7 +209,7 @@ def test_modulus_uses_the_expression_grammar():
     assert parse_field("2^2:u*u + u + 1") is F4
     assert parse_field("3^2: (u + 1)^2 - 2u") is F9      # u^2 + 1
     assert parse_field("3^2:u^2 + 4") is F9              # 4 = 1 mod 3
-    assert parse_field("3^2:u^2+1").spec.modulus == (1, 0, 1)
+    assert parse_field("3^2:u^2+1").modulus == (1, 0, 1)
 
 
 @pytest.mark.parametrize("text", ["2^2:u^2+t", "2^2:X^2+1", "2^2:", "3^2:u^"])
@@ -223,6 +223,14 @@ def test_malformed_modulus_exits_2(text, capsys):
 def test_reducible_modulus_exits_3(capsys):
     assert main(["analyze", "--q", "2^2:u^2+1", "--f", "X^2 - t^3"]) == 3
     assert "reducible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["3^1:u^2+1", "3^2:u^3+1"])
+def test_modulus_of_the_wrong_degree_exits_3(text, capsys):
+    # also for e = 1, where any linear modulus stands for u
+    assert main(["analyze", "--q", text, "--f", "X^2 - t^3"]) == 3
+    assert capsys.readouterr().err == \
+        "error: modulus must be monic of degree e\n"
 
 
 def test_field_spec_messages():

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from orderzeta.errors import (NotSquarefree, BadFactorization,
                               NonIntegralSpecialValue, PreconditionViolated,
                               TruncationFailure)
-from orderzeta.fq import Fq, FqSpec
+from orderzeta.fq import Fq
 from orderzeta.lattices import (action_digits_needed, class_count_mod_lambda,
                                 hnf_from_generators, pad_exact,
                                 relative_length, stable_sublattice_levels)
@@ -42,9 +42,9 @@ from orderzeta.zeta import (check_functional_equation, factor_periods,
                             variant_plan, variant_zeta, zeta_j_max,
                             zeta_polynomial)
 
-F2 = Fq(FqSpec(2))
-F3 = Fq(FqSpec(3))
-F5 = Fq(FqSpec(5))
+F2 = Fq(2)
+F3 = Fq(3)
+F5 = Fq(5)
 
 CUSP3 = ((0, 0, 0, 2), (), (1,))          # X^2 - t^3
 NODE3 = ((0, 0, 2), (), (1,))             # X^2 - t^2
@@ -133,12 +133,6 @@ def test_cli_import_leaves_decimal_unloaded():
          "print(sorted({'decimal', 'fractions'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
-
-
-def test_quot_series_refuses_uncertifiable_window():
-    o = build_order(F3, CUSP3)
-    with pytest.raises(PreconditionViolated):
-        quot_series(o, j_max=2)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +281,8 @@ def test_variant_refuses_a_tally_too_short_for_its_tail():
     # a margin of sum(periods) + 2 = 5, so a 7-term tally certifies it
     # and a 6-term one does not
     o = n_lines_order(F2, 3)
-    base, j_max = variant_plan(o, o.o_e_lattice)
-    assert j_max == 11
+    base, last = variant_plan(o, o.o_e_lattice)
+    assert last == 11
     z = variant_zeta(o, (base, 7))
     assert z.poly.coeffs == (1, 4, 1)
     with pytest.raises(TruncationFailure,
@@ -303,10 +297,10 @@ def test_variant_refuses_a_tally_too_short_for_its_tail():
 
 def test_zeta_polynomial_refuses_a_nonzero_tail(monkeypatch):
     o = build_order(F3, CUSP3)
-    counts = quot_series(o, zeta_j_max(o))
+    counts = quot_series(o)
     assert counts == (1, 1, 4, 4, 4, 4)
     monkeypatch.setattr("orderzeta.zeta.quot_series",
-                        lambda order, j_max, ceiling: counts[:-1] + (5,))
+                        lambda order, ceiling: counts[:-1] + (5,))
     with pytest.raises(TruncationFailure,
                        match=r"nonzero at degrees \[5\], beyond degree 2"):
         zeta_polynomial(o)
@@ -366,26 +360,17 @@ PLANNED_PRECISION = {4: (22, 24, 22, 24), 5: (30, 30, 30, 25),
 def test_nlines_precision_is_planned(n):
     for k, q in enumerate((2, 3, 4, 5)):
         fq = parse_field(str(q))
-        for j_max in (None, 3 * n + 9):
-            order, plans = planned_nlines_order(fq, n, j_max)
-            # the plans hold at the planned precision too
-            assert plans == (variant_plan(order, order.o_e_lattice),
-                             variant_plan(order, order.r_lattice))
-            depth = relative_length(order.o_e_lattice,
-                                    order.conductor_lattice)
-            runs = ((order.dual_r_lattice, zeta_j_max(order, j_max)),
-                    (order.o_e_lattice, depth)) + plans
-            demand = max(action_digits_needed(base, jmax)
-                         for base, jmax in runs)
-            assert order.precision == max(3 * n + 10, demand)
-            if j_max is None:
-                want = PLANNED_PRECISION.get(n, (3 * n + 10,) * 4)[k]
-                assert order.precision == want
-            else:
-                # a long zeta tally raises the precision past the default
-                zeta_demand = action_digits_needed(order.dual_r_lattice,
-                                                   j_max)
-                assert order.precision >= zeta_demand > 3 * n + 10
+        order, plans = planned_nlines_order(fq, n)
+        # the plans hold at the planned precision too
+        assert plans == (variant_plan(order, order.o_e_lattice),
+                         variant_plan(order, order.r_lattice))
+        depth = relative_length(order.o_e_lattice, order.conductor_lattice)
+        runs = ((order.dual_r_lattice, zeta_j_max(order)),
+                (order.o_e_lattice, depth)) + plans
+        demand = max(action_digits_needed(base, last) for base, last in runs)
+        assert order.precision == max(3 * n + 10, demand)
+        want = PLANNED_PRECISION.get(n, (3 * n + 10,) * 4)[k]
+        assert order.precision == want
 
 
 def test_closed_form_guard():
