@@ -21,13 +21,13 @@ from itertools import product as iproduct
 from .errors import (BadFactorization, CeilingExceeded, InvariantViolation,
                      MethodDisagreement, NotSquarefree, PrecisionExhausted,
                      PreconditionViolated, RankDeficient)
-from .lattices import (_basis_columns, _nonzero_entries,
-                       class_count_mod_lambda, enumeration_ceiling,
-                       hnf_from_generators, identity_lattice, mat_vec,
-                       pad_exact, stable_sublattice_levels)
+from .lattices import (_nonzero_entries, class_count_mod_lambda,
+                       enumeration_ceiling, hnf_from_generators,
+                       identity_lattice, mat_vec, pad_exact,
+                       stable_sublattice_levels)
 from .orders import base_change_order, build_order
 from .partitions import m_poly, n_poly
-from .series import ser_add, ser_mul, ser_pad
+from .series import ser_pad
 from .zeta import special_values, zeta_polynomial
 
 
@@ -200,10 +200,8 @@ def _integral_columns(lattice, width):
     shift = lattice.scale
     if shift < 0:
         raise InvariantViolation("expected an integral lattice")
-    return _basis_columns(
-        tuple(a + shift for a in lattice.diag),
-        tuple(tuple((0,) * shift + tuple(d) for d in col)
-              for col in lattice.off), width)
+    return [tuple(((0,) * shift + e)[:width] for e in col)
+            for col in lattice.columns(width)]
 
 
 def _fiber_size(fq, gamma, b1, b2, m1, m2, depth, width, ceiling):
@@ -229,19 +227,12 @@ def _fiber_size(fq, gamma, b1, b2, m1, m2, depth, width, ceiling):
         lifted_tails.append(tuple(ser_pad((0,) * depth + tuple(e), width)
                                   for e in col))
     digit_tuples = list(iproduct(range(q), repeat=depth))
+    b1_entries = _nonzero_entries(b1)
     found = set()
     for psi in iproduct(digit_tuples, repeat=m1 * m2):
         gens = list(base_gens)
         for jb in range(m2):
-            head = [zero] * m1
-            for i in range(m1):
-                acc = zero
-                for k in range(m1):
-                    coeff = psi[k * m2 + jb]
-                    if any(coeff):
-                        acc = ser_add(fq, acc,
-                                      ser_mul(fq, coeff, b1[k][i], width))
-                head[i] = acc
+            head = mat_vec(fq, b1_entries, psi[jb::m2], width)
             gens.append(tuple(head) + lifted_tails[jb])
         lattice = hnf_from_generators(fq, pad_exact(gens, n), n,
                                       scale=-depth)

@@ -41,11 +41,11 @@ from math import gcd
 from .errors import (BadFactorization, InvariantViolation, NotSquarefree,
                      PrecisionExhausted, PreconditionViolated)
 from .fq import Fq, embedding
-from .lattices import (colon_lattice, element_scaled_lattice,
-                       hnf_from_generators, identity_lattice,
-                       laurent_matrix_inverse, product_lattice,
-                       relative_length, resultant_valuation, solve_in_basis,
-                       trace_dual_lattice)
+from .lattices import (_matvec_fq, _nonzero_entries, colon_lattice,
+                       element_scaled_lattice, hnf_from_generators,
+                       identity_lattice, laurent_matrix_inverse, mat_vec,
+                       product_lattice, relative_length, resultant_valuation,
+                       solve_in_basis, trace_dual_lattice)
 from .polynomials import (hensel_split, sp_mul, up_divmod, up_factor, up_pow,
                           up_roots, up_trim, xp_mul, xp_subst_x_shift, xp_trim)
 from .series import ser_add, ser_mul, ser_neg, ser_pad, ser_scale, ser_val
@@ -54,21 +54,6 @@ from .series import ser_add, ser_mul, ser_neg, ser_pad, ser_scale, ser_val
 # ---------------------------------------------------------------------------
 # small exact linear algebra over F_q
 # ---------------------------------------------------------------------------
-
-def _fq_mat_mul(fq, a_cols, b_cols, n):
-    out = []
-    for j in range(n):
-        col = [0] * n
-        for k in range(n):
-            c = b_cols[j][k]
-            if c:
-                ak = a_cols[k]
-                for i in range(n):
-                    if ak[i]:
-                        col[i] = fq.add(col[i], fq.mul(c, ak[i]))
-        out.append(tuple(col))
-    return tuple(out)
-
 
 def _fq_kernel(fq, cols, n):
     """Basis of the right kernel of the matrix with the given columns."""
@@ -454,29 +439,6 @@ def _trace_vector(fq, pw, n, count):
     return out
 
 
-def _mul_vectors(fq, pw, n, v, w_vec, prec):
-    """Product of two coordinate vectors in the power basis."""
-    width = min(prec, len(pw[0][0]))
-    conv = [(0,) * width for _ in range(2 * n - 1)]
-    for i in range(n):
-        a = v[i] if i < len(v) else ()
-        if not any(a[:width]):
-            continue
-        for j in range(n):
-            b = w_vec[j] if j < len(w_vec) else ()
-            if not any(b[:width]):
-                continue
-            conv[i + j] = ser_add(fq, conv[i + j],
-                                  ser_mul(fq, a[:width], b[:width], width))
-    out = list(conv[:n]) + [(0,) * width] * max(0, n - len(conv))
-    for k in range(n, 2 * n - 1):
-        if any(conv[k]):
-            for i in range(n):
-                out[i] = ser_add(fq, out[i],
-                                 ser_mul(fq, conv[k], pw[k][i], width))
-    return tuple(out)
-
-
 def _power_basis(fq, f, w, powers, traces):
     """The power basis of O[X]/(f) to w digits: the table of the first
     `powers` powers of X, the first `traces` traces, the trace Gram
@@ -487,7 +449,15 @@ def _power_basis(fq, f, w, powers, traces):
     tcols = tuple(tuple(tau[i + j] for i in range(n)) for j in range(n))
 
     def mul(v, z, prec):
-        return _mul_vectors(fq, pw, n, v, z, prec)
+        width = min(prec, w)
+        conv = sp_mul(fq, v, z, width)
+        out = list(conv[:n])
+        for k in range(n, len(conv)):
+            if any(conv[k]):
+                for i in range(n):
+                    out[i] = ser_add(fq, out[i],
+                                     ser_mul(fq, conv[k], pw[k][i], width))
+        return tuple(out)
 
     return pw, tau, tcols, mul
 
@@ -514,20 +484,17 @@ def _radical_lattice(fq, s_lat, mul, n, w):
     m = 1
     while q ** m < n:
         m += 1
-    mat = tuple(frob)
-    power = mat
-    for _ in range(m - 1):
-        power = _fq_mat_mul(fq, mat, power, n)
+    rows = tuple(zip(*frob))
+    power = []
+    for y in frob:
+        for _ in range(m - 1):
+            y = _matvec_fq(fq, rows, y)
+        power.append(y)
     kernel = _fq_kernel(fq, power, n)
     gens = [tuple((0,) + e[:w - 1] for e in col) for col in cols]
+    entries = _nonzero_entries(cols)
     for lam in kernel:
-        vec = [(0,) * w for _ in range(n)]
-        for j, c in enumerate(lam):
-            if c:
-                for i in range(n):
-                    vec[i] = ser_add(fq, vec[i],
-                                     tuple(fq.mul(c, d) for d in cols[j][i]))
-        gens.append(tuple(vec))
+        gens.append(tuple(mat_vec(fq, entries, [(c,) for c in lam], w)))
     return hnf_from_generators(fq, gens, n, scale=scale)
 
 
@@ -757,7 +724,7 @@ class OrderData:
     __slots__ = ("fq", "f", "f_window", "n", "precision", "valres",
                  "delta", "rho", "factors", "r_lattice", "o_e_lattice",
                  "dual_r_lattice", "conductor_lattice", "action_matrices",
-                 "trace_gram_columns", "_pw")
+                 "trace_gram_columns", "multiply_vectors")
 
     def __init__(self, **kw):
         for name in self.__slots__:
@@ -765,9 +732,6 @@ class OrderData:
 
     def __setattr__(self, name, value):
         raise AttributeError("OrderData is immutable")
-
-    def multiply_vectors(self, v, w_vec, prec):
-        return _mul_vectors(self.fq, self._pw, self.n, v, w_vec, prec)
 
     def signature(self):
         return (self.delta, self.rho, self.valres,
@@ -873,7 +837,7 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
         valres=valres, delta=delta, rho=rho, factors=tuple(factor_data),
         r_lattice=r_lat, o_e_lattice=o_e, dual_r_lattice=dual_r,
         conductor_lattice=conductor, action_matrices=(tuple(pw[1:n + 1]),),
-        trace_gram_columns=gcols, _pw=pw)
+        trace_gram_columns=gcols, multiply_vectors=mul)
 
 
 def build_order(fq, f, factors=None, precision=None, f_window=None):

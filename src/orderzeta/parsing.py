@@ -325,20 +325,10 @@ def format_xpoly(fq, xp):
             parts.append(format_tpoly(fq, tp))
             continue
         xs = "X" if i == 1 else f"X^{i}"
-        nonzero = [j for j, c in enumerate(tp) if c]
         if tp == (1,):
             parts.append(xs)
-        elif len(nonzero) == 1:
-            j = nonzero[0]
-            c = tp[j]
-            pw = "" if j == 0 else ("t" if j == 1 else f"t^{j}")
-            bits = []
-            if c != 1 or not pw:
-                bits.append(_coeff_text(fq, c, wrap=True))
-            if pw:
-                bits.append(pw)
-            bits.append(xs)
-            parts.append("*".join(bits))
+        elif sum(map(bool, tp)) == 1:
+            parts.append(f"{format_tpoly(fq, tp)}*{xs}")
         else:
             parts.append(f"({format_tpoly(fq, tp)})*{xs}")
     return " + ".join(parts)

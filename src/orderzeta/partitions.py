@@ -35,18 +35,25 @@ def m_poly(delta, r):
 
     The partitions of size s and length l with exactly k ones are those
     of s - l into l - k parts (drop the ones, lower every other part by
-    1), so c[s-l][l-k] of them."""
+    1), so c[s-l][l-k] of them.  With rest = s - l fixed, the count with
+    fewer than r ones is the sum of the last r entries of row c[rest] up
+    to index l, kept as a sliding sum while l grows: O(delta^2) for every
+    r."""
     if delta < 0 or r < 1:
         raise ValueError("need delta >= 0 and r >= 1")
     c = _counts_by_length(delta)
     coeffs = [0] * (delta + 1)
-    for size in range(delta + 1):
+    for rest in range(delta + 1):
+        row = c[rest]
+        window = 0
+        for length in range(delta - rest + 1):
+            window += row[length]
+            if length >= r:
+                window -= row[length - r]
+            coeffs[delta - length] += window
+    for size in range(max(0, delta - r), delta):
         for length in range(size + 1):
-            coeffs[delta - length] += sum(
-                c[size - length][length - k]
-                for k in range(min(r, length + 1)))
-            if delta - r <= size < delta:
-                coeffs[size - length] += c[size][length]
+            coeffs[size - length] += c[size][length]
     return IntPoly(coeffs)
 
 

@@ -202,16 +202,11 @@ def xp_add(fq, f, g):
     return xp_trim([up_add(fq, a, b) for a, b in zip(f, g)])
 
 def xp_mul(fq, f, g):
+    """The exact product: sp_mul at a width that holds every t-digit."""
     if not f or not g:
         return ()
-    out = [()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if not a:
-            continue
-        for j, b in enumerate(g):
-            if b:
-                out[i + j] = up_add(fq, out[i + j], up_mul(fq, a, b))
-    return xp_trim(out)
+    width = max(map(len, f)) + max(map(len, g))
+    return xp_trim(sp_mul(fq, f, g, width))
 
 def xp_subst_x_shift(fq, f, s):
     """f(X + s) for s an exact F_q[t] polynomial."""
@@ -231,11 +226,14 @@ def xp_subst_x_shift(fq, f, s):
 def sp_mul(fq, f, g, width):
     """Product of two X-polynomials with series coefficients, each
     coefficient read as `width` digits (cut, or zero-extended as for an
-    exact polynomial); the product's coefficients have `width` digits."""
+    exact polynomial); the product's coefficients have `width` digits.
+    The one product of X-polynomials: xp_mul and the power-basis product
+    of an order are this convolution."""
     out = [(0,) * width] * (len(f) + len(g) - 1)
+    g_nonzero = [(j, b) for j, b in enumerate(g) if any(b[:width])]
     for i, a in enumerate(f):
         if any(a[:width]):
-            for j, b in enumerate(g):
+            for j, b in g_nonzero:
                 out[i + j] = ser_add(fq, out[i + j], ser_mul(fq, a, b, width))
     return tuple(out)
 

@@ -223,6 +223,16 @@ def test_mnpoly_refuses_a_delta_above_its_cap_at_once(capsys):
     assert err == "error: delta must be <= 1000, the cap of mnpoly\n"
 
 
+def test_mnpoly_at_its_cap_is_quadratic_for_every_r(capsys):
+    # r above delta sums the longest windows of the partition table; the
+    # sliding sum keeps that O(delta^2), as for small r
+    start = perf_counter()
+    code, out, err = run(capsys, "mnpoly", "--delta", "1000", "--r", "1001")
+    assert perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert out
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ from orderzeta.lattices import (_nonzero_entries, class_count_mod_lambda,
                                 relative_length, stable_sublattice_levels,
                                 trace_dual_lattice)
 from orderzeta.orders import (CertifiedFactor, _derivative,
-                              _pair_resultant_val, _resultant_val,
-                              auto_factor, base_change_order, build_order,
-                              certify_factor, n_lines_order)
+                              _pair_resultant_val, _power_table,
+                              _resultant_val, auto_factor,
+                              base_change_order, build_order, certify_factor,
+                              n_lines_order)
 from orderzeta.parsing import parse_field
 from orderzeta.polynomials import sp_mul, up_trim, xp_mul, xp_trim
-from orderzeta.series import ser_pad, ser_val
+from orderzeta.series import ser_add, ser_mul, ser_pad, ser_val
 
 from resultant_oracle import resultant_exact
 
@@ -214,6 +215,52 @@ def test_multiplication_and_trace():
     # X * X = t^3
     assert sq[0][:5] == (0, 0, 0, 1, 0)
     assert not any(sq[1])
+
+
+def power_basis_product(fq, pw, n, v, w_vec, prec):
+    """The product of two coordinate vectors in the power basis, as a
+    convolution of series followed by the reduction of X^n .. X^(2n-2)
+    through the power table pw, kept as an oracle for multiply_vectors."""
+    width = min(prec, len(pw[0][0]))
+    conv = [(0,) * width for _ in range(2 * n - 1)]
+    for i in range(n):
+        a = v[i] if i < len(v) else ()
+        if not any(a[:width]):
+            continue
+        for j in range(n):
+            b = w_vec[j] if j < len(w_vec) else ()
+            if not any(b[:width]):
+                continue
+            conv[i + j] = ser_add(fq, conv[i + j],
+                                  ser_mul(fq, a[:width], b[:width], width))
+    out = list(conv[:n]) + [(0,) * width] * max(0, n - len(conv))
+    for k in range(n, 2 * n - 1):
+        if any(conv[k]):
+            for i in range(n):
+                out[i] = ser_add(fq, out[i],
+                                 ser_mul(fq, conv[k], pw[k][i], width))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("fq, f, factors", [
+    (F3, CUSP3, 1), (F3, RAMP5_3, 1),
+    (F3, NODE3, 2), (F2, ((), (0, 1), (1,)), 2),
+    (F3, ((), (0, 0, 2), (), (1,)), 3),                     # X(X - t)(X + t)
+    (F5, ((0, 0, 0, 0, 0, 0, 4), (0, 0, 0, 1, 1, 1), (0, 4, 4, 4), (1,)), 3),
+])
+def test_multiply_vectors_matches_the_power_basis_product(fq, f, factors):
+    # the last f is (X - t)(X - t^2)(X - t^3)
+    o = build_order(fq, f)
+    assert len(o.factors) == factors
+    pw = _power_table(fq, o.f, o.precision, 2 * o.n - 1)
+    for prec in (o.precision, o.precision // 3):
+        cols = [c for lat in (o.o_e_lattice, o.dual_r_lattice,
+                              o.conductor_lattice)
+                for c in lat.columns(prec)]
+        for v in cols:
+            for z in cols:
+                assert (o.multiply_vectors(v, z, prec)
+                        == power_basis_product(fq, pw, o.n, v, z, prec))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ from orderzeta.errors import PrecisionExhausted
 from orderzeta.lattices import resultant_valuation
 from orderzeta.parsing import parse_field
 from orderzeta.polynomials import (IntPoly, hensel_split, monic_polys_over_fq,
-                                   sp_mul, up_ext_euclid, up_divmod,
+                                   sp_mul, up_add, up_ext_euclid, up_divmod,
                                    up_factor, up_mul, up_roots, up_sub,
-                                   up_trim, xp_mul, xp_subst_x_shift)
+                                   up_trim, xp_mul, xp_subst_x_shift,
+                                   xp_trim)
 from orderzeta.series import ser_mul, ser_pad, ser_scale, ser_val
 
 from laurent_oracle import resultant_series
@@ -109,6 +110,33 @@ def test_shift_and_scale_substitutions():
     # (X+1)^2 over F_3
     f = ((), (), (1,))
     assert xp_subst_x_shift(F3, f, (1,)) == ((1,), (2,), (1,))
+
+
+def schoolbook_xp_mul(fq, f, g):
+    """The product of two exact X-polynomials coefficient pair by
+    coefficient pair in F_q[t], kept as an oracle for xp_mul."""
+    if not f or not g:
+        return ()
+    out = [()] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if not a:
+            continue
+        for j, b in enumerate(g):
+            if b:
+                out[i + j] = up_add(fq, out[i + j], up_mul(fq, a, b))
+    return xp_trim(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_xp_mul_matches_the_schoolbook_product(data):
+    # untrimmed inputs too: coefficients with high zero digits and zero
+    # leading coefficients
+    fq = data.draw(st.sampled_from((F2, F3, F4, F9)))
+    xpolys = st.lists(st.lists(st.integers(0, fq.q - 1), max_size=5).map(tuple),
+                      max_size=5).map(tuple)
+    f, g = data.draw(xpolys), data.draw(xpolys)
+    assert xp_mul(fq, f, g) == schoolbook_xp_mul(fq, f, g)
 
 
 @settings(max_examples=40, deadline=None)
