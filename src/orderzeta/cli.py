@@ -81,7 +81,7 @@ def build_parser():
 
 def _analyze_inputs(args):
     if args.file:
-        if args.q or args.f or args.factors:
+        if args.q or args.f or args.factors is not None:
             raise ParseError("--file replaces --q, --f, and --factors")
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
@@ -98,7 +98,7 @@ def _analyze_inputs(args):
     fq = parse_field(args.q)
     f = parse_xpoly(fq, args.f)
     factors = None
-    if args.factors:
+    if args.factors is not None:
         factors = [parse_xpoly(fq, part) for part in args.factors.split(";")]
     return fq, f, factors, args.precision
 

@@ -13,30 +13,29 @@ generates the dual.  The twist sums the idempotent projections of these
 columns; g's colength in its normalization is (v(disc g) + v + s*deg g)/2
 (Dedekind), and delta = rho + the sum of these colengths is checked.
 
-Factors come from one Newton-polygon walker, _pieces, never from an
-assumption.  auto_factor runs it to split f; certify_factor runs it with
-whole=True on a supplied factor, and every step that would split the
-polynomial then rejects it as reducible.  The walker Hensel-splits
-coprime residual factors, recenters a repeated residual root away from
-the origin, rescales X -> t^h X along an integral last slope, and
-descends to the splitting field of a repeated nonlinear residual, where
-every conjugate piece must certify alike.  Its leaves are an
-irreducible residual and a single fractional-slope segment whose
-residual polynomial is irreducible.
+The walker splits and the normalization certifies.  Factors come from
+one Newton-polygon walker, _pieces, or from the caller.  The walker
+Hensel-splits coprime residual factors, recenters a repeated residual
+root away from the origin and rescales X -> t^h X along an integral
+last slope; any other piece it returns unsplit.  Supplied factors are
+not walked.  Either way, _assemble certifies every factor irreducible
+from the last round of the normalization (Berlekamp's fixed
+subalgebra): x -> x^q on O_E/tO_E fixes a space of dimension the number
+of branches, which must equal the number of factors, and a factor's
+residue degree n is the least norm valuation on its branch of the
+radical J of t*O_E, so that e = deg g / n and the n add up to
+[O_E : J].
 
-A fractional-slope segment that must be separated from the rest of the
-polygon, and a repeated residual on a ramified segment, are rejected
-with a request for an explicit factorization.  The second also rejects
-quartics such as (X^2 - t)^2 - t^3 and (X^2 - t)^2 - t^5 in odd
-characteristic: with s^2 = t their roots +-s*sqrt(1 +- s) and
-+-s*sqrt(1 +- s^3) lie in F_q((s)), so each splits into two quadratics
-whose coefficients are power series, not polynomials, and no explicit
-factorization can be supplied.
+A piece with more than one branch is rejected with a request for a
+factorization into irreducible factors.  Among them are quartics such
+as (X^2 - t)^2 - t^3 and (X^2 - t)^2 - t^5 in odd characteristic: with
+s^2 = t their roots +-s*sqrt(1 +- s) and +-s*sqrt(1 +- s^3) lie in
+F_q((s)), so each splits into two quadratics whose coefficients are
+power series, not polynomials, and no explicit factorization can be
+supplied.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 from .errors import (BadFactorization, InvariantViolation, NotSquarefree,
                      PrecisionExhausted, PreconditionViolated)
@@ -47,7 +46,7 @@ from .lattices import (_matvec_fq, _nonzero_entries, colon_lattice,
                        product_lattice, relative_length, resultant_valuation,
                        solve_in_basis, trace_dual_lattice)
 from .polynomials import (hensel_split, sp_mul, up_divmod, up_factor, up_pow,
-                          up_roots, up_trim, xp_mul, xp_subst_x_shift, xp_trim)
+                          up_trim, xp_mul, xp_subst_x_shift, xp_trim)
 from .series import ser_add, ser_mul, ser_neg, ser_pad, ser_scale, ser_val
 
 
@@ -93,20 +92,18 @@ def _fq_kernel(fq, cols, n):
 # ---------------------------------------------------------------------------
 
 class CertifiedFactor:
-    """A monic irreducible factor with its certification data.
+    """A monic factor of f, from the walker or supplied; build_order
+    certifies it irreducible from the normalization.
 
     coeffs holds the coefficient digit tuples; window is the number of
     exact digits per coefficient (None for exact polynomials).
-    ram_index * residue_degree equals the factor degree.
     """
 
-    __slots__ = ("coeffs", "window", "ram_index", "residue_degree")
+    __slots__ = ("coeffs", "window")
 
-    def __init__(self, coeffs, window, ram_index, residue_degree):
+    def __init__(self, coeffs, window):
         self.coeffs = tuple(tuple(c) for c in coeffs)
         self.window = window
-        self.ram_index = ram_index
-        self.residue_degree = residue_degree
 
     @property
     def degree(self):
@@ -117,8 +114,7 @@ class CertifiedFactor:
         return (self.degree, digits)
 
     def __repr__(self):
-        return (f"CertifiedFactor(degree={self.degree}, "
-                f"e={self.ram_index}, n={self.residue_degree})")
+        return f"CertifiedFactor(degree={self.degree})"
 
 
 def _digit(c, idx):
@@ -220,163 +216,74 @@ def _newton_min_slope(coeffs, v0):
     return best_i, best_v
 
 
-def _ramified_leaf(fq, coeffs, window, v0):
-    """The factor of a polygon that is one segment from (0, v0) to
-    (deg, 0) with a fractional slope: irreducible, with ramification
-    index e = deg / gcd(v0, deg), exactly when the residual polynomial of
-    the segment is irreducible."""
-    n = len(coeffs) - 1
-    g = gcd(v0, n)
-    e, h = n // g, v0 // g
-    resid = up_trim([_digit(coeffs[j * e], h * (g - j)) for j in range(g + 1)])
-    (base, k), *rest = up_factor(fq, resid)
-    if rest:
-        raise BadFactorization("factor splits along its residual polynomial")
-    if k > 1:
-        what = "residual root" if len(base) == 2 else "nonlinear residual"
-        raise BadFactorization(
-            f"cannot certify: repeated {what} on a ramified segment; "
-            "supply an explicit factorization")
-    return CertifiedFactor(coeffs, window, e, g)
-
-
-def _descend(fq, coeffs, window, work, budget, base, k, whole):
-    """(e, r) of a polynomial whose residual is base^k, with base
-    irreducible of degree b > 1 and k > 1.  Over F_q^b the residual is a
-    product of b conjugate k-th powers; Hensel lifting splits the
-    polynomial along them, and it is irreducible when every conjugate
-    piece is, with the same (e, r0) and r = b * r0.  A conjugate piece
-    that splits makes the polynomial reducible, and the pieces are not
-    regrouped into factors over F_q: the automatic path rejects it."""
-    b = len(base) - 1
-    big = Fq(fq.p, fq.e * b)
-    table = embedding(fq, big)
-    roots = up_roots(big, tuple(table[d] for d in base))
-    if len(roots) != b:
-        raise InvariantViolation(
-            "descent field does not split the residual factor")
-    w2 = window if window is not None else work
-    if w2 < 4:
-        raise PrecisionExhausted("descent window is too small")
-    cur = tuple(ser_pad(tuple(table[d] for d in c), w2) for c in coeffs)
-    parts = []
-    for w in roots[:-1]:
-        gbar = up_pow(big, (big.neg(w), 1), k)
-        hbar, rem = up_divmod(big, _mod_t(cur), gbar)
-        if rem:
-            raise InvariantViolation("residual split went inexact")
-        part, cur = hensel_split(big, cur, gbar, hbar, w2)
-        parts.append(part)
-    walks = [_pieces(big, part, w2, w2, budget, whole)
-             for part in parts + [cur]]
-    if any(len(walk) > 1 for walk in walks):
-        raise BadFactorization(
-            "automatic factorization cannot split a repeated nonlinear "
-            "residual; supply an explicit factorization")
-    sub = {(p.ram_index, p.residue_degree) for walk in walks for p in walk}
-    if len(sub) != 1:
-        raise InvariantViolation("conjugate factors disagree")
-    ((e0, r0),) = sub
-    return e0, b * r0
-
-
-def _pieces(fq, coeffs, window, work, budget, whole):
-    """Certified irreducible factors of a monic polynomial, as a list of
-    CertifiedFactor.
+def _pieces(fq, coeffs, window, work, budget):
+    """Factors of a monic polynomial, as a list of CertifiedFactor.
 
     window is the number of exact digits per coefficient (None for an
     exact polynomial), work the window of the pieces that a Hensel split
     of an exact polynomial makes, and budget the number of recenterings
-    left.  With whole=True the polynomial must be irreducible: wherever
-    the walk would split it, BadFactorization is raised.
+    left.  A polynomial that none of the walker's steps splits comes
+    back as one piece, irreducible or not: build_order's certificate
+    judges it.
     """
     coeffs = _trim_digits(coeffs)
     n = len(coeffs) - 1
     if n < 1:
         raise BadFactorization("constant factor")
+    unsplit = [CertifiedFactor(coeffs, window)]
     if n == 1:
-        return [CertifiedFactor(coeffs, window, 1, 1)]
+        return unsplit
     if budget < 0:
         raise BadFactorization(
             "factorization did not terminate; is the input squarefree?")
     resid = _mod_t(coeffs)
     parts = up_factor(fq, resid)
     if len(parts) > 1:
-        if whole:
-            raise BadFactorization(
-                "factor splits along its residual polynomial")
         gbar = up_pow(fq, parts[0][0], parts[0][1])
         hbar, rem = up_divmod(fq, resid, gbar)
         if rem:
             raise InvariantViolation("residual factor split went inexact")
         w2 = window if window is not None else work
         return [piece for part in hensel_split(fq, coeffs, gbar, hbar, w2)
-                for piece in _pieces(fq, part, w2, w2, budget, False)]
+                for piece in _pieces(fq, part, w2, w2, budget)]
     base, k = parts[0]
-    if k == 1:
-        return [CertifiedFactor(coeffs, window, 1, n)]
-    if len(base) > 2:
-        e, r = _descend(fq, coeffs, window, work, budget, base, k, whole)
-        return [CertifiedFactor(coeffs, window, e, r)]
+    if k == 1 or len(base) > 2:
+        return unsplit
     if base[0]:
         # repeated residual root away from the origin: recenter, walk,
         # then shift the pieces back
         root = fq.neg(base[0])
         moved = _shifted(fq, coeffs, (root,), window)
         return [CertifiedFactor(_shifted(fq, p.coeffs, (base[0],), p.window),
-                                p.window, p.ram_index, p.residue_degree)
-                for p in _pieces(fq, moved, window, work, budget - 1, whole)]
+                                p.window)
+                for p in _pieces(fq, moved, window, work, budget - 1)]
     # residual is X^n: positive slopes only.  A constant coefficient
     # that is zero to the window stays out of the polygon; the last
     # segment is then known when it lies below every value the unknown
     # coefficient can take.
     v0 = ser_val(coeffs[0])
     if v0 is None and window is None:
-        if whole:
-            raise BadFactorization("factor is divisible by X")
-        return ([CertifiedFactor(((), (1,)), None, 1, 1)]
-                + _pieces(fq, coeffs[1:], None, work, budget, False))
+        return ([CertifiedFactor(((), (1,)), None)]
+                + _pieces(fq, coeffs[1:], None, work, budget))
     known = window is None or (v0 is not None and v0 < window)
     vi, vv = _newton_min_slope(coeffs, v0 if known else None)
     if not known and not (vi >= 1 and window * (n - vi) > vv * n):
         raise PrecisionExhausted(
             "constant coefficient vanishes to working precision")
     span = n - vi
-    if vv % span == 0:
-        h = vv // span
-        scaled, swin = _scale_down(fq, coeffs, window, h)
-        return [CertifiedFactor(
-                    tuple((0,) * (h * (p.degree - i)) + tuple(c)
-                          for i, c in enumerate(p.coeffs)),
-                    p.window, p.ram_index, p.residue_degree)
-                for p in _pieces(fq, scaled, swin, work, budget, whole)]
-    if vi == 0:
-        return [_ramified_leaf(fq, coeffs, window, v0)]
-    if whole:
-        raise BadFactorization("factor splits along its Newton polygon")
-    raise BadFactorization(
-        "automatic factorization cannot separate a fractional-slope "
-        "segment; supply an explicit factorization")
-
-
-def certify_factor(fq, f, precision=None):
-    """Certify a monic polynomial irreducible over F_q((t)).
-
-    f is a tuple of exact F_q[t] coefficient tuples.  Returns
-    (ramification index, residue degree).
-    """
-    f = _trim_digits(f)
-    if not _is_monic_digits(f):
-        raise BadFactorization("factor is not monic in X")
-    v = _resultant_val(fq, f, _derivative(fq, f), None)
-    budget = (v or 0) + 3
-    work = precision if precision else 4 * (budget + len(f)) + 12
-    (piece,) = _pieces(fq, f, None, work, budget, True)
-    return piece.ram_index, piece.residue_degree
+    if vv % span:
+        return unsplit
+    h = vv // span
+    scaled, swin = _scale_down(fq, coeffs, window, h)
+    return [CertifiedFactor(tuple((0,) * (h * (p.degree - i)) + tuple(c)
+                                  for i, c in enumerate(p.coeffs)),
+                            p.window)
+            for p in _pieces(fq, scaled, swin, work, budget)]
 
 
 def auto_factor(fq, f, precision, window=None):
-    """Monic squarefree polynomial into certified irreducible factors.
+    """Monic squarefree polynomial into the factors that the walker
+    splits it into; a piece it cannot split is left whole.
 
     Returns a canonically ordered tuple of CertifiedFactor.  The product
     of the pieces is checked against f to the working window.
@@ -391,7 +298,7 @@ def auto_factor(fq, f, precision, window=None):
         budget = v + 3
     else:
         budget = window + 2
-    pieces = _pieces(fq, f, window, precision, budget, False)
+    pieces = _pieces(fq, f, window, precision, budget)
     pieces.sort(key=CertifiedFactor.sort_key)
     wmin = min([precision] + [p.window for p in pieces
                               if p.window is not None])
@@ -467,8 +374,9 @@ def _power_basis(fq, f, w, powers, traces):
 # ---------------------------------------------------------------------------
 
 def _radical_lattice(fq, s_lat, mul, n, w):
-    """The radical of t*S inside the order lattice S: the preimage of the
-    nilradical of S/tS, located as the kernel of a Frobenius power."""
+    """The radical of t*S inside the order lattice S, the preimage of the
+    nilradical of S/tS, located as the kernel of a Frobenius power; with
+    the columns of the matrix of x -> x^q on S/tS."""
     cols = s_lat.columns(w)
     scale = s_lat.scale
     q = fq.q
@@ -495,14 +403,15 @@ def _radical_lattice(fq, s_lat, mul, n, w):
     entries = _nonzero_entries(cols)
     for lam in kernel:
         gens.append(tuple(mat_vec(fq, entries, [(c,) for c in lam], w)))
-    return hnf_from_generators(fq, gens, n, scale=scale)
+    return hnf_from_generators(fq, gens, n, scale=scale), frob
 
 
 def _normalize(fq, mul, gram_cols, n, w, guard):
-    """The maximal order containing the standard order lattice."""
+    """The maximal order O_E containing the standard order lattice, with
+    the last round's Frobenius matrix on O_E/tO_E and radical J."""
     s_lat = identity_lattice(fq, n)
     for _ in range(guard):
-        rad = _radical_lattice(fq, s_lat, mul, n, w)
+        rad, frob = _radical_lattice(fq, s_lat, mul, n, w)
         power = rad
         for _ in range(n - 1):
             power = product_lattice(power, rad, mul, w)
@@ -516,7 +425,7 @@ def _normalize(fq, mul, gram_cols, n, w, guard):
             if product_lattice(s_lat, s_lat, mul, w) != s_lat:
                 raise InvariantViolation(
                     "normalization result is not multiplicatively closed")
-            return s_lat
+            return s_lat, frob, rad
         s_lat = bigger
     raise PrecisionExhausted("normalization did not stabilize")
 
@@ -608,14 +517,17 @@ def _idempotents(fq, mul, pieces, n, w):
     return tuple(out)
 
 
-def _branch_generators(fq, pieces, plain_dual):
-    """For each factor g, (j, v): the first basis column b_j of the plain
-    trace dual with the least valuation v of res(g, b_j(X)), its norm on
-    the branch of g, where it generates the dual.  A resultant that is
-    zero, or not certified to a windowed factor's window, is no candidate.
+def _branch_generators(fq, pieces, lattice):
+    """For each factor g, (j, v): the first basis column b_j of the
+    lattice with the least valuation v of res(g, b_j(X)), its norm on the
+    branch of g, so that v + scale * deg g is the least norm valuation of
+    the lattice on that branch.  On the plain trace dual, b_j generates
+    the dual there; on the radical of t*O_E that least valuation is the
+    residue degree of the branch.  A resultant that is zero, or not
+    certified to a windowed factor's window, is no candidate.
     """
     # HNF columns are exact polynomials at this width
-    cols = plain_dual.columns(plain_dual.max_exponent() + 1)
+    cols = lattice.columns(lattice.max_exponent() + 1)
     out = []
     for piece in pieces:
         best = None
@@ -627,7 +539,7 @@ def _branch_generators(fq, pieces, plain_dual):
             if v is not None and (best is None or v < best[1]):
                 best = (j, v)
         if best is None:
-            raise InvariantViolation("dual lattice misses a component")
+            raise InvariantViolation("lattice misses a component")
         out.append(best)
     return out
 
@@ -663,14 +575,10 @@ def _modified_gram(fq, tau, twist, scale, n, w):
     cols = []
     cut = max(0, -scale)
     for j in range(n):
+        # entry i is the sum over k of twist[k] * tau[k + i + j]
+        hankel = [tau[k + j:k + j + n] for k in range(n)]
         col = []
-        for i in range(n):
-            acc = (0,) * width
-            for k in range(n):
-                if any(twist[k][:width]):
-                    acc = ser_add(fq, acc,
-                                  ser_mul(fq, twist[k][:width],
-                                          tau[k + i + j][:width], width))
+        for acc in mat_vec(fq, _nonzero_entries(hankel), twist, width):
             if cut:
                 if any(acc[:cut]):
                     raise InvariantViolation(
@@ -764,14 +672,31 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
     pw, tau, tcols, mul = _power_basis(fq, fdigits, weff,
                                        max(n + 1, 4 * n - 3), 3 * n - 2)
     r_lat = identity_lattice(fq, n)
-    o_e = _normalize(fq, mul, tcols, n, weff, valres + 3)
+    o_e, frob, rad = _normalize(fq, mul, tcols, n, weff, valres + 3)
+    # Berlekamp: x -> x^q fixes one line per branch of O_E/tO_E
+    branches = len(_fq_kernel(fq, [
+        tuple(fq.sub(c, int(i == j)) for i, c in enumerate(col))
+        for j, col in enumerate(frob)], n))
+    if branches < len(pieces):
+        raise InvariantViolation("fewer branches than factors")
+    if branches > len(pieces):
+        raise BadFactorization(
+            f"f has {branches} branches but {len(pieces)} factors; supply "
+            "a factorization into irreducible factors")
+    # O_E/J is the product of the residue fields of the branches
+    residue = [v + rad.scale * piece.degree
+               for piece, (_, v) in zip(pieces, _branch_generators(
+                   fq, pieces, rad))]
+    if min(residue) < 1 or sum(residue) != relative_length(o_e, rad):
+        raise InvariantViolation(
+            "residue degrees do not add up to the colength of the radical")
     delta = relative_length(o_e, r_lat)
 
     plain_dual = trace_dual_lattice(o_e, tcols, weff)
     picks = _branch_generators(fq, pieces, plain_dual)
     factor_data = []
     sub_total = 0
-    for piece, (_, v) in zip(pieces, picks):
+    for piece, (_, v), rdeg in zip(pieces, picks, residue):
         parts = up_factor(fq, _mod_t(piece.coeffs))
         if len(parts) != 1:
             raise InvariantViolation(
@@ -789,11 +714,11 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
             raise InvariantViolation(
                 "branch colength from resultants is odd or negative")
         ell = twice // 2
-        if piece.residue_degree % d or ell % d:
+        if rdeg % d or ell % d:
             raise InvariantViolation("residue degree does not divide")
         factor_data.append(FactorData(
-            piece.coeffs, piece.window, d, piece.residue_degree // d,
-            piece.residue_degree, piece.ram_index, ell // d))
+            piece.coeffs, piece.window, d, rdeg // d, rdeg,
+            piece.degree // rdeg, ell // d))
         sub_total += ell
 
     rho = 0
@@ -840,13 +765,23 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
         trace_gram_columns=gcols, multiply_vectors=mul)
 
 
+# The build's window grows with the coefficient degrees: X^2 - t^k at
+# q = 3 builds at a window of 7k + 25 digits, and its analyze exits 5
+# after 0.24, 0.65, 2.0 and 8.6 s for k = 50, 100, 200 and 400 (one run
+# each, 2-vCPU host, Python 3.11), nearly all of it the build.  So a
+# larger t-degree in an exact f or a supplied factor is refused before
+# the discriminant is computed.
+_T_DEGREE_CAP = 400
+
+
 def build_order(fq, f, factors=None, precision=None, f_window=None):
     """Build the full order data for a monic squarefree f.
 
     f and the optional factors are tuples of F_q[t] coefficient tuples
     (exact polynomials); f_window marks f as a truncated series with
     that many exact digits per coefficient, in which case factors must
-    be omitted and are found automatically.
+    be omitted and are found automatically.  Each factor is certified
+    irreducible by the normalization: f must have one branch per factor.
     """
     if precision is not None and precision < 1:
         raise PreconditionViolated("precision must be positive")
@@ -859,6 +794,12 @@ def build_order(fq, f, factors=None, precision=None, f_window=None):
     if f_window is not None and factors is not None:
         raise PreconditionViolated(
             "explicit factors need an exact polynomial f")
+    exact = [f] if f_window is None else []
+    if any(len(up_trim(c)) > _T_DEGREE_CAP + 1
+           for g in exact + list(factors or ()) for c in g):
+        raise PreconditionViolated(
+            "coefficients of f and of its factors must have t-degree <= "
+            f"{_T_DEGREE_CAP}, the cap of build_order")
     valres = _resultant_val(fq, f, _derivative(fq, f), f_window)
     if valres is None and f_window is None:
         raise NotSquarefree(
@@ -889,9 +830,13 @@ def build_order(fq, f, factors=None, precision=None, f_window=None):
             prod = xp_mul(fq, prod, g)
         if xp_trim(prod) != xp_trim(f):
             raise BadFactorization("product of factors does not equal f")
-        pieces = tuple(sorted(
-            (CertifiedFactor(g, None, *certify_factor(fq, g, precision=w))
-             for g in supplied), key=CertifiedFactor.sort_key))
+        for g in supplied:
+            if not _is_monic_digits(g):
+                raise BadFactorization("factor is not monic in X")
+            if len(g) < 2:
+                raise BadFactorization("constant factor")
+        pieces = tuple(sorted((CertifiedFactor(g, None) for g in supplied),
+                              key=CertifiedFactor.sort_key))
 
     order = _assemble(fq, f, f_window, pieces, w, valres)
     again = _assemble(fq, f, f_window, pieces, w + 2, valres)

@@ -325,18 +325,82 @@ def test_ceiling_below_the_orbit_bound_exits_5_before_enumerating(
     assert "enumeration exceeded the work ceiling 27" in err
 
 
+BRANCH_COUNT = "supply a factorization into irreducible factors"
+
+
+@pytest.mark.parametrize("q, f", [
+    ("3", "(X^2-t)*(X^2-t^3)"),
+    ("3", "X^4-t^2"),
+    ("3", "(X^2-t)*(X^2-2*t)"),
+    ("3", "(X^2-t)^2-t^5"),
+    ("5", "(X^2-t)^2-t^3"),
+    ("2", "(X^2+X+1)*(X^2+(1+t^2)*X+1+t)"),
+])
+def test_pieces_the_walker_cannot_split_fail_the_branch_count(capsys, q, f):
+    code, out, err = run(capsys, "analyze", "--q", q, "--f", f)
+    assert (code, out) == (3, "")
+    assert err == f"error: f has 2 branches but 1 factors; {BRANCH_COUNT}\n"
+
+
+def test_a_reducible_supplied_factor_exits_3(capsys):
+    # (X^2 - t)^2 - t^5 splits over F_3((t)) into two quadratics with
+    # power-series coefficients
+    f = "(X^2-t)^2-t^5"
+    code, _, err = run(capsys, "analyze", "--q", "3", "--f", f,
+                       "--factors", f)
+    assert code == 3
+    assert err == f"error: f has 2 branches but 1 factors; {BRANCH_COUNT}\n"
+
+
 def test_conjugate_factors_need_an_explicit_factorization(capsys):
     # two quadratics with the same residual X^2 + X + 1 over F_2: the
-    # descent to F_4 splits f, which the automatic path does not regroup
+    # walker leaves f whole, and the normalization counts two branches
     f = "(X^2+X+1)*(X^2+(1+t^2)*X+1+t)"
     code, _, err = run(capsys, "analyze", "--q", "2", "--f", f)
     assert code == 3
-    assert "cannot split a repeated nonlinear residual" in err
-    assert "supply an explicit factorization" in err
+    assert "f has 2 branches but 1 factors" in err
+    assert BRANCH_COUNT in err
     code, out, _ = run(capsys, "analyze", "--q", "2", "--f", f,
                        "--factors", "X^2+X+1;X^2+(1+t^2)*X+1+t")
     assert code == 0
     assert "O_gamma = 4 (zeta 4, lattice 4, levi 4)" in out
+
+
+@pytest.mark.parametrize("flag", ["--f", "--factors"])
+@pytest.mark.parametrize("k", ["100000", "1000000"])
+def test_coefficient_degrees_above_the_cap_exit_3_at_once(capsys, flag, k):
+    argv = ["analyze", "--q", "3", "--f", f"X^2 - t^{k}"]
+    if flag == "--factors":
+        argv = ["analyze", "--q", "3", "--f", "X^2 - t^3",
+                "--factors", f"X - t^{k}; X + t^{k}"]
+    start = perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert perf_counter() - start < 1
+    assert code == 3
+    assert "t-degree <= 400" in err
+
+
+def test_a_pole_keeps_its_message_above_the_cap(capsys):
+    code, _, err = run(capsys, "analyze", "--q", "3", "--f",
+                       "X^2 - t^-1000000")
+    assert code == 3
+    assert "t^-1000000 has a pole at t = 0" in err
+
+
+def test_an_empty_factor_list_is_a_parse_error(capsys, tmp_path):
+    code, _, err = run(capsys, "analyze", "--q", "3", "--f", "X^2-t^3",
+                       "--factors", "")
+    assert code == 2
+    path = tmp_path / "o.order"
+    path.write_text("q = 3\nf = X^2 - t^3\nfactors =\n")
+    code, _, err = run(capsys, "analyze", "--file", str(path))
+    assert code == 2
+    assert "empty value for 'factors'" in err
+    path.write_text("q = 3\nf = X^2 - t^3\n")
+    code, _, err = run(capsys, "analyze", "--file", str(path),
+                       "--factors", "")
+    assert code == 2
+    assert "replaces" in err
 
 
 @pytest.mark.parametrize("argv", [

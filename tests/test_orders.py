@@ -13,12 +13,11 @@ from orderzeta.lattices import (_nonzero_entries, class_count_mod_lambda,
                                 relative_length, stable_sublattice_levels,
                                 trace_dual_lattice)
 from orderzeta.orders import (CertifiedFactor, _derivative,
-                              _pair_resultant_val, _power_table,
+                              _pair_resultant_val, _pieces, _power_table,
                               _resultant_val, auto_factor,
-                              base_change_order, build_order, certify_factor,
-                              n_lines_order)
+                              base_change_order, build_order, n_lines_order)
 from orderzeta.parsing import parse_field
-from orderzeta.polynomials import sp_mul, up_trim, xp_mul, xp_trim
+from orderzeta.polynomials import sp_mul, up_factor, up_trim, xp_mul, xp_trim
 from orderzeta.series import ser_add, ser_mul, ser_pad, ser_val
 
 from resultant_oracle import resultant_exact
@@ -267,28 +266,39 @@ def test_multiply_vectors_matches_the_power_basis_product(fq, f, factors):
 # certification and automatic factorization
 # ---------------------------------------------------------------------------
 
-def test_certify_factor_values():
-    assert certify_factor(F3, CUSP3) == (2, 1)
-    assert certify_factor(F3, QUAD3) == (1, 2)
-    assert certify_factor(F3, ((0, 2), (1,))) == (1, 1)
-    assert certify_factor(F2, ((0, 0, 0, 0, 0, 1), (), (), (1,))) == (3, 1)
-    assert certify_factor(F3, QUARTIC3) == (2, 2)
+def test_residue_data_of_one_factor():
+    # (e, n) of single irreducible factors, known by hand: build_order
+    # reads them off the normalization whether or not the factor is
+    # supplied
+    for fq, g, e, n in (
+            (F3, CUSP3, 2, 1),
+            (F3, QUAD3, 1, 2),
+            (F3, ((0, 2), (1,)), 1, 1),
+            (F2, ((0, 0, 0, 0, 0, 1), (), (), (1,)), 3, 1),
+            (F3, QUARTIC3, 2, 2),
+            # (X - 1)^2 - t^3, a cusp moved away from the origin
+            (F3, ((1, 0, 0, 2), (1,), (1,)), 2, 1)):
+        for factors in (None, (g,)):
+            (fd,) = build_order(fq, g, factors=factors).factors
+            assert (fd.e, fd.n) == (e, n)
 
 
-def test_certify_factor_rejects_reducible():
-    with pytest.raises(BadFactorization):
-        certify_factor(F3, NODE3)            # splits along the residual
-    with pytest.raises(BadFactorization):
-        certify_factor(F2, ((), (0, 1), (1,)))  # divisible by X
-    with pytest.raises(BadFactorization):
-        # (X^2 - t)(X^2 - t^3): two Newton segments
-        certify_factor(F3, ((0, 0, 0, 0, 1), (), (0, 2, 2), (), (1,)))
+def test_a_reducible_supplied_factor_fails_the_branch_count():
+    for fq, f in (
+            (F3, NODE3),                         # splits along the residual
+            (F2, ((), (0, 1), (1,))),            # divisible by X
+            # (X^2 - t)(X^2 - t^3): two Newton segments
+            (F3, ((0, 0, 0, 0, 1), (), (0, 2, 2), (), (1,)))):
+        with pytest.raises(BadFactorization,
+                           match="^f has 2 branches but 1 factors; supply "
+                                 "a factorization into irreducible "
+                                 "factors$"):
+            build_order(fq, f, factors=(f,))
 
 
-def test_certify_factor_recentered():
+def test_recentered_cusp_is_one_exact_piece():
     # (X - 1)^2 - t^3 is a cusp moved away from the origin
     f = ((1, 0, 0, 2), (1,), (1,))
-    assert certify_factor(F3, f) == (2, 1)
     pieces = auto_factor(F3, f, 24)
     assert len(pieces) == 1
     assert pieces[0].coeffs == xp_trim(f)
@@ -352,7 +362,7 @@ def test_fractional_slope_needs_explicit_factors():
     fa = ((0, 2), (), (1,))          # X^2 - t
     fb = ((0, 0, 0, 2), (), (1,))    # X^2 - t^3
     f = xp_mul(F3, fa, fb)
-    with pytest.raises(BadFactorization):
+    with pytest.raises(BadFactorization, match="2 branches but 1 factors"):
         build_order(F3, f)
     o = build_order(F3, f, factors=(fa, fb))
     assert (o.delta, o.rho) == (3, 2)
@@ -491,18 +501,21 @@ def test_zero_exact_resultants_keep_their_errors_and_budget():
         build_order(F3, square)
     with pytest.raises(NotSquarefree, match="^discriminant vanishes$"):
         auto_factor(F3, square, 20)
-    lin = CertifiedFactor(((2,), (1,)), None, 1, 1)
+    lin = CertifiedFactor(((2,), (1,)), None)
     with pytest.raises(NotSquarefree, match="two factors share a root") \
             as info:
         _pair_resultant_val(F3, lin, lin, 20)
     assert info.value.exit_code == 3
     # (X - s)^2 with s = t + ... + t^k recenters k times before it reaches
-    # X^2; a zero discriminant allows a budget of 3 recenterings
-    for k, message in ((3, "divisible by X"), (4, "did not terminate")):
-        s = (0,) + (1,) * k
-        lin = (tuple(F3.neg(c) for c in s), (1,))
-        with pytest.raises(BadFactorization, match=message):
-            certify_factor(F3, xp_mul(F3, lin, lin))
+    # X^2, which the walker peels into X * X; a budget of 3 recenterings
+    # is what auto_factor gives a zero discriminant
+    def line(k):
+        return (tuple(F3.neg(c) for c in (0,) + (1,) * k), (1,))
+    lin = line(3)
+    pieces = _pieces(F3, xp_mul(F3, lin, lin), None, 24, 3)
+    assert [p.coeffs for p in pieces] == [lin, lin]
+    with pytest.raises(BadFactorization, match="did not terminate"):
+        _pieces(F3, xp_mul(F3, line(4), line(4)), None, 24, 3)
 
 
 def test_build_is_deterministic():
@@ -575,26 +588,30 @@ def test_products_of_distinct_lines(data):
 
 
 def _certified_factor(rng, fq):
-    """A random monic factor that certify_factor accepts: a line, a
-    ramified binomial X^e - u t^k, or a monic quadratic; None when the
-    draw is reducible."""
+    """A random monic irreducible factor with its (e, n) known by
+    construction: a line (1, 1), a binomial X^e - u t^k with gcd(k, e) = 1
+    (e, 1), or a quadratic irreducible mod t (1, 2); None when the
+    quadratic's residual splits."""
     unit = rng.randrange(1, fq.q)
     kind = rng.randrange(3)
     if kind == 0:
         root = tuple(rng.randrange(fq.q) for _ in range(rng.randint(1, 3)))
-        g = (tuple(fq.neg(c) for c in root), (1,))
+        g, er = (tuple(fq.neg(c) for c in root), (1,)), (1, 1)
     elif kind == 1:
         e = rng.choice([2, 3])
         k = rng.choice([k for k in range(1, 6) if gcd(k, e) == 1])
         g = ((0,) * k + (fq.neg(unit),),) + ((),) * (e - 1) + ((1,),)
+        er = (e, 1)
     else:
         g = (tuple(rng.randrange(fq.q) for _ in range(2)),
              tuple(rng.randrange(fq.q) for _ in range(2)), (1,))
+        er = (1, 2)
     g = tuple(up_trim(c) for c in g)
-    try:
-        return g, certify_factor(fq, g)
-    except BadFactorization:
+    # up_factor lists factors by ascending degree
+    if kind == 2 and len(up_factor(fq, [c[0] if c else 0
+                                        for c in g])[0][0]) != 3:
         return None
+    return g, er
 
 
 @pytest.mark.parametrize("q", ["2", "3", "5", "9"])
@@ -611,17 +628,18 @@ def test_supplied_and_automatic_factorizations_agree(q):
         for g in factors:
             f = xp_mul(fq, f, g)
         try:
-            pieces = auto_factor(fq, f, 40)
+            auto = build_order(fq, f)
         except NotSquarefree:
             continue
         except BadFactorization:
             # fractional-slope segments that only a supplied
             # factorization separates
             continue
-        assert sorted((p.ram_index, p.residue_degree) for p in pieces) == \
-            sorted(er for _, er in draws)
-        assert build_order(fq, f).signature() == \
-            build_order(fq, f, factors=factors).signature()
+        supplied = build_order(fq, f, factors=factors)
+        for o in (auto, supplied):
+            assert sorted((fd.e, fd.n) for fd in o.factors) == \
+                sorted(er for _, er in draws)
+        assert auto.signature() == supplied.signature()
         compared += 1
 
 
@@ -668,7 +686,6 @@ def test_auto_factor_certifies_its_product_or_raises_a_library_error(
         prod = sp_mul(fq, prod, p.coeffs, width)
     assert prod == tuple(ser_pad(c, width) for c in xp_trim(f))
     assert sum(p.degree for p in pieces) == len(xp_trim(f)) - 1
-    assert all(p.ram_index * p.residue_degree == p.degree for p in pieces)
 
 
 @settings(max_examples=25, deadline=None)
