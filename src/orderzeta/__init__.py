@@ -10,7 +10,7 @@ from .errors import (BadFactorization, CeilingExceeded, InvariantViolation,
                      ParseError, PrecisionExhausted, PreconditionViolated,
                      RankDeficient, TruncationFailure)
 from .fq import Fq
-from .orders import auto_factor, base_change_order, build_order, n_lines_order
+from .orders import base_change_order, build_order, n_lines_order
 from .lattices import (class_count_mod_lambda, enumeration_ceiling,
                        hnf_from_generators, identity_lattice, relative_length,
                        sandwich_representatives)
@@ -31,7 +31,7 @@ __all__ = [
     "NotSquarefree", "OrderZetaError", "ParseError", "PrecisionExhausted",
     "PreconditionViolated", "RankDeficient", "TruncationFailure",
     "Fq",
-    "auto_factor", "base_change_order", "build_order", "n_lines_order",
+    "base_change_order", "build_order", "n_lines_order",
     "class_count_mod_lambda", "enumeration_ceiling", "hnf_from_generators",
     "identity_lattice", "relative_length", "sandwich_representatives",
     "hilb_count_regular", "m_poly", "n_poly",

@@ -81,7 +81,7 @@ def build_parser():
 
 def _analyze_inputs(args):
     if args.file:
-        if args.q or args.f or args.factors is not None:
+        if any(x is not None for x in (args.q, args.f, args.factors)):
             raise ParseError("--file replaces --q, --f, and --factors")
         try:
             with open(args.file, "r", encoding="utf-8") as handle:

@@ -15,10 +15,10 @@ branching decisions fall inside it whenever the inputs are exact.
 Inputs of limited precision (duals and other series-derived lattices)
 instead carry a validity budget, and PrecisionExhausted is raised when
 a decision would depend on unknown digits.  Matrix inverses (behind
-the trace duals and colon lattices) and resultant valuations (behind the
-discriminant and the pairwise resultants of order construction) are one
-elimination with one pivot rule, on Laurent series held as raw
-(shift, digits) pairs.
+the trace duals and colon lattices) and resultant valuations (behind
+every discriminant and pairwise resultant of order construction) are
+two eliminations that share one pivot rule, _pivot_row, and the
+Laurent helpers on series held as raw (shift, digits) pairs.
 
 The enumerator for stable sublattices descends colength by colength:
 every maximal stable sublattice of M contains tM (the quotient is a
@@ -516,59 +516,85 @@ def laurent_matrix_inverse(fq, cols, precision):
     return tuple(out_cols), shift
 
 
-def resultant_valuation(fq, f, g):
-    """Valuation of the resultant of two X-polynomials with series
-    coefficients (digit tuples, lowest degree first), or None when the
-    resultant is zero to the window that the elimination keeps.
+def resultant_valuation(fq, f, g, window):
+    """Valuation of res(f, g) for two X-polynomials with digit-tuple
+    coefficients (lowest degree first), or None when the resultant is
+    zero; every resultant valuation of order construction comes from
+    here.
 
-    Leading coefficients that are zero to their window are dropped.  The
-    Sylvester matrix, its entries raw Laurent pairs, is brought to
-    triangular form with the pivot rule of laurent_matrix_inverse, and
-    the resultant is, up to sign, the product of the pivots.  Multipliers
-    and pivots have their known leading zeros moved into the shift, so
-    entries stay integral and step k costs the windows below it at most
-    twice its pivot's valuation; an entry below a pivot that is zero only
-    to its window cuts the windows of its row by at most the pivot's
-    valuation.  Raises PrecisionExhausted when a pivot cannot be
-    certified nonzero.
+    With a window the coefficients are series known to that many digits
+    (each is cut or zero-extended to it): None then means zero to the
+    window, and a pivot that the elimination cannot certify raises
+    PrecisionExhausted.  Leading coefficients that are zero to the
+    window are dropped.  The Sylvester matrix, its entries raw Laurent
+    pairs, is brought to triangular form with the pivot rule of
+    laurent_matrix_inverse, and the resultant is, up to sign, the
+    product of the pivots.  Multipliers and pivots have their known
+    leading zeros moved into the shift, so entries stay integral and
+    step k costs the windows below it at most twice its pivot's
+    valuation; an entry below a pivot that is zero only to its window
+    cuts the windows of its row by at most the pivot's valuation.
+
+    Exact inputs (window None) are padded to W = 2*(n*a + m*b) + 2
+    digits, with m and n the X-degrees of f and g and a and b the digit
+    counts of their longest coefficients.  A minor of the Sylvester
+    matrix takes at most n of its rows from f and m from g, so its
+    t-degree is below D = n*a + m*b, and a nonzero resultant has
+    valuation below D.  The pivot valuations add up to the resultant's,
+    so at W > 2D every pivot of a nonzero resultant is certified, and a
+    pivot that is zero or cannot be certified at W means that the exact
+    resultant is zero: None.
     """
-    fc, gc = list(f), list(g)
+    exact = window is None
+    if exact:
+        a = max(map(len, f), default=0)
+        b = max(map(len, g), default=0)
+        window = 2 * ((len(g) - 1) * a + (len(f) - 1) * b) + 2
+    fc = [ser_pad(c, window) for c in f]
+    gc = [ser_pad(c, window) for c in g]
     for cs in (fc, gc):
         while len(cs) > 1 and not any(cs[-1]):
             cs.pop()
-    if not fc or not gc:
-        raise PrecisionExhausted("resultant of an identically-zero input")
-    prec = min(len(c) for c in tuple(f) + tuple(g))
-    m, n = len(fc) - 1, len(gc) - 1
-    if m == 0 or n == 0:
-        # a constant: the resultant is its power
-        pivots = [(0, ser_pad((1,), prec))] + [(0, c) for c in
-                                               (fc[0],) * n + (gc[0],) * m]
-    else:
-        size = m + n
-        zero = (0, (0,) * prec)
-        rows = []
-        for poly, count in ((fc, n), (gc, m)):
-            entries = [(0, c) for c in reversed(poly)]
-            for i in range(count):
-                rows.append([zero] * i + entries
-                            + [zero] * (size - i - len(entries)))
-        pivots = []
-        for k in range(size):
-            piv = _pivot_row(rows, k)
-            if piv is None:
-                raise PrecisionExhausted(
-                    "resultant pivot is zero to working precision; "
-                    "raise the precision or use exact polynomial inputs")
-            rows[k], rows[piv] = rows[piv], rows[k]
-            pinv = _laurent_inv(fq, rows[k][k])
-            for i in range(k + 1, size):
-                a = rows[i][k]
-                # a zero-to-window a times pinv: zero to the shifted window
-                factor = (_laurent_normal(_laurent_mul(fq, a, pinv))
-                          if any(a[1]) else (a[0] + pinv[0], a[1]))
-                rows[i] = _laurent_row_sub(fq, rows[i], factor, rows[k])
-            pivots.append(_laurent_normal(rows[k][k]))
+    try:
+        if not fc or not gc:
+            raise PrecisionExhausted(
+                "resultant of an identically-zero input")
+        m, n = len(fc) - 1, len(gc) - 1
+        if m == 0 or n == 0:
+            # a constant: the resultant is its power
+            pivots = [(0, ser_pad((1,), window))] + [
+                (0, c) for c in (fc[0],) * n + (gc[0],) * m]
+        else:
+            size = m + n
+            zero = (0, (0,) * window)
+            rows = []
+            for poly, count in ((fc, n), (gc, m)):
+                entries = [(0, c) for c in reversed(poly)]
+                for i in range(count):
+                    rows.append([zero] * i + entries
+                                + [zero] * (size - i - len(entries)))
+            pivots = []
+            for k in range(size):
+                piv = _pivot_row(rows, k)
+                if piv is None:
+                    raise PrecisionExhausted(
+                        "resultant pivot is zero to working precision; "
+                        "raise the precision or use exact polynomial "
+                        "inputs")
+                rows[k], rows[piv] = rows[piv], rows[k]
+                pinv = _laurent_inv(fq, rows[k][k])
+                for i in range(k + 1, size):
+                    a = rows[i][k]
+                    # a zero-to-window a times pinv: zero to the shifted
+                    # window
+                    factor = (_laurent_normal(_laurent_mul(fq, a, pinv))
+                              if any(a[1]) else (a[0] + pinv[0], a[1]))
+                    rows[i] = _laurent_row_sub(fq, rows[i], factor, rows[k])
+                pivots.append(_laurent_normal(rows[k][k]))
+    except PrecisionExhausted:
+        if exact:
+            return None
+        raise
     det = pivots[0]
     for piv in pivots[1:]:
         det = _laurent_mul(fq, det, piv)

@@ -13,18 +13,21 @@ generates the dual.  The twist sums the idempotent projections of these
 columns; g's colength in its normalization is (v(disc g) + v + s*deg g)/2
 (Dedekind), and delta = rho + the sum of these colengths is checked.
 
-The walker splits and the normalization certifies.  Factors come from
-one Newton-polygon walker, _pieces, or from the caller.  The walker
-Hensel-splits coprime residual factors, recenters a repeated residual
-root away from the origin and rescales X -> t^h X along an integral
-last slope; any other piece it returns unsplit.  Supplied factors are
-not walked.  Either way, _assemble certifies every factor irreducible
-from the last round of the normalization (Berlekamp's fixed
-subalgebra): x -> x^q on O_E/tO_E fixes a space of dimension the number
-of branches, which must equal the number of factors, and a factor's
-residue degree n is the least norm valuation on its branch of the
-radical J of t*O_E, so that e = deg g / n and the n add up to
-[O_E : J].
+The walker splits and the normalization certifies.  Unless the caller
+supplies the factors, build_order splits f with one Newton-polygon
+walker, _pieces, whose recentering budget comes from v(disc f).  The
+walker Hensel-splits coprime residual factors, recenters a repeated
+residual root away from the origin and rescales X -> t^h X along an
+integral last slope; any other piece it returns unsplit.  Supplied
+factors are not walked.  Either way, _assemble certifies every factor
+irreducible from the last round of the normalization (Berlekamp's
+fixed subalgebra): x -> x^q on O_E/tO_E fixes a space of dimension the
+number of branches, which must equal the number of factors, and a
+factor's residue degree n is the least norm valuation on its branch of
+the radical J of t*O_E, so that e = deg g / n and the n add up to
+[O_E : J].  Factors pass as (coeffs, window) pairs, window None for an
+exact factor, in one canonical order, and every resultant valuation is
+a call of lattices.resultant_valuation.
 
 A piece with more than one branch is rejected with a request for a
 factorization into irreducible factors.  Among them are quartics such
@@ -91,32 +94,6 @@ def _fq_kernel(fq, cols, n):
 # factorization
 # ---------------------------------------------------------------------------
 
-class CertifiedFactor:
-    """A monic factor of f, from the walker or supplied; build_order
-    certifies it irreducible from the normalization.
-
-    coeffs holds the coefficient digit tuples; window is the number of
-    exact digits per coefficient (None for exact polynomials).
-    """
-
-    __slots__ = ("coeffs", "window")
-
-    def __init__(self, coeffs, window):
-        self.coeffs = tuple(tuple(c) for c in coeffs)
-        self.window = window
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def sort_key(self):
-        digits = tuple(ser_pad(c, 12) for c in self.coeffs)
-        return (self.degree, digits)
-
-    def __repr__(self):
-        return f"CertifiedFactor(degree={self.degree})"
-
-
 def _digit(c, idx):
     return c[idx] if idx < len(c) else 0
 
@@ -140,42 +117,6 @@ def _trim_digits(coeffs):
 def _derivative(fq, coeffs):
     return [ser_scale(fq, fq.from_int(i % fq.p), c)
             for i, c in enumerate(coeffs) if i]
-
-
-def _resultant_val(fq, f, g, window):
-    """Valuation of res(f, g) for two X-polynomials with digit-tuple
-    coefficients, or None when the resultant is zero; every resultant
-    valuation of order construction comes from here.
-
-    With a window the coefficients are series known to that many digits:
-    None then means zero to the window, and a pivot that the elimination
-    of lattices.resultant_valuation cannot certify raises
-    PrecisionExhausted.
-
-    Exact inputs (window None) are padded to W = 2*(n*a + m*b) + 2
-    digits, with m and n the X-degrees of f and g and a and b the digit
-    counts of their longest coefficients.  A minor of the Sylvester
-    matrix takes at most n of its rows from f and m from g, so its
-    t-degree is below D = n*a + m*b, and a nonzero resultant has
-    valuation below D.  The elimination pivots on the least valuation in
-    each column, so its entries stay integral, and each step costs the
-    windows below it at most twice its pivot's valuation; the pivot
-    valuations add up to the resultant's.  So at W > 2D every pivot of a
-    nonzero resultant is certified, and a pivot that is zero or cannot
-    be certified at W means that the exact resultant is zero.
-    """
-    exact = window is None
-    if exact:
-        a = max(map(len, f), default=0)
-        b = max(map(len, g), default=0)
-        window = 2 * ((len(g) - 1) * a + (len(f) - 1) * b) + 2
-    try:
-        return resultant_valuation(fq, [ser_pad(c, window) for c in f],
-                                   [ser_pad(c, window) for c in g])
-    except PrecisionExhausted:
-        if exact:
-            return None
-        raise
 
 
 def _shifted(fq, coeffs, shift, window):
@@ -217,20 +158,21 @@ def _newton_min_slope(coeffs, v0):
 
 
 def _pieces(fq, coeffs, window, work, budget):
-    """Factors of a monic polynomial, as a list of CertifiedFactor.
+    """Factors of a monic polynomial, as a list of (coeffs, window)
+    pairs, window being None for an exact factor.
 
     window is the number of exact digits per coefficient (None for an
     exact polynomial), work the window of the pieces that a Hensel split
     of an exact polynomial makes, and budget the number of recenterings
     left.  A polynomial that none of the walker's steps splits comes
-    back as one piece, irreducible or not: build_order's certificate
-    judges it.
+    back as one piece, irreducible or not: the normalization in
+    _assemble judges it.
     """
     coeffs = _trim_digits(coeffs)
     n = len(coeffs) - 1
     if n < 1:
         raise BadFactorization("constant factor")
-    unsplit = [CertifiedFactor(coeffs, window)]
+    unsplit = [(coeffs, window)]
     if n == 1:
         return unsplit
     if budget < 0:
@@ -254,16 +196,15 @@ def _pieces(fq, coeffs, window, work, budget):
         # then shift the pieces back
         root = fq.neg(base[0])
         moved = _shifted(fq, coeffs, (root,), window)
-        return [CertifiedFactor(_shifted(fq, p.coeffs, (base[0],), p.window),
-                                p.window)
-                for p in _pieces(fq, moved, window, work, budget - 1)]
+        return [(_shifted(fq, pc, (base[0],), pw), pw)
+                for pc, pw in _pieces(fq, moved, window, work, budget - 1)]
     # residual is X^n: positive slopes only.  A constant coefficient
     # that is zero to the window stays out of the polygon; the last
     # segment is then known when it lies below every value the unknown
     # coefficient can take.
     v0 = ser_val(coeffs[0])
     if v0 is None and window is None:
-        return ([CertifiedFactor(((), (1,)), None)]
+        return ([(((), (1,)), None)]
                 + _pieces(fq, coeffs[1:], None, work, budget))
     known = window is None or (v0 is not None and v0 < window)
     vi, vv = _newton_min_slope(coeffs, v0 if known else None)
@@ -275,39 +216,17 @@ def _pieces(fq, coeffs, window, work, budget):
         return unsplit
     h = vv // span
     scaled, swin = _scale_down(fq, coeffs, window, h)
-    return [CertifiedFactor(tuple((0,) * (h * (p.degree - i)) + tuple(c)
-                                  for i, c in enumerate(p.coeffs)),
-                            p.window)
-            for p in _pieces(fq, scaled, swin, work, budget)]
+    return [(tuple((0,) * (h * (len(pc) - 1 - i)) + tuple(c)
+                   for i, c in enumerate(pc)), pw)
+            for pc, pw in _pieces(fq, scaled, swin, work, budget)]
 
 
-def auto_factor(fq, f, precision, window=None):
-    """Monic squarefree polynomial into the factors that the walker
-    splits it into; a piece it cannot split is left whole.
-
-    Returns a canonically ordered tuple of CertifiedFactor.  The product
-    of the pieces is checked against f to the working window.
-    """
-    f = _trim_digits(f)
-    if not _is_monic_digits(f):
-        raise BadFactorization("f must be monic in X")
-    if window is None:
-        v = _resultant_val(fq, f, _derivative(fq, f), None)
-        if v is None:
-            raise NotSquarefree("discriminant vanishes")
-        budget = v + 3
-    else:
-        budget = window + 2
-    pieces = _pieces(fq, f, window, precision, budget)
-    pieces.sort(key=CertifiedFactor.sort_key)
-    wmin = min([precision] + [p.window for p in pieces
-                              if p.window is not None])
-    prod = (ser_pad((1,), wmin),)
-    for p in pieces:
-        prod = sp_mul(fq, prod, p.coeffs, wmin)
-    if prod != tuple(ser_pad(c, wmin) for c in f):
-        raise InvariantViolation("factor product check failed")
-    return tuple(pieces)
+def _canonical(pieces):
+    """(coeffs, window) pieces in canonical order: by degree, then by
+    every coefficient zero-extended to the longest among them."""
+    width = max(len(c) for coeffs, _ in pieces for c in coeffs)
+    return tuple(sorted(pieces, key=lambda p: (
+        len(p[0]), tuple(ser_pad(c, width) for c in p[0]))))
 
 
 # ---------------------------------------------------------------------------
@@ -456,18 +375,17 @@ def _idempotents(fq, mul, pieces, n, w):
     even though every idempotent is integral there."""
     if len(pieces) == 1:
         return ((_unit_vector(n, w), 0),)
-    windows = [min(w, p.window) if p.window is not None else w
-               for p in pieces]
+    windows = [min(w, pw) if pw is not None else w for _, pw in pieces]
     zero = (0,) * w
     out = []
-    for i, piece in enumerate(pieces):
+    for i, (coeffs, _) in enumerate(pieces):
         # the product of the other factors, at their shortest window
         wo = min(windows[:i] + windows[i + 1:])
         other = (ser_pad((1,), wo),)
-        for j, pj in enumerate(pieces):
+        for j, (cj, _) in enumerate(pieces):
             if j != i:
-                other = sp_mul(fq, other, pj.coeffs, wo)
-        fi = tuple(ser_pad(c, windows[i]) for c in piece.coeffs)
+                other = sp_mul(fq, other, cj, wo)
+        fi = tuple(ser_pad(c, windows[i]) for c in coeffs)
         di = len(fi) - 1
         # Sylvester columns: solve b*other + c*fi = 1 with deg b < di
         cols = []
@@ -529,11 +447,11 @@ def _branch_generators(fq, pieces, lattice):
     # HNF columns are exact polynomials at this width
     cols = lattice.columns(lattice.max_exponent() + 1)
     out = []
-    for piece in pieces:
+    for coeffs, window in pieces:
         best = None
         for j, col in enumerate(cols):
             try:
-                v = _resultant_val(fq, piece.coeffs, col, piece.window)
+                v = resultant_valuation(fq, coeffs, col, window)
             except PrecisionExhausted:
                 continue
             if v is not None and (best is None or v < best[1]):
@@ -654,10 +572,11 @@ class OrderData:
 
 
 def _pair_resultant_val(fq, a, b, w):
-    """Valuation of the resultant of two factors, exact when both are."""
-    windows = [p.window for p in (a, b) if p.window is not None]
+    """Valuation of the resultant of two (coeffs, window) factors, exact
+    when both are."""
+    windows = [pw for _, pw in (a, b) if pw is not None]
     window = min(w, *windows) if windows else None
-    val = _resultant_val(fq, a.coeffs, b.coeffs, window)
+    val = resultant_valuation(fq, a[0], b[0], window)
     if val is None and window is None:
         raise NotSquarefree("two factors share a root")
     if val is None:
@@ -684,8 +603,8 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
             f"f has {branches} branches but {len(pieces)} factors; supply "
             "a factorization into irreducible factors")
     # O_E/J is the product of the residue fields of the branches
-    residue = [v + rad.scale * piece.degree
-               for piece, (_, v) in zip(pieces, _branch_generators(
+    residue = [v + rad.scale * (len(coeffs) - 1)
+               for (coeffs, _), (_, v) in zip(pieces, _branch_generators(
                    fq, pieces, rad))]
     if min(residue) < 1 or sum(residue) != relative_length(o_e, rad):
         raise InvariantViolation(
@@ -696,20 +615,21 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
     picks = _branch_generators(fq, pieces, plain_dual)
     factor_data = []
     sub_total = 0
-    for piece, (_, v), rdeg in zip(pieces, picks, residue):
-        parts = up_factor(fq, _mod_t(piece.coeffs))
+    for (coeffs, window), (_, v), rdeg in zip(pieces, picks, residue):
+        deg = len(coeffs) - 1
+        parts = up_factor(fq, _mod_t(coeffs))
         if len(parts) != 1:
             raise InvariantViolation(
                 "certified factor has a split residue ring")
         d = len(parts[0][0]) - 1
         # v(disc g) = 2*ell + v(disc O_E_g) (Dedekind), and the dual
         # generator t^s * b_j has norm valuation -v(disc O_E_g)
-        disc = _resultant_val(fq, piece.coeffs,
-                              _derivative(fq, piece.coeffs), piece.window)
+        disc = resultant_valuation(fq, coeffs, _derivative(fq, coeffs),
+                                   window)
         if disc is None:
             raise PrecisionExhausted(
                 "factor discriminant vanishes to working precision")
-        twice = disc + v + plain_dual.scale * piece.degree
+        twice = disc + v + plain_dual.scale * deg
         if twice % 2 or twice < 0:
             raise InvariantViolation(
                 "branch colength from resultants is odd or negative")
@@ -717,8 +637,7 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
         if rdeg % d or ell % d:
             raise InvariantViolation("residue degree does not divide")
         factor_data.append(FactorData(
-            piece.coeffs, piece.window, d, rdeg // d, rdeg,
-            piece.degree // rdeg, ell // d))
+            coeffs, window, d, rdeg // d, rdeg, deg // rdeg, ell // d))
         sub_total += ell
 
     rho = 0
@@ -800,7 +719,7 @@ def build_order(fq, f, factors=None, precision=None, f_window=None):
         raise PreconditionViolated(
             "coefficients of f and of its factors must have t-degree <= "
             f"{_T_DEGREE_CAP}, the cap of build_order")
-    valres = _resultant_val(fq, f, _derivative(fq, f), f_window)
+    valres = resultant_valuation(fq, f, _derivative(fq, f), f_window)
     if valres is None and f_window is None:
         raise NotSquarefree(
             "f and its derivative share a root; the orbit is not "
@@ -822,7 +741,16 @@ def build_order(fq, f, factors=None, precision=None, f_window=None):
         raise PrecisionExhausted("working precision is too small")
 
     if factors is None:
-        pieces = auto_factor(fq, f, w, window=f_window)
+        # the walker recenters at most v(disc f) + 3 times, or
+        # window + 2 times for a windowed f
+        budget = valres + 3 if f_window is None else f_window + 2
+        pieces = _canonical(_pieces(fq, f, f_window, w, budget))
+        wmin = min([w] + [pw for _, pw in pieces if pw is not None])
+        prod = (ser_pad((1,), wmin),)
+        for coeffs, _ in pieces:
+            prod = sp_mul(fq, prod, coeffs, wmin)
+        if prod != tuple(ser_pad(c, wmin) for c in f):
+            raise InvariantViolation("factor product check failed")
     else:
         supplied = [_trim_digits(g) for g in factors]
         prod = ((1,),)
@@ -835,8 +763,7 @@ def build_order(fq, f, factors=None, precision=None, f_window=None):
                 raise BadFactorization("factor is not monic in X")
             if len(g) < 2:
                 raise BadFactorization("constant factor")
-        pieces = tuple(sorted((CertifiedFactor(g, None) for g in supplied),
-                              key=CertifiedFactor.sort_key))
+        pieces = _canonical([(g, None) for g in supplied])
 
     order = _assemble(fq, f, f_window, pieces, w, valres)
     again = _assemble(fq, f, f_window, pieces, w + 2, valres)

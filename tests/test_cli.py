@@ -457,12 +457,13 @@ def test_tally_length_is_not_an_option(capsys):
 
 
 def test_file_flag_conflicts_with_inline_flags(capsys, tmp_path):
+    # an empty --q or --f conflicts too, as an empty --factors does
     path = tmp_path / "o.order"
     path.write_text("q = 3\nf = X^2 - t^3\n")
-    code, _, err = run(capsys, "analyze", "--file", str(path),
-                       "--q", "3")
-    assert code == 2
-    assert "replaces" in err
+    for flags in (("--q", "3"), ("--q=",), ("--f=",)):
+        code, _, err = run(capsys, "analyze", "--file", str(path), *flags)
+        assert code == 2, flags
+        assert "--file replaces --q, --f, and --factors" in err
 
 
 def test_missing_file(capsys):

@@ -10,12 +10,11 @@ from orderzeta.errors import (BadFactorization, NotSquarefree,
                               PrecisionExhausted, PreconditionViolated)
 from orderzeta.lattices import (_nonzero_entries, class_count_mod_lambda,
                                 compose_lattice, identity_lattice, mat_vec,
-                                relative_length, stable_sublattice_levels,
-                                trace_dual_lattice)
-from orderzeta.orders import (CertifiedFactor, _derivative,
-                              _pair_resultant_val, _pieces, _power_table,
-                              _resultant_val, auto_factor,
-                              base_change_order, build_order, n_lines_order)
+                                relative_length, resultant_valuation,
+                                stable_sublattice_levels, trace_dual_lattice)
+from orderzeta.orders import (_canonical, _derivative, _pair_resultant_val,
+                              _pieces, _power_table, base_change_order,
+                              build_order, n_lines_order)
 from orderzeta.parsing import parse_field
 from orderzeta.polynomials import sp_mul, up_factor, up_trim, xp_mul, xp_trim
 from orderzeta.series import ser_add, ser_mul, ser_pad, ser_val
@@ -299,7 +298,7 @@ def test_a_reducible_supplied_factor_fails_the_branch_count():
 def test_recentered_cusp_is_one_exact_piece():
     # (X - 1)^2 - t^3 is a cusp moved away from the origin
     f = ((1, 0, 0, 2), (1,), (1,))
-    pieces = auto_factor(F3, f, 24)
+    pieces = build_order(F3, f).factors
     assert len(pieces) == 1
     assert pieces[0].coeffs == xp_trim(f)
     assert pieces[0].window is None
@@ -310,7 +309,7 @@ def test_auto_factor_splits_recentered_pair():
     a = ((2, 2), (1,))
     b = ((2, 0, 2), (1,))
     f = xp_mul(F3, a, b)
-    pieces = auto_factor(F3, f, 24)
+    pieces = build_order(F3, f).factors
     assert len(pieces) == 2
     assert sorted(p.degree for p in pieces) == [1, 1]
     def pad4(poly):
@@ -322,7 +321,7 @@ def test_auto_factor_splits_recentered_pair():
 
 
 def test_auto_factor_peels_x():
-    pieces = auto_factor(F2, ((), (0, 1), (1,)), 16)
+    pieces = build_order(F2, ((), (0, 1), (1,))).factors
     assert sorted(p.coeffs for p in pieces) == [((), (1,)), ((0, 1), (1,))]
     assert all(p.window is None for p in pieces)
 
@@ -330,7 +329,7 @@ def test_auto_factor_peels_x():
 def test_auto_factor_three_lines():
     f = xp_mul(F5, xp_mul(F5, ((0, 4), (1,)), ((0, 0, 4), (1,))),
                ((0, 0, 0, 4), (1,)))
-    pieces = auto_factor(F5, f, 30)
+    pieces = build_order(F5, f).factors
     assert [p.degree for p in pieces] == [1, 1, 1]
     roots = sorted(tuple(p.coeffs[0][:4]) for p in pieces)
     assert roots == [(0, 0, 0, 4), (0, 0, 4, 0), (0, 4, 0, 0)]
@@ -339,7 +338,7 @@ def test_auto_factor_three_lines():
 def test_auto_factor_rescales_integral_slope():
     # (X - t)(X - 2t): residual X^2 but the polygon has slope one
     f = xp_mul(F3, ((0, 2), (1,)), ((0, 1), (1,)))
-    pieces = auto_factor(F3, f, 24)
+    pieces = build_order(F3, f).factors
     assert sorted(tuple(c[:3] for c in p.coeffs) for p in pieces) == [
         ((0, 1, 0), (1, 0, 0)), ((0, 2, 0), (1, 0, 0))]
 
@@ -349,12 +348,12 @@ def test_auto_factor_separates_an_exact_root_inside_a_root_cluster():
     # window, with a constant coefficient that is zero to it; the slope-1
     # segment is fixed by the X coefficient alone
     f = xp_mul(F3, xp_mul(F3, ((), (1,)), ((0, 2), (1,))), ((1,), (1,)))
-    pieces = auto_factor(F3, f, 24)
+    o = build_order(F3, f)
+    pieces = o.factors
     assert [p.degree for p in pieces] == [1, 1, 1]
     assert sorted(ser_pad(p.coeffs[0], 3) for p in pieces) == [
         (0, 0, 0), (0, 2, 0), (1, 0, 0)]
     assert all(p.window is not None for p in pieces)
-    o = build_order(F3, f)
     assert (o.delta, o.rho) == (1, 1)
 
 
@@ -371,13 +370,16 @@ def test_fractional_slope_needs_explicit_factors():
 
 
 def test_supplied_factors_any_order_same_result():
-    fa = ((0, 2), (1,))
-    fb = ((0, 0, 0, 2), (), (1,))
-    f = xp_mul(F3, fa, fb)
-    o1 = build_order(F3, f, factors=(fa, fb))
-    o2 = build_order(F3, f, factors=(fb, fa))
-    assert o1.signature() == o2.signature()
-    assert [fd.coeffs for fd in o1.factors] == [fd.coeffs for fd in o2.factors]
+    for fq, fa, fb in (
+            (F3, ((0, 2), (1,)), ((0, 0, 0, 2), (), (1,))),
+            # X + t^12 and X + t^12 + t^13 agree on their first 12 digits
+            (F2, ((0,) * 12 + (1,), (1,)), ((0,) * 12 + (1, 1), (1,)))):
+        f = xp_mul(fq, fa, fb)
+        o1 = build_order(fq, f, factors=(fa, fb))
+        o2 = build_order(fq, f, factors=(fb, fa))
+        assert o1.signature() == o2.signature()
+        assert ([fd.coeffs for fd in o1.factors]
+                == [fd.coeffs for fd in o2.factors])
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +475,7 @@ def test_exact_resultant_valuation_matches_bareiss_oracle():
             g = (_derivative(fq, f) if rng.random() < 0.5 else
                  xp_mul(fq, h, _random_xpoly(rng, fq, rng.randint(0, 2))))
         want = ser_val(resultant_exact(fq, f, g))
-        assert _resultant_val(fq, f, g, None) == want, (fq.q, f, g)
+        assert resultant_valuation(fq, f, g, None) == want, (fq.q, f, g)
         seen["zero" if want is None else "nonzero"] += 1
     assert seen["zero"] >= 150 and seen["nonzero"] >= 300, seen
 
@@ -492,28 +494,26 @@ def test_exact_resultant_valuation_at_its_planned_window(q, f, g, val):
     # into the shift, the elimination loses its last pivot at 2D + 2
     fq = parse_field(str(q))
     assert ser_val(resultant_exact(fq, f, g)) == val
-    assert _resultant_val(fq, f, g, None) == val
+    assert resultant_valuation(fq, f, g, None) == val
 
 
 def test_zero_exact_resultants_keep_their_errors_and_budget():
     square = ((1,), (2,), (1,))                  # (X + 1)^2 over F_3
     with pytest.raises(NotSquarefree, match="f and its derivative share"):
         build_order(F3, square)
-    with pytest.raises(NotSquarefree, match="^discriminant vanishes$"):
-        auto_factor(F3, square, 20)
-    lin = CertifiedFactor(((2,), (1,)), None)
+    lin = (((2,), (1,)), None)
     with pytest.raises(NotSquarefree, match="two factors share a root") \
             as info:
         _pair_resultant_val(F3, lin, lin, 20)
     assert info.value.exit_code == 3
     # (X - s)^2 with s = t + ... + t^k recenters k times before it reaches
     # X^2, which the walker peels into X * X; a budget of 3 recenterings
-    # is what auto_factor gives a zero discriminant
+    # is what build_order gives a discriminant of valuation zero
     def line(k):
         return (tuple(F3.neg(c) for c in (0,) + (1,) * k), (1,))
     lin = line(3)
     pieces = _pieces(F3, xp_mul(F3, lin, lin), None, 24, 3)
-    assert [p.coeffs for p in pieces] == [lin, lin]
+    assert [coeffs for coeffs, _ in pieces] == [lin, lin]
     with pytest.raises(BadFactorization, match="did not terminate"):
         _pieces(F3, xp_mul(F3, line(4), line(4)), None, 24, 3)
 
@@ -674,18 +674,23 @@ def test_branch_colengths_match_each_factor_normalized_alone(q):
                        min_size=1, max_size=4))
 def test_auto_factor_certifies_its_product_or_raises_a_library_error(
         q, coeffs):
+    # the walker's pieces, at the budget build_order gives an exact f,
+    # multiply back to f whether or not f has one branch per piece
     fq = F2 if q == 2 else F3
     f = tuple(up_trim([c % q for c in cs]) for cs in coeffs) + ((1,),)
+    v = resultant_valuation(fq, f, _derivative(fq, f), None)
+    if v is None:
+        return
     try:
-        pieces = auto_factor(fq, f, 30)
+        pieces = _canonical(_pieces(fq, f, None, 30, v + 3))
     except (PreconditionViolated, PrecisionExhausted):
         return
-    width = min([30] + [p.window for p in pieces if p.window is not None])
+    width = min([30] + [pw for _, pw in pieces if pw is not None])
     prod = (ser_pad((1,), width),)
-    for p in pieces:
-        prod = sp_mul(fq, prod, p.coeffs, width)
+    for pc, _ in pieces:
+        prod = sp_mul(fq, prod, pc, width)
     assert prod == tuple(ser_pad(c, width) for c in xp_trim(f))
-    assert sum(p.degree for p in pieces) == len(xp_trim(f)) - 1
+    assert sum(len(pc) - 1 for pc, _ in pieces) == len(xp_trim(f)) - 1
 
 
 @settings(max_examples=25, deadline=None)

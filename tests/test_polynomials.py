@@ -181,7 +181,7 @@ def test_series_resultant_matches_exact_path():
     g = ((), (2,))                    # f' = 2X
     exact = resultant_exact(F3, f, g)
     fs, gs = windowed(f, 14), windowed(g, 14)
-    assert resultant_valuation(F3, fs, gs) == ser_val(exact) == 3
+    assert resultant_valuation(F3, fs, gs, 14) == ser_val(exact) == 3
     res = resultant_series(F3, fs, gs)
     k = min(res.abs_prec, 10)
     want = tuple(exact) + (0,) * (k - len(exact))
@@ -194,7 +194,7 @@ def test_series_resultant_refuses_invisible_pivot():
     f = windowed(((0, 0, 0, 0, 0, 2), (), (1,)), 3)
     g = windowed(((), (2,)), 3)
     with pytest.raises(PrecisionExhausted):
-        resultant_valuation(F3, f, g)
+        resultant_valuation(F3, f, g, 3)
 
 
 def _outcome(fn, *args):
@@ -244,7 +244,7 @@ def _resultant_inputs(draw):
 def test_resultant_valuation_matches_laurent_series_elimination(case):
     fq, f, g = case
     want = _outcome(lambda: resultant_series(fq, f, g).valuation())
-    assert _outcome(resultant_valuation, fq, f, g) == want
+    assert _outcome(resultant_valuation, fq, f, g, len(f[0])) == want
 
 
 def _completion_valuations(fq, f, g, rng, count):
@@ -273,7 +273,7 @@ def test_resultant_zero_entry_tail_costs_digits(f, g):
     # completions of these inputs have resultants of valuation 4.
     assert 4 in _completion_valuations(F2, f, g, random.Random(0), 8)
     with pytest.raises(PrecisionExhausted):
-        resultant_valuation(F2, f, g)
+        resultant_valuation(F2, f, g, 3)
 
 
 def test_resultant_valuation_holds_for_every_completion():
@@ -292,7 +292,7 @@ def test_resultant_valuation_holds_for_every_completion():
             return body + (tuple(lead),)
         f, g = poly(), poly()
         try:
-            v = resultant_valuation(F2, f, g)
+            v = resultant_valuation(F2, f, g, w)
         except PrecisionExhausted:
             continue
         if v is not None:
