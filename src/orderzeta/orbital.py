@@ -32,11 +32,10 @@ from .zeta import special_values, zeta_polynomial
 
 
 def _factor_data(order):
-    factors = getattr(order, "factors", None)
-    if factors is None:
+    if order.factors is None:
         raise PreconditionViolated(
             "per-factor data is required; this order does not carry any")
-    return factors
+    return order.factors
 
 
 def orbital_bounds(order):

@@ -567,22 +567,9 @@ class OrderData:
                 self.conductor_lattice.key)
 
     def __repr__(self):
+        count = None if self.factors is None else len(self.factors)
         return (f"OrderData(n={self.n}, delta={self.delta}, "
-                f"rho={self.rho}, factors={len(self.factors)})")
-
-
-def _pair_resultant_val(fq, a, b, w):
-    """Valuation of the resultant of two (coeffs, window) factors, exact
-    when both are."""
-    windows = [pw for _, pw in (a, b) if pw is not None]
-    window = min(w, *windows) if windows else None
-    val = resultant_valuation(fq, a[0], b[0], window)
-    if val is None and window is None:
-        raise NotSquarefree("two factors share a root")
-    if val is None:
-        raise PrecisionExhausted(
-            "pairwise resultant vanishes to working precision")
-    return val
+                f"rho={self.rho}, factors={count})")
 
 
 def _assemble(fq, fdigits, fwindow, pieces, w, valres):
@@ -615,6 +602,7 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
     picks = _branch_generators(fq, pieces, plain_dual)
     factor_data = []
     sub_total = 0
+    disc_total = 0
     for (coeffs, window), (_, v), rdeg in zip(pieces, picks, residue):
         deg = len(coeffs) - 1
         parts = up_factor(fq, _mod_t(coeffs))
@@ -629,6 +617,7 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
         if disc is None:
             raise PrecisionExhausted(
                 "factor discriminant vanishes to working precision")
+        disc_total += disc
         twice = disc + v + plain_dual.scale * deg
         if twice % 2 or twice < 0:
             raise InvariantViolation(
@@ -640,10 +629,12 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
             coeffs, window, d, rdeg // d, rdeg, deg // rdeg, ell // d))
         sub_total += ell
 
-    rho = 0
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            rho += _pair_resultant_val(fq, pieces[i], pieces[j], weff)
+    # v(disc f) = sum of v(disc g) + 2*rho
+    twice = valres - disc_total
+    if twice % 2 or twice < 0:
+        raise InvariantViolation(
+            "intersection number from discriminants is odd or negative")
+    rho = twice // 2
     if delta != rho + sub_total:
         raise InvariantViolation(
             "colength of the normalization disagrees with the "
@@ -789,57 +780,39 @@ def base_change_order(order, d):
 # the lines family (the one non-monogenic order supported)
 # ---------------------------------------------------------------------------
 
-class NLinesOrder:
-    """The order of n coordinate lines glued at one point: vectors in
-    O^n whose coordinates all agree modulo t, inside split E = F^n."""
-
-    __slots__ = ("fq", "n", "precision", "delta", "r_lattice",
-                 "o_e_lattice", "dual_r_lattice", "conductor_lattice",
-                 "action_matrices", "trace_gram_columns")
-
-    def __init__(self, fq, n, precision=None):
-        if n < 1:
-            raise PreconditionViolated("need at least one line")
-        self.fq = fq
-        self.n = n
-        delta = n - 1
-        w = precision if precision is not None else 2 * delta + n + 12
-        self.precision = w
-        self.delta = delta
-        self.o_e_lattice = identity_lattice(fq, n)
-        self.conductor_lattice = (identity_lattice(fq, n, scale=1)
-                                  if n > 1 else identity_lattice(fq, n))
-        gens = [tuple((1,) + (0,) * (w - 1) for _ in range(n))]
-        for i in range(n):
-            gens.append(tuple((0, 1) + (0,) * (w - 2) if k == i
-                              else (0,) * w for k in range(n)))
-        self.r_lattice = hnf_from_generators(fq, gens, n)
-        if self.r_lattice.colength() != delta:
-            raise InvariantViolation("lines lattice has the wrong index")
-        mats = []
-        for i in range(n):
-            cols = []
-            for j in range(n):
-                cols.append(tuple((0, 1) + (0,) * (w - 2)
-                                  if (k == i and j == i) else (0,) * w
-                                  for k in range(n)))
-            mats.append(tuple(cols))
-        self.action_matrices = tuple(mats)
-        eye = identity_lattice(fq, n).columns(w)
-        self.trace_gram_columns = tuple(eye)
-        self.dual_r_lattice = trace_dual_lattice(
-            self.r_lattice, self.trace_gram_columns, w)
-        if relative_length(self.dual_r_lattice, self.r_lattice) != 2 * delta:
-            raise InvariantViolation("lines dual has the wrong colength")
-
-    def multiply_vectors(self, v, w_vec, prec):
-        fq = self.fq
-        return tuple(ser_mul(fq, v[i], w_vec[i], prec)
-                     for i in range(self.n))
-
-    def __repr__(self):
-        return f"NLinesOrder(n={self.n}, q={self.fq.q})"
-
-
 def n_lines_order(fq, n, precision=None):
-    return NLinesOrder(fq, n, precision)
+    """The order of n coordinate lines glued at one point: vectors in
+    O^n whose coordinates all agree modulo t, inside split E = F^n.  It
+    is not O[X]/(f), so f, f_window, valres, rho and factors are None."""
+    if n < 1:
+        raise PreconditionViolated("need at least one line")
+    delta = n - 1
+    w = precision if precision is not None else 2 * delta + n + 12
+    o_e = identity_lattice(fq, n)
+    # the conductor is t*O^n once two lines meet
+    conductor = identity_lattice(fq, n, scale=int(n > 1))
+    t_digit = (0, 1) + (0,) * (w - 2)
+    gens = [tuple((1,) + (0,) * (w - 1) for _ in range(n))]
+    gens += [tuple(t_digit if k == i else (0,) * w for k in range(n))
+             for i in range(n)]
+    r_lat = hnf_from_generators(fq, gens, n)
+    if r_lat.colength() != delta:
+        raise InvariantViolation("lines lattice has the wrong index")
+    # X_i multiplies the i-th coordinate by t
+    mats = tuple(tuple(tuple(t_digit if k == i == j else (0,) * w
+                             for k in range(n)) for j in range(n))
+                 for i in range(n))
+    gram = tuple(o_e.columns(w))
+    dual_r = trace_dual_lattice(r_lat, gram, w)
+    if relative_length(dual_r, r_lat) != 2 * delta:
+        raise InvariantViolation("lines dual has the wrong colength")
+
+    def mul(v, z, prec):
+        return tuple(ser_mul(fq, a, b, prec) for a, b in zip(v, z))
+
+    return OrderData(
+        fq=fq, f=None, f_window=None, n=n, precision=w, valres=None,
+        delta=delta, rho=None, factors=None, r_lattice=r_lat,
+        o_e_lattice=o_e, dual_r_lattice=dual_r, conductor_lattice=conductor,
+        action_matrices=mats, trace_gram_columns=gram,
+        multiply_vectors=mul)

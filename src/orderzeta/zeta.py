@@ -29,10 +29,9 @@ from .polynomials import IntPoly
 def factor_periods(order):
     """Residue degree of each field factor; the tally series of a
     maximal order is the product of geometric series in t^period."""
-    factors = getattr(order, "factors", None)
-    if factors is not None:
-        return tuple(fd.n for fd in factors)
-    return (1,) * order.n
+    if order.factors is None:
+        return (1,) * order.n
+    return tuple(fd.n for fd in order.factors)
 
 
 class ZetaPolynomial:

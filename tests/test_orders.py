@@ -1,7 +1,9 @@
 """Order construction: normalization, duals, conductors, certification."""
 
 import random
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,14 +14,19 @@ from orderzeta.lattices import (_nonzero_entries, class_count_mod_lambda,
                                 compose_lattice, identity_lattice, mat_vec,
                                 relative_length, resultant_valuation,
                                 stable_sublattice_levels, trace_dual_lattice)
-from orderzeta.orders import (_canonical, _derivative, _pair_resultant_val,
-                              _pieces, _power_table, base_change_order,
-                              build_order, n_lines_order)
-from orderzeta.parsing import parse_field
+from orderzeta.orders import (OrderData, _canonical, _derivative, _pieces,
+                              _power_table, base_change_order, build_order,
+                              n_lines_order)
+from orderzeta.orbital import orbital_bounds
+from orderzeta.parsing import parse_field, parse_xpoly
 from orderzeta.polynomials import sp_mul, up_factor, up_trim, xp_mul, xp_trim
 from orderzeta.series import ser_add, ser_mul, ser_pad, ser_val
+from orderzeta.zeta import factor_periods
 
 from resultant_oracle import resultant_exact
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
+import regen  # noqa: E402
 
 F2 = parse_field("2")
 F3 = parse_field("3")
@@ -501,11 +508,6 @@ def test_zero_exact_resultants_keep_their_errors_and_budget():
     square = ((1,), (2,), (1,))                  # (X + 1)^2 over F_3
     with pytest.raises(NotSquarefree, match="f and its derivative share"):
         build_order(F3, square)
-    lin = (((2,), (1,)), None)
-    with pytest.raises(NotSquarefree, match="two factors share a root") \
-            as info:
-        _pair_resultant_val(F3, lin, lin, 20)
-    assert info.value.exit_code == 3
     # (X - s)^2 with s = t + ... + t^k recenters k times before it reaches
     # X^2, which the walker peels into X * X; a budget of 3 recenterings
     # is what build_order gives a discriminant of valuation zero
@@ -540,6 +542,17 @@ def test_explicit_precision_stable():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_n_lines_order(fq, n):
     o = n_lines_order(fq, n)
+    assert isinstance(o, OrderData)
+    assert (o.f, o.f_window, o.valres, o.rho, o.factors) == (None,) * 5
+    assert repr(o) == f"OrderData(n={n}, delta={n - 1}, rho=None, " \
+        "factors=None)"
+    assert factor_periods(o) == (1,) * n
+    with pytest.raises(PreconditionViolated, match="per-factor data"):
+        orbital_bounds(o)
+    # the product is coordinatewise
+    v = tuple(((k + 1) % fq.p, 1) for k in range(n))
+    assert o.multiply_vectors(v, v, 3) == \
+        tuple(ser_mul(fq, e, e, 3) for e in v)
     assert o.delta == n - 1
     assert relative_length(o.dual_r_lattice, o.r_lattice) == 2 * (n - 1)
     assert o.o_e_lattice.contains_lattice(o.r_lattice)
@@ -707,3 +720,81 @@ def test_random_quadratics_have_consistent_invariants(a, b):
     assert 2 * o.delta <= o.valres
     assert o.delta == o.rho + sum(fd.d * fd.delta for fd in o.factors)
     assert o.dual_r_lattice.contains_lattice(o.o_e_lattice)
+
+
+# ---------------------------------------------------------------------------
+# rho from the discriminants
+# ---------------------------------------------------------------------------
+
+def _pairwise_rho(order):
+    """The sum of the resultant valuations of every pair of factors, each
+    read to the shorter factor window (exact for two exact factors)."""
+    total = 0
+    for i, a in enumerate(order.factors):
+        for b in order.factors[i + 1:]:
+            windows = [w for w in (a.window, b.window) if w is not None]
+            val = resultant_valuation(order.fq, a.coeffs, b.coeffs,
+                                      min(windows) if windows else None)
+            assert val is not None
+            total += val
+    return total
+
+
+def _with_rebuilds(order):
+    """The order, each factor built on its own as levi_product does, and
+    for a factor with a larger residue field its extension rebuilds."""
+    yield order
+    for fd in order.factors:
+        sub = build_order(order.fq, fd.coeffs, f_window=fd.window)
+        yield sub
+        if fd.d > 1:
+            big = base_change_order(sub, fd.d)
+            yield big
+            piece = big.factors[0]
+            yield build_order(big.fq, piece.coeffs, f_window=piece.window)
+
+
+def _analyze_order(argv):
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    fq = parse_field(flags["--q"])
+    factors = flags.get("--factors")
+    return build_order(fq, parse_xpoly(fq, flags["--f"]), factors=None
+                       if factors is None else [parse_xpoly(fq, g)
+                                                for g in factors.split(";")])
+
+
+GOLDEN_ANALYZE = [(name, argv) for name, argv in regen.CASES
+                  if argv[0] == "analyze"]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_ANALYZE,
+                         ids=[name for name, _ in GOLDEN_ANALYZE])
+def test_rho_from_discriminants_matches_pairwise_resultants(name, argv):
+    for order in _with_rebuilds(_analyze_order(argv)):
+        assert order.rho == _pairwise_rho(order)
+
+
+def test_rho_from_discriminants_on_seeded_multi_factor_orders():
+    rng = random.Random(7)
+    seen = {2: 0, 3: 0}
+    while min(seen.values()) < 4:
+        fq = rng.choice((F2, F3, F5))
+        count = rng.choice((2, 3))
+        # distinct lines X - c*t^k, one of them perhaps a quadratic
+        # X^2 - c*t^k instead
+        roots = rng.sample([(c, k) for c in range(1, fq.p)
+                            for k in range(1, 4)], count)
+        factors = [((0,) * k + (fq.neg(c),), (1,)) for c, k in roots]
+        if rng.random() < 0.5:
+            c, k = roots[0]
+            factors[0] = ((0,) * (2 * k + 1) + (fq.neg(c),), (), (1,))
+        f = ((1,),)
+        for g in factors:
+            f = xp_mul(fq, f, g)
+        try:
+            order = build_order(fq, f, factors=factors)
+        except (NotSquarefree, BadFactorization):
+            continue
+        seen[count] += 1
+        for sub in _with_rebuilds(order):
+            assert sub.rho == _pairwise_rho(sub)
