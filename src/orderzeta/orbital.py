@@ -41,9 +41,9 @@ def _factor_data(order):
 def orbital_bounds(order):
     """The proven (lower, upper) bracket for the orbit count.
 
-    The colength identity delta = rho + sum of d_i * delta_i ties the
-    pairwise resultant valuations to the per-factor colengths; it is
-    re-verified here because both sides are computed independently.
+    rho = (v(disc f) - sum of v(disc g_i)) / 2 comes from discriminants
+    and delta from the normalization; their identity delta = rho + sum of
+    d_i * delta_i (Dedekind for the whole order) is re-verified here.
     """
     factors = _factor_data(order)
     if order.delta != order.rho + sum(fd.d * fd.delta for fd in factors):

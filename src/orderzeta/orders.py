@@ -5,13 +5,15 @@ everything the counting layers need: the power-basis multiplication
 table, the maximal order O_E (multiplier-ring iteration on the radical
 of t*S, once per order), primitive idempotents, a trace twist that makes
 O_E self-dual, the dual and conductor lattices, and the numeric
-invariants: delta = [O_E : R], the pairwise resultant valuation rho, and
-residue and ramification data per factor.  The norm of b(X) on the
-branch of a factor g is res(g, b), and on that branch the first basis
-column b of the plain trace dual t^s*B of O_E with least v = v(res(g, b))
-generates the dual.  The twist sums the idempotent projections of these
-columns; g's colength in its normalization is (v(disc g) + v + s*deg g)/2
-(Dedekind), and delta = rho + the sum of these colengths is checked.
+invariants: delta = [O_E : R], rho = the sum of v(res(g, h)) over pairs
+of factors, and residue and ramification data per factor.  The norm of
+b(X) on the branch of a factor g is res(g, b), and on that branch the
+first basis column b of the plain trace dual t^s*B of O_E with least
+v = v(res(g, b)) generates the dual.  The twist sums the idempotent
+projections of these columns; g's colength in its normalization is
+(v(disc g) + v + s*deg g)/2 (Dedekind).  rho comes from the same
+discriminants, v(disc f) = the sum of v(disc g) + 2*rho, and delta =
+rho + the sum of the colengths (Dedekind for the whole order) is checked.
 
 The walker splits and the normalization certifies.  Unless the caller
 supplies the factors, build_order splits f with one Newton-polygon
@@ -59,10 +61,10 @@ from .series import ser_add, ser_mul, ser_neg, ser_pad, ser_scale, ser_val
 
 def _fq_kernel(fq, cols, n):
     """Basis of the right kernel of the matrix with the given columns."""
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    piv_cols = []
-    r = 0
+    rows = [list(row) for row in zip(*cols)]
+    pivots = []
     for c in range(n):
+        r = len(pivots)
         pr = next((i for i in range(r, n) if rows[i][c]), None)
         if pr is None:
             continue
@@ -72,21 +74,17 @@ def _fq_kernel(fq, cols, n):
         for i in range(n):
             if i != r and rows[i][c]:
                 fac = rows[i][c]
-                rows[i] = [fq.sub(rows[i][k], fq.mul(fac, rows[r][k]))
-                           for k in range(n)]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
+                rows[i] = [fq.sub(x, fq.mul(fac, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
     basis = []
     for fc in range(n):
-        if fc in piv_cols:
-            continue
-        v = [0] * n
-        v[fc] = 1
-        for idx, pc in enumerate(piv_cols):
-            v[pc] = fq.neg(rows[idx][fc])
-        basis.append(tuple(v))
+        if fc not in pivots:
+            v = [0] * n
+            v[fc] = 1
+            for idx, pc in enumerate(pivots):
+                v[pc] = fq.neg(rows[idx][fc])
+            basis.append(tuple(v))
     return basis
 
 
@@ -295,29 +293,47 @@ def _power_basis(fq, f, w, powers, traces):
 def _radical_lattice(fq, s_lat, mul, n, w):
     """The radical of t*S inside the order lattice S, the preimage of the
     nilradical of S/tS, located as the kernel of a Frobenius power; with
-    the columns of the matrix of x -> x^q on S/tS."""
+    the columns of the matrix of x -> x^q on S/tS.  Each x^q is a
+    square-and-multiply in the multiplication table of S/tS, so no
+    product in S needs more digits than one of two basis columns."""
     cols = s_lat.columns(w)
     scale = s_lat.scale
     q = fq.q
-    frob = []
-    for j in range(n):
-        y = cols[j]
-        for _ in range(q - 1):
-            y = mul(y, cols[j], w)
-        coords = solve_in_basis(s_lat, y, scale * q)
-        if coords is None:
-            raise InvariantViolation("order lattice not closed under powers")
-        frob.append(tuple(c[0] for c in coords))
-    m = 1
-    while q ** m < n:
-        m += 1
-    rows = tuple(zip(*frob))
-    power = []
-    for y in frob:
-        for _ in range(m - 1):
-            y = _matvec_fq(fq, rows, y)
-        power.append(y)
-    kernel = _fq_kernel(fq, power, n)
+    # by_column[k]: rows of the matrix whose column i is e_i * e_k mod t
+    table = {}
+    for i in range(n):
+        for k in range(i, n):
+            coords = solve_in_basis(s_lat, mul(cols[i], cols[k], w),
+                                    2 * scale)
+            if coords is None:
+                raise InvariantViolation(
+                    "order lattice not closed under products")
+            table[i, k] = table[k, i] = tuple(c[0] for c in coords)
+    by_column = [tuple(zip(*(table[i, k] for i in range(n))))
+                 for k in range(n)]
+
+    def times(a, b):
+        by_a = [_matvec_fq(fq, rows, a) for rows in by_column]
+        return _matvec_fq(fq, tuple(zip(*by_a)), b)
+
+    def power_columns(e):
+        # the columns of x -> x^e, by square-and-multiply
+        out = []
+        for j in range(n):
+            x = y = tuple(int(i == j) for i in range(n))
+            for bit in bin(e)[3:]:
+                y = times(y, y)
+                if bit == "1":
+                    y = times(y, x)
+            out.append(y)
+        return out
+
+    frob = power_columns(q)
+    # the nilradical is the kernel of x -> x^(q^m) once q^m >= n
+    power = q
+    while power < n:
+        power *= q
+    kernel = _fq_kernel(fq, power_columns(power), n)
     gens = [tuple((0,) + e[:w - 1] for e in col) for col in cols]
     entries = _nonzero_entries(cols)
     for lam in kernel:
@@ -573,6 +589,8 @@ class OrderData:
 
 
 def _assemble(fq, fdigits, fwindow, pieces, w, valres):
+    """The OrderData of f, from its (coeffs, window) factors at window w
+    and valres = v(disc f); rho = (valres - the sum of v(disc g)) / 2."""
     n = len(fdigits) - 1
     weff = min(w, fwindow) if fwindow is not None else w
     pw, tau, tcols, mul = _power_basis(fq, fdigits, weff,
@@ -601,7 +619,6 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
     plain_dual = trace_dual_lattice(o_e, tcols, weff)
     picks = _branch_generators(fq, pieces, plain_dual)
     factor_data = []
-    sub_total = 0
     disc_total = 0
     for (coeffs, window), (_, v), rdeg in zip(pieces, picks, residue):
         deg = len(coeffs) - 1
@@ -627,15 +644,13 @@ def _assemble(fq, fdigits, fwindow, pieces, w, valres):
             raise InvariantViolation("residue degree does not divide")
         factor_data.append(FactorData(
             coeffs, window, d, rdeg // d, rdeg, deg // rdeg, ell // d))
-        sub_total += ell
 
-    # v(disc f) = sum of v(disc g) + 2*rho
     twice = valres - disc_total
     if twice % 2 or twice < 0:
         raise InvariantViolation(
             "intersection number from discriminants is odd or negative")
     rho = twice // 2
-    if delta != rho + sub_total:
+    if delta != rho + sum(fd.d * fd.delta for fd in factor_data):
         raise InvariantViolation(
             "colength of the normalization disagrees with the "
             "resultant decomposition")

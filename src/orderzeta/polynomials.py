@@ -147,37 +147,50 @@ def monic_polys_over_fq(fq, degree):
         coeffs.append(1)
         yield tuple(coeffs)
 
+def _pow_mod(fq, b, k, m):
+    """b^k modulo m, by square-and-multiply."""
+    out = (1,)
+    for bit in bin(k)[2:]:
+        out = up_mod(fq, up_mul(fq, out, out), m)
+        if bit == "1":
+            out = up_mod(fq, up_mul(fq, out, b), m)
+    return out
+
 def up_factor(fq, a):
     """Factor into monic irreducibles: list of (factor, multiplicity),
     deterministic (ascending degree, then counter order).  The unit
-    leading coefficient is discarded."""
+    leading coefficient is discarded.
+
+    Once the factors of degree below d are divided out, g = gcd(a,
+    X^(q^d) - X) is the product of the irreducible factors of degree d,
+    so degree d is skipped when g = 1; trial division splits g only when
+    it has two or more factors."""
     a = up_monic(fq, a)
     if not a:
         raise ZeroDivisionError("factoring the zero polynomial")
     out = []
     deg = 1
+    frob = (0, 1)           # X^(q^deg) modulo a, once raised below
     while len(a) - 1 > 0:
         if len(a) - 1 < 2 * deg:
             # remaining part is irreducible
             out.append((a, 1))
             break
-        found = False
-        for cand in monic_polys_over_fq(fq, deg):
-            q_, r = up_divmod(fq, a, cand)
-            if not r:
-                mult = 1
-                a = q_
-                while True:
-                    q_, r = up_divmod(fq, a, cand)
-                    if r:
-                        break
-                    mult += 1
-                    a = q_
-                out.append((cand, mult))
-                found = True
-                break
-        if not found:
-            deg += 1
+        frob = _pow_mod(fq, frob, fq.q, a)
+        g = up_ext_euclid(fq, a, up_sub(fq, frob, (0, 1)))[0]
+        while len(g) > 1:
+            part = g if len(g) - 1 == deg else next(
+                cand for cand in monic_polys_over_fq(fq, deg)
+                if not up_divmod(fq, g, cand)[1])
+            g = up_divmod(fq, g, part)[0]
+            mult = 0
+            while True:
+                quo, rem = up_divmod(fq, a, part)
+                if rem:
+                    break
+                a, mult = quo, mult + 1
+            out.append((part, mult))
+        deg += 1
     return out
 
 def up_roots(fq, a):

@@ -325,6 +325,22 @@ def test_ceiling_below_the_orbit_bound_exits_5_before_enumerating(
     assert "enumeration exceeded the work ceiling 27" in err
 
 
+@pytest.mark.parametrize("q, f, count", [
+    ("47", "X^2-t^3", 48),
+    ("81", "X^2-t^3", 82),
+    ("59", "(X-t)*(X-t^2)", 59),
+    ("128", "X^2+t*X", 128),
+])
+def test_large_fields_build_past_the_frobenius_window(capsys, q, f, count):
+    # q times the scale of the last normalization round reaches the build
+    # window here, so a q-th power taken by q - 1 products in the order
+    # would lose every digit of the window
+    code, out, _ = run(capsys, "analyze", "--q", q, "--f", f)
+    assert code == 0
+    assert f"O_gamma = {count} (zeta {count}, lattice {count}, " \
+        f"levi {count})" in out
+
+
 BRANCH_COUNT = "supply a factorization into irreducible factors"
 
 

@@ -13,7 +13,9 @@ from orderzeta.errors import (BadFactorization, NotSquarefree,
 from orderzeta.lattices import (_nonzero_entries, class_count_mod_lambda,
                                 compose_lattice, identity_lattice, mat_vec,
                                 relative_length, resultant_valuation,
-                                stable_sublattice_levels, trace_dual_lattice)
+                                solve_in_basis, stable_sublattice_levels,
+                                trace_dual_lattice)
+from orderzeta import orders
 from orderzeta.orders import (OrderData, _canonical, _derivative, _pieces,
                               _power_table, base_change_order, build_order,
                               n_lines_order)
@@ -798,3 +800,45 @@ def test_rho_from_discriminants_on_seeded_multi_factor_orders():
         seen[count] += 1
         for sub in _with_rebuilds(order):
             assert sub.rho == _pairwise_rho(sub)
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius matrix of S/tS
+# ---------------------------------------------------------------------------
+
+def _frobenius_by_powers(fq, s_lat, mul, n, w):
+    """Columns of x -> x^q on S/tS from q - 1 products of each basis
+    column in the order, which needs about q times the scale of S in
+    digits."""
+    out = []
+    for col in s_lat.columns(w):
+        y = col
+        for _ in range(fq.q - 1):
+            y = mul(y, col, w)
+        coords = solve_in_basis(s_lat, y, s_lat.scale * fq.q)
+        out.append(tuple(c[0] for c in coords))
+    return out
+
+
+@pytest.mark.parametrize("q, f", [
+    ("5", "X^2-t^5"), ("5", "X^3-t^4"), ("5", "(X-t)*(X-t^3)"),
+    ("7", "X^2-t^5"), ("7", "X^2+t^2*X+t^5"), ("9", "X^2-t^5"),
+    ("9", "(X-t)*(X^2-t^3)"),
+])
+def test_frobenius_from_the_table_matches_q_minus_one_products(
+        monkeypatch, q, f):
+    fq = parse_field(q)
+    rounds = []
+
+    def spy(fq_, s_lat, mul, n, w):
+        rad, frob = radical(fq_, s_lat, mul, n, w)
+        rounds.append(s_lat.scale)
+        assert [tuple(c) for c in frob] == \
+            _frobenius_by_powers(fq_, s_lat, mul, n, w)
+        return rad, frob
+
+    radical = orders._radical_lattice
+    monkeypatch.setattr(orders, "_radical_lattice", spy)
+    # a window wide enough for the q - 1 products
+    build_order(fq, parse_xpoly(fq, f), precision=120)
+    assert len(rounds) >= 4 and min(rounds) < 0

@@ -1,6 +1,7 @@
 """Polynomial layers: exact division, factoring, resultants, lifting."""
 
 import random
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,8 +11,8 @@ from orderzeta.lattices import resultant_valuation
 from orderzeta.parsing import parse_field
 from orderzeta.polynomials import (IntPoly, hensel_split, monic_polys_over_fq,
                                    sp_mul, up_add, up_ext_euclid, up_divmod,
-                                   up_factor, up_mul, up_roots, up_sub,
-                                   up_trim, xp_mul, xp_subst_x_shift,
+                                   up_factor, up_monic, up_mul, up_roots,
+                                   up_sub, up_trim, xp_mul, xp_subst_x_shift,
                                    xp_trim)
 from orderzeta.series import ser_mul, ser_pad, ser_scale, ser_val
 
@@ -90,6 +91,82 @@ def test_factor_decides_irreducibility():
     assert not irreducible(F3, (0, 1, 1))      # X(X+1)
     assert irreducible(F5, (1, 1, 0, 1))       # X^3+X+1, no roots => irred
     assert not irreducible(F5, (2, 0, 0, 1))   # X^3+2 has the root 2
+
+
+def _factor_by_trial_division(fq, a):
+    """The factorization up_factor made before it took gcds with
+    X^(q^d) - X: every monic polynomial of degree d is tried in counter
+    order, d = 1, 2, ..., until what is left has degree below 2d."""
+    a = up_monic(fq, a)
+    out = []
+    deg = 1
+    while len(a) - 1 > 0:
+        if len(a) - 1 < 2 * deg:
+            out.append((a, 1))
+            break
+        for cand in monic_polys_over_fq(fq, deg):
+            mult = 0
+            while True:
+                q_, r = up_divmod(fq, a, cand)
+                if r:
+                    break
+                mult += 1
+                a = q_
+            if mult:
+                out.append((cand, mult))
+                break
+        else:
+            deg += 1
+    return out
+
+
+@pytest.mark.parametrize("q", ["2", "3", "4"])
+def test_factor_matches_trial_division_on_every_small_polynomial(q):
+    fq = parse_field(q)
+    for degree in range(5):
+        for a in monic_polys_over_fq(fq, degree):
+            assert up_factor(fq, a) == _factor_by_trial_division(fq, a), a
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from(["2", "3", "4", "5", "9"]), data=st.data())
+def test_factor_matches_trial_division_on_a_sample(q, data):
+    fq = parse_field(q)
+    degree = data.draw(st.integers(1, 6))
+    a = tuple(data.draw(st.lists(st.integers(0, fq.q - 1), min_size=degree,
+                                 max_size=degree))) + (1,)
+    assert up_factor(fq, a) == _factor_by_trial_division(fq, a)
+
+
+def _frobenius_power(fq, k, a):
+    """X^(q^k) modulo a."""
+    y = (0, 1)
+    for _ in range(k):
+        out, base, e = (1,), y, fq.q
+        while e:
+            if e & 1:
+                out = up_divmod(fq, up_mul(fq, out, base), a)[1]
+            base = up_divmod(fq, up_mul(fq, base, base), a)[1]
+            e >>= 1
+        y = out
+    return y
+
+
+def test_an_irreducible_sextic_over_f256_factors_at_once():
+    fq = parse_field("256")
+    # the first seeded sextic that is irreducible by Rabin's test:
+    # X^(q^6) = X modulo a, and X^(q^2) - X and X^(q^3) - X prime to a
+    rng = random.Random(1)
+    while True:
+        a = tuple(rng.randrange(fq.q) for _ in range(6)) + (1,)
+        if _frobenius_power(fq, 6, a) == (0, 1) and all(
+                up_ext_euclid(fq, a, up_sub(fq, _frobenius_power(fq, k, a),
+                                            (0, 1)))[0] == (1,)
+                for k in (2, 3)):
+            break
+    start = perf_counter()
+    assert up_factor(fq, a) == [(a, 1)]
+    assert perf_counter() - start < 1
 
 
 def test_roots_ascending():
