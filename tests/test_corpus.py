@@ -1,6 +1,6 @@
 """Replay of the build corpus (tests/corpus.py) against its manifest,
-tests/corpus.json: every third input, so that the slice takes about ten
-seconds.  `python3 tests/corpus.py` replays all of it."""
+tests/corpus.json: every third input, so that the slice takes under 20 s
+on a 2-vCPU host.  `python3 tests/corpus.py` replays all of it."""
 
 import pytest
 
