@@ -7,7 +7,7 @@ inputs() makes the same inputs on every call, from SEED: random monic
 polynomials with one to three factors over each field of FIELDS, each
 built once with its factors found automatically and once with them
 supplied, followed by the rejection classes of the README's exit-code
-table.  An input is text (field spec, f, factors joined by ";", an
+table and by EXTENSION, a fixed class over F_8, F_16 and F_64.  An input is text (field spec, f, factors joined by ";", an
 optional precision) so that the manifest reads like the command line.
 
 run() parses and builds one input and returns its record: the exit
@@ -70,6 +70,32 @@ REJECTIONS = (
     ("3", "X^2-t^3", None, 5),                     # precision too small: 4
 )
 
+# (q, f): automatic factorizations over extension fields whose residual
+# (f mod t, or after one slope the residual polynomial) holds two or
+# three distinct irreducibles of one degree, so that up_factor must split
+# one distinct-degree gcd; appended after the seeded inputs so that none
+# of those moves
+EXTENSION = (
+    ("8", "(X+u)*(X+u^2)*(X+u^2+u+1)+t"),
+    ("8", "(X^2+(u^2+u+1)*X+u+1)*(X^2+(u^2+u+1)*X+u^2+1)+t*X+t^2"),
+    ("8", "(X^2+X+1)*(X^2+X+u+1)*(X^2+X+u^2+1)+t"),
+    ("8", "(X^3+(u^2+u+1)*X^2+(u^2+u+1)*X+u)"
+          "*(X^3+(u^2+u+1)*X^2+(u^2+u+1)*X+u^2+1)+t"),
+    ("16", "(X^2+(u^3+u^2+u+1)*X+u^3+u+1)"
+           "*(X^2+(u^3+u^2+u+1)*X+u^3+u^2+u+1)+t"),
+    ("16", "(X^2+X+u^3)*(X^2+X+u^3+1)*(X^2+(u^3+u^2+u+1)*X+u^3+u^2)"
+           "+t^2*X+t"),
+    ("16", "(X^3+(u^3+u^2+u+1)*X^2+(u^3+u^2+u+1)*X+u^3+1)"
+           "*(X^3+(u^3+u^2+u+1)*X^2+(u^3+u^2+u+1)*X+u^3+u^2+u+1)+t^2*X+t"),
+    ("64", "(X+u)*(X+u^5)*(X+u^5+u^3+1)+t^2"),
+    ("64", "(X^2+(u^5+u^4+u^3+u^2+u+1)*X+u^5+u^4+u^3+u+1)"
+           "*(X^2+(u^5+u^4+u^3+u^2+u+1)*X+u^5+u^4+u^3+u^2+u+1)+t"),
+    ("64", "(X^2+(u^5+u^4+u^3+u^2+u+1)*X+u^5+u^4+u^3+u^2)"
+           "*(X^2+(u^5+u^4+u^3+u^2+u+1)*X+u^5+u^4+u^3+u^2+u+1)"
+           "*(X^2+X+u^5+1)+t^3*X+t"),
+    ("64", "(X^2+t*X+u^5*t^2)*(X^2+t*X+(u^5+1)*t^2)+t^5"),
+)
+
 
 def _element(rng, fq):
     """Text of a nonzero element of F_q, without its parentheses."""
@@ -121,6 +147,7 @@ def inputs():
             out.append((q, f, None, None))
             out.append((q, f, ";".join(parts), None))
     out += REJECTIONS
+    out += [(q, f, None, None) for q, f in EXTENSION]
     return [{"id": f"{i:03d}", "q": q, "f": f, "factors": factors,
              "precision": precision}
             for i, (q, f, factors, precision) in enumerate(out)]
