@@ -11,12 +11,15 @@ Two coefficient domains appear, both with dense low-degree-first tuples:
 
 X-polynomials with truncated power series coefficients are tuples of
 series digit tuples (see series.py); `hensel_split` lifts factorisations
-on them, and their resultant valuation is an elimination in lattices.py.
+on them with the `up_*` kernel, one t-digit at a time, and their
+resultant valuation is an elimination in lattices.py.
 The integer-coefficient class `IntPoly` holds counting polynomials; the
 n-lines closed form is a tuple of them, in q, indexed by the power of t.
 """
 
 from __future__ import annotations
+
+import random
 
 from .series import ser_add, ser_mul, ser_pad
 
@@ -139,13 +142,7 @@ def monic_polys_over_fq(fq, degree):
     (constant coefficient is the least significant digit)."""
     q = fq.q
     for code in range(q ** degree):
-        coeffs = []
-        c = code
-        for _ in range(degree):
-            coeffs.append(c % q)
-            c //= q
-        coeffs.append(1)
-        yield tuple(coeffs)
+        yield tuple(code // q ** i % q for i in range(degree)) + (1,)
 
 def _pow_mod(fq, b, k, m):
     """b^k modulo m, by square-and-multiply."""
@@ -156,15 +153,34 @@ def _pow_mod(fq, b, k, m):
             out = up_mod(fq, up_mul(fq, out, b), m)
     return out
 
+def _equal_degree_split(fq, g, d):
+    """The monic irreducible factors of g, a squarefree product of ones of
+    degree d (Cantor-Zassenhaus): for r of degree below deg g, T(r) = r +
+    r^p + ... + r^(p^(e*d-1)) mod g is constant in F_p on each factor, so
+    gcd(g, T(r) - c) splits g for some c unless all the constants agree."""
+    n, rng = len(g) - 1, random.Random(len(g))
+    if n <= d:
+        return [g] if n else []
+    while True:
+        trace = power = up_trim(rng.randrange(fq.q) for _ in range(n))
+        for _ in range(fq.e * d - 1):
+            power = _pow_mod(fq, power, fq.p, g)
+            trace = up_add(fq, trace, power)
+        for c in range(fq.p):
+            h = up_ext_euclid(fq, g, up_sub(fq, trace, (c,)))[0]
+            if 1 < len(h) <= n:
+                return [part for half in (h, up_divmod(fq, g, h)[0])
+                        for part in _equal_degree_split(fq, half, d)]
+
 def up_factor(fq, a):
     """Factor into monic irreducibles: list of (factor, multiplicity),
     deterministic (ascending degree, then counter order).  The unit
     leading coefficient is discarded.
 
     Once the factors of degree below d are divided out, g = gcd(a,
-    X^(q^d) - X) is the product of the irreducible factors of degree d,
-    so degree d is skipped when g = 1; trial division splits g only when
-    it has two or more factors."""
+    X^(q^d) - X) is the product of the irreducible factors of degree d;
+    one equal-degree split (_equal_degree_split) takes g apart when it
+    holds two or more of them."""
     a = up_monic(fq, a)
     if not a:
         raise ZeroDivisionError("factoring the zero polynomial")
@@ -172,23 +188,18 @@ def up_factor(fq, a):
     deg = 1
     frob = (0, 1)           # X^(q^deg) modulo a, once raised below
     while len(a) - 1 > 0:
-        if len(a) - 1 < 2 * deg:
-            # remaining part is irreducible
+        if len(a) - 1 < 2 * deg:        # the rest is irreducible
             out.append((a, 1))
             break
         frob = _pow_mod(fq, frob, fq.q, a)
         g = up_ext_euclid(fq, a, up_sub(fq, frob, (0, 1)))[0]
-        while len(g) > 1:
-            part = g if len(g) - 1 == deg else next(
-                cand for cand in monic_polys_over_fq(fq, deg)
-                if not up_divmod(fq, g, cand)[1])
-            g = up_divmod(fq, g, part)[0]
+        for part in sorted(_equal_degree_split(fq, g, deg),
+                           key=lambda c: c[::-1]):
+            quo, rem = up_divmod(fq, a, part)
             mult = 0
-            while True:
-                quo, rem = up_divmod(fq, a, part)
-                if rem:
-                    break
+            while not rem:
                 a, mult = quo, mult + 1
+                quo, rem = up_divmod(fq, a, part)
             out.append((part, mult))
         deg += 1
     return out
@@ -258,37 +269,24 @@ def hensel_split(fq, f, gbar, hbar, precision):
     lowest degree first), gbar and hbar monic polynomials over F_q with
     f mod t = gbar * hbar and gcd(gbar, hbar) = 1.  Returns monic factors
     (g, h), their coefficients `precision`-digit tuples, with f = g * h
-    to that precision.
+    to that precision.  Linear lifting on the t^m digits of g and h, each
+    a polynomial over F_q: one Bezout solve per digit, and the products
+    of digits skip the zero ones, so an exact factorization lifts in O(w).
     """
     g0, u, v = up_ext_euclid(fq, gbar, hbar)
     if g0 != (1,):
         raise ValueError("factors are not coprime modulo t")
     dg, dh = len(gbar) - 1, len(hbar) - 1
-    # coefficient columns: g[i][m] is the t^m digit of the X^i coefficient
-    gcols = [[0] * precision for _ in range(dg + 1)]
-    hcols = [[0] * precision for _ in range(dh + 1)]
-    for i, c in enumerate(gbar):
-        gcols[i][0] = c
-    for i, c in enumerate(hbar):
-        hcols[i][0] = c
-    fcols = [ser_pad(c, precision) for c in f]
-
-    def digit(cols, i, m):
-        return cols[i][m] if i < len(cols) else 0
-
+    # G[m], H[m]: the t^m digits of g and h; lifted: the m > 0, G[m] != 0
+    G, H = [gbar] + [()] * (precision - 1), [hbar] + [()] * (precision - 1)
+    lifted = []
     for m in range(1, precision):
-        # t^m digit of f - g*h
-        err = []
-        for i in range(dg + dh + 1):
-            s = fcols[i][m] if i < len(fcols) else 0
-            for a in range(max(0, i - dh), min(i, dg) + 1):
-                for mm in range(m + 1):
-                    x = digit(gcols, a, mm)
-                    y = digit(hcols, i - a, m - mm)
-                    if x and y:
-                        s = fq.sub(s, fq.mul(x, y))
-            err.append(s)
-        err = up_trim(err)
+        # t^m digit of f - g*h, the digits m of g and h being still zero
+        gh = ()
+        for k in lifted:
+            if H[m - k]:
+                gh = up_add(fq, gh, up_mul(fq, G[k], H[m - k]))
+        err = up_sub(fq, up_trim(c[m] if m < len(c) else 0 for c in f), gh)
         if not err:
             continue
         # solve gbar*dh_ + hbar*dg_ = err with deg dg_ < dg
@@ -296,14 +294,15 @@ def hensel_split(fq, f, gbar, hbar, precision):
         dh_, r = up_divmod(fq, up_sub(fq, err, up_mul(fq, hbar, dg_)), gbar)
         if r:
             raise ArithmeticError("lift step failed to divide")
-        for i, c in enumerate(dg_):
-            gcols[i][m] = c
-        for i, c in enumerate(dh_):
-            if i > dh:
-                raise ArithmeticError("lift step raised the degree")
-            hcols[i][m] = c
-    return (tuple(tuple(col) for col in gcols),
-            tuple(tuple(col) for col in hcols))
+        if len(dh_) > dh + 1:
+            raise ArithmeticError("lift step raised the degree")
+        G[m], H[m] = dg_, dh_
+        if dg_:
+            lifted.append(m)
+    # coefficient X^i of g (of h) is the tuple of the digits G[m][i]
+    return tuple(tuple(tuple(D[i] if i < len(D) else 0 for D in digits)
+                       for i in range(n + 1))
+                 for digits, n in ((G, dg), (H, dh)))
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,17 @@ def test_analyze_precision_override_changes_no_count(capsys):
     assert b["precision"] > a["precision"]
 
 
+def test_an_exact_factorization_lifts_to_a_wide_window_at_once(capsys):
+    # the Hensel split of (X-1)(X-2) stays exact, so its lift to 4000
+    # digits skips every zero digit; the column loop took 5.8-6.5 s
+    start = perf_counter()
+    code, out, _ = run(capsys, "analyze", "--q", "3", "--f", "(X-1)*(X-2)",
+                       "--precision", "4000")
+    assert perf_counter() - start < 3
+    assert code == 0
+    assert "result: all checks pass" in out
+
+
 def test_analyze_env_ceiling(capsys, monkeypatch):
     monkeypatch.setenv("ORDER_ZETA_CEILING", "123456")
     _, out, _ = run(capsys, "analyze", "--q", "3", "--f", "X^2 - t^3",

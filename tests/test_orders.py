@@ -4,6 +4,7 @@ import random
 import sys
 from math import gcd
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,8 @@ from orderzeta.orders import (OrderData, _canonical, _derivative, _pieces,
                               n_lines_order)
 from orderzeta.orbital import orbital_bounds
 from orderzeta.parsing import parse_field, parse_xpoly
-from orderzeta.polynomials import sp_mul, up_factor, up_trim, xp_mul, xp_trim
+from orderzeta.polynomials import (sp_mul, up_factor, up_mul, up_trim, xp_mul,
+                                   xp_trim)
 from orderzeta.series import ser_add, ser_mul, ser_pad, ser_val
 from orderzeta.zeta import factor_periods
 
@@ -376,6 +378,23 @@ def test_fractional_slope_needs_explicit_factors():
     assert (o.delta, o.rho) == (3, 2)
     assert sorted(fd.delta for fd in o.factors) == [0, 1]
     assert all(fd.e == 2 for fd in o.factors)
+
+
+def test_auto_factor_splits_two_residual_cubics_over_f256():
+    # the residual is a product of two irreducible cubics late in the
+    # counter order, which a sweep over the 16.8 M monic cubics took 78-95 s
+    # to split (2-vCPU host)
+    fq = parse_field("2^8:u^8+u^4+u^3+u+1")
+    resid = up_mul(fq, (252, 255, 255, 1), (246, 255, 255, 1))
+    f = ((resid[0], 1),) + tuple((c,) for c in resid[1:])    # + t
+    start = perf_counter()
+    o = build_order(fq, f)
+    assert perf_counter() - start < 5
+    assert (o.delta, o.rho) == (0, 0)
+    assert [(fd.d, fd.r, fd.n, fd.e, fd.delta) for fd in o.factors] == [
+        (3, 1, 3, 1, 0), (3, 1, 3, 1, 0)]
+    assert [fd.coeffs[0][:3] for fd in o.factors] == [
+        (246, 41, 137), (252, 41, 137)]
 
 
 def test_supplied_factors_any_order_same_result():

@@ -4,7 +4,7 @@ import random
 from time import perf_counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from orderzeta.errors import PrecisionExhausted
 from orderzeta.lattices import resultant_valuation
@@ -16,6 +16,7 @@ from orderzeta.polynomials import (IntPoly, hensel_split, monic_polys_over_fq,
                                    xp_trim)
 from orderzeta.series import ser_mul, ser_pad, ser_scale, ser_val
 
+from hensel_oracle import hensel_columns
 from laurent_oracle import resultant_series
 from resultant_oracle import resultant_exact
 
@@ -167,6 +168,44 @@ def test_an_irreducible_sextic_over_f256_factors_at_once():
     start = perf_counter()
     assert up_factor(fq, a) == [(a, 1)]
     assert perf_counter() - start < 1
+
+
+# late in the counter order: a sweep over the monic polynomials of one
+# degree took 80-86 s to split the cubics (2-vCPU host)
+@pytest.mark.parametrize("pair", [((252, 255, 255, 1), (246, 255, 255, 1)),
+                                  ((252, 255, 1), (253, 255, 1))])
+def test_irreducibles_of_one_degree_over_f256_split_at_once(pair):
+    fq = parse_field("2^8:u^8+u^4+u^3+u+1")
+    start = perf_counter()
+    got = up_factor(fq, up_mul(fq, *pair))
+    assert perf_counter() - start < 1
+    assert got == [(c, 1) for c in sorted(pair, key=lambda c: c[::-1])]
+
+
+def _irreducible(fq, rng, degree):
+    """A seeded monic irreducible of degree at most 3: one with no root."""
+    while True:
+        c = tuple(rng.randrange(fq.q) for _ in range(degree)) + (1,)
+        if degree == 1 or not up_roots(fq, c):
+            return c
+
+
+@pytest.mark.parametrize("q", ["4", "8", "9", "16", "25", "27"])
+def test_equal_degree_split_matches_trial_division(q):
+    # products of two or three distinct irreducibles of one degree, each
+    # to the power 1 to 3: every distinct-degree gcd needs a split
+    fq = parse_field(q)
+    rng = random.Random(int(q))
+    for _ in range(10):
+        degree, count = rng.randint(1, 3), rng.randint(2, 3)
+        parts = set()
+        while len(parts) < count:
+            parts.add(_irreducible(fq, rng, degree))
+        a = (1,)
+        for c in sorted(parts):
+            for _ in range(rng.randint(1, 3)):
+                a = up_mul(fq, a, c)
+        assert up_factor(fq, a) == _factor_by_trial_division(fq, a), a
 
 
 def test_roots_ascending():
@@ -387,6 +426,26 @@ def test_hensel_split_square_root_of_one_plus_t():
     assert sp_mul(F3, g, h, prec) == f
     s = g[0]
     assert ser_mul(F3, s, s) == ser_pad((1, 1), prec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from(["2", "3", "4", "5", "9"]),
+       degrees=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       window=st.integers(1, 60), dense=st.booleans(), data=st.data())
+def test_hensel_split_matches_the_column_loop(q, degrees, window, dense,
+                                              data):
+    fq = parse_field(q)
+    code = st.integers(0, fq.q - 1)
+    gbar, hbar = (tuple(data.draw(st.lists(code, min_size=d, max_size=d)))
+                  + (1,) for d in degrees)
+    assume(up_ext_euclid(fq, gbar, hbar)[0] == (1,))
+    # digits above t^0: every one drawn (dense), or one in ten nonzero
+    digit = code if dense else st.sampled_from((0,) * 9 + (1,))
+    resid = up_mul(fq, gbar, hbar)
+    f = tuple((c,) + tuple(data.draw(st.lists(digit, max_size=window + 2)))
+              for c in resid[:-1]) + ((1,),)
+    assert (hensel_split(fq, f, gbar, hbar, window)
+            == hensel_columns(fq, f, gbar, hbar, window))
 
 
 def test_hensel_split_rejects_non_coprime():
