@@ -158,9 +158,10 @@ def _equal_degree_split(fq, g, d):
     degree d (Cantor-Zassenhaus): for r of degree below deg g, T(r) = r +
     r^p + ... + r^(p^(e*d-1)) mod g is constant in F_p on each factor, so
     gcd(g, T(r) - c) splits g for some c unless all the constants agree."""
-    n, rng = len(g) - 1, random.Random(len(g))
+    n = len(g) - 1
     if n <= d:
         return [g] if n else []
+    rng = random.Random(n)
     while True:
         trace = power = up_trim(rng.randrange(fq.q) for _ in range(n))
         for _ in range(fq.e * d - 1):
@@ -270,8 +271,8 @@ def hensel_split(fq, f, gbar, hbar, precision):
     f mod t = gbar * hbar and gcd(gbar, hbar) = 1.  Returns monic factors
     (g, h), their coefficients `precision`-digit tuples, with f = g * h
     to that precision.  Linear lifting on the t^m digits of g and h, each
-    a polynomial over F_q: one Bezout solve per digit, and the products
-    of digits skip the zero ones, so an exact factorization lifts in O(w).
+    an F_q polynomial: one Bezout solve per digit, zero digits skipped in
+    the products, so an exact factorization lifts in O(precision).
     """
     g0, u, v = up_ext_euclid(fq, gbar, hbar)
     if g0 != (1,):
