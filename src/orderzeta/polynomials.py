@@ -142,7 +142,13 @@ def monic_polys_over_fq(fq, degree):
     (constant coefficient is the least significant digit)."""
     q = fq.q
     for code in range(q ** degree):
-        yield tuple(code // q ** i % q for i in range(degree)) + (1,)
+        coeffs = []
+        c = code
+        for _ in range(degree):
+            coeffs.append(c % q)
+            c //= q
+        coeffs.append(1)
+        yield tuple(coeffs)
 
 def _pow_mod(fq, b, k, m):
     """b^k modulo m, by square-and-multiply."""
@@ -189,7 +195,8 @@ def up_factor(fq, a):
     deg = 1
     frob = (0, 1)           # X^(q^deg) modulo a, once raised below
     while len(a) - 1 > 0:
-        if len(a) - 1 < 2 * deg:        # the rest is irreducible
+        if len(a) - 1 < 2 * deg:
+            # remaining part is irreducible
             out.append((a, 1))
             break
         frob = _pow_mod(fq, frob, fq.q, a)

@@ -7,8 +7,9 @@ inputs() makes the same inputs on every call, from SEED: random monic
 polynomials with one to three factors over each field of FIELDS, each
 built once with its factors found automatically and once with them
 supplied, followed by the rejection classes of the README's exit-code
-table and by EXTENSION, a fixed class over F_8, F_16 and F_64.  An input is text (field spec, f, factors joined by ";", an
-optional precision) so that the manifest reads like the command line.
+table and by EXTENSION, a fixed class over F_8, F_16 and F_64.  An
+input is text (field spec, f, factors joined by ";", an optional
+precision) so that the manifest reads like the command line.
 
 run() parses and builds one input and returns its record: the exit
 class ("ok" or the exception type) and message, and on success a
