@@ -49,7 +49,7 @@ def build_parser():
     pa.add_argument("--precision", type=int,
                     help="working t-adic precision override")
     pa.add_argument("--ceiling", type=int,
-                    help="enumeration candidate ceiling override")
+                    help="enumeration candidate ceiling (default 10^8)")
     pa.add_argument("--per-class", action="store_true", dest="per_class",
                     help="include the per-class refinement table")
     pa.add_argument("--fibers", type=int, default=0, metavar="N",

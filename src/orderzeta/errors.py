@@ -53,8 +53,8 @@ class PrecisionExhausted(OrderZetaError):
 
 
 class CeilingExceeded(OrderZetaError):
-    """An enumeration would visit more candidates than the configured
-    ceiling (ORDER_ZETA_CEILING)."""
+    """An enumeration would visit more candidates than the work ceiling:
+    `--ceiling`, or a `ceiling` argument, else DEFAULT_CEILING (10^8)."""
 
     exit_code = 5
 

@@ -49,13 +49,12 @@ to a LatticeHNF.
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections.abc import Sequence
 from itertools import combinations
 
-from .errors import (CeilingExceeded, InvariantViolation, ParseError,
-                     PrecisionExhausted, PreconditionViolated, RankDeficient)
+from .errors import (CeilingExceeded, InvariantViolation, PrecisionExhausted,
+                     PreconditionViolated, RankDeficient)
 from .series import (ser_add, ser_mul, ser_pad, ser_scale, ser_sub,
                      ser_unit_inv, ser_val)
 
@@ -63,24 +62,15 @@ DEFAULT_CEILING = 10 ** 8
 
 
 def enumeration_ceiling(override=None):
-    """Work-unit guard for the enumerators.  An explicit argument wins,
-    then the ORDER_ZETA_CEILING environment variable, then the default.
-    A variable that is not an integer raises ParseError, and a ceiling
-    below 1 raises PreconditionViolated."""
-    value = override
-    if value is None:
-        env = os.environ.get("ORDER_ZETA_CEILING")
-        if not env:
-            return DEFAULT_CEILING
-        try:
-            value = int(env)
-        except ValueError:
-            raise ParseError(f"ORDER_ZETA_CEILING must be an integer, "
-                             f"got {env!r}") from None
-    if value < 1:
+    """Work-unit guard for the enumerators: the given ceiling, or
+    DEFAULT_CEILING for None.  A ceiling below 1 raises
+    PreconditionViolated."""
+    if override is None:
+        return DEFAULT_CEILING
+    if override < 1:
         raise PreconditionViolated(
-            f"the work ceiling must be at least 1, got {value}")
-    return value
+            f"the work ceiling must be at least 1, got {override}")
+    return override
 
 
 class LatticeHNF:

@@ -104,20 +104,25 @@ def up_monic(fq, a):
         return a
     return up_scale(fq, fq._inv[a[-1]], a)
 
+def up_gcd(fq, a, b):
+    """The monic gcd of a and b, by Euclid's algorithm."""
+    a, b = up_trim(a), up_trim(b)
+    while b:
+        a, b = b, up_mod(fq, a, b)
+    return up_monic(fq, a)
+
 def up_ext_euclid(fq, a, b):
-    """(g, u, v) with u*a + v*b = g = monic gcd(a, b)."""
+    """(g, v) with g = monic gcd(a, b) and v*b = g modulo a."""
     r0, r1 = up_trim(a), up_trim(b)
-    u0, u1 = (1,), ()
     v0, v1 = (), (1,)
     while r1:
         q, r = up_divmod(fq, r0, r1)
         r0, r1 = r1, r
-        u0, u1 = u1, up_sub(fq, u0, up_mul(fq, q, u1))
         v0, v1 = v1, up_sub(fq, v0, up_mul(fq, q, v1))
     if r0 and r0[-1] != 1:
         c = fq._inv[r0[-1]]
-        r0, u0, v0 = (up_scale(fq, c, r0), up_scale(fq, c, u0), up_scale(fq, c, v0))
-    return r0, u0, v0
+        r0, v0 = up_scale(fq, c, r0), up_scale(fq, c, v0)
+    return r0, v0
 
 def up_eval(fq, a, x):
     acc = 0
@@ -174,7 +179,7 @@ def _equal_degree_split(fq, g, d):
             power = _pow_mod(fq, power, fq.p, g)
             trace = up_add(fq, trace, power)
         for c in range(fq.p):
-            h = up_ext_euclid(fq, g, up_sub(fq, trace, (c,)))[0]
+            h = up_gcd(fq, g, up_sub(fq, trace, (c,)))
             if 1 < len(h) <= n:
                 return [part for half in (h, up_divmod(fq, g, h)[0])
                         for part in _equal_degree_split(fq, half, d)]
@@ -200,7 +205,7 @@ def up_factor(fq, a):
             out.append((a, 1))
             break
         frob = _pow_mod(fq, frob, fq.q, a)
-        g = up_ext_euclid(fq, a, up_sub(fq, frob, (0, 1)))[0]
+        g = up_gcd(fq, a, up_sub(fq, frob, (0, 1)))
         for part in sorted(_equal_degree_split(fq, g, deg),
                            key=lambda c: c[::-1]):
             quo, rem = up_divmod(fq, a, part)
@@ -281,7 +286,7 @@ def hensel_split(fq, f, gbar, hbar, precision):
     an F_q polynomial: one Bezout solve per digit, zero digits skipped in
     the products, so an exact factorization lifts in O(precision).
     """
-    g0, u, v = up_ext_euclid(fq, gbar, hbar)
+    g0, v = up_ext_euclid(fq, gbar, hbar)
     if g0 != (1,):
         raise ValueError("factors are not coprime modulo t")
     dg, dh = len(gbar) - 1, len(hbar) - 1

@@ -14,7 +14,7 @@ from orderzeta.series import ser_pad
 
 def hensel_columns(fq, f, gbar, hbar, precision):
     """hensel_split(fq, f, gbar, hbar, precision), computed on columns."""
-    g0, u, v = up_ext_euclid(fq, gbar, hbar)
+    g0, v = up_ext_euclid(fq, gbar, hbar)
     if g0 != (1,):
         raise ValueError("factors are not coprime modulo t")
     dg, dh = len(gbar) - 1, len(hbar) - 1

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderzeta.errors import (CeilingExceeded, ParseError,
-                              PrecisionExhausted, RankDeficient)
+from orderzeta.errors import (CeilingExceeded, PrecisionExhausted,
+                              RankDeficient)
 from orderzeta.fq import Fq
 from orderzeta.lattices import (LatticeHNF, _action_on_lattice,
                                 _nonzero_entries, _relative_action,
@@ -723,20 +723,12 @@ def test_unconstrained_sublattices_of_plane():
     ]
 
 
-def test_enumeration_ceiling_guard(monkeypatch):
+def test_enumeration_ceiling_guard():
     with pytest.raises(CeilingExceeded):
         stable_sublattice_levels(identity_lattice(F3, 2), 2,
                                  scalar_action(F3, 2, 5), ceiling=1)
-    monkeypatch.setenv("ORDER_ZETA_CEILING", "1")
-    assert enumeration_ceiling() == 1
-    with pytest.raises(CeilingExceeded):
-        stable_sublattice_levels(identity_lattice(F3, 2), 2,
-                                 scalar_action(F3, 2, 5))
-    # explicit override beats the environment
     assert enumeration_ceiling(500) == 500
-    monkeypatch.setenv("ORDER_ZETA_CEILING", "not a number")
-    with pytest.raises(ParseError, match="ORDER_ZETA_CEILING"):
-        enumeration_ceiling()
+    assert enumeration_ceiling() == 10 ** 8
 
 
 def test_action_precision_guard():

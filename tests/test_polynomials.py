@@ -10,8 +10,8 @@ from orderzeta.errors import PrecisionExhausted
 from orderzeta.lattices import resultant_valuation
 from orderzeta.parsing import parse_field
 from orderzeta.polynomials import (IntPoly, hensel_split, monic_polys_over_fq,
-                                   sp_mul, up_add, up_ext_euclid, up_divmod,
-                                   up_factor, up_monic, up_mul, up_roots,
+                                   sp_mul, up_add, up_divmod, up_ext_euclid,
+                                   up_factor, up_gcd, up_monic, up_mul, up_roots,
                                    up_sub, up_trim, xp_mul, xp_subst_x_shift,
                                    xp_trim)
 from orderzeta.series import ser_mul, ser_pad, ser_scale, ser_val
@@ -53,16 +53,33 @@ def test_euclidean_division_identity_over_f3(a, b):
 
 
 def test_extended_euclid_bezout_identity():
-    from orderzeta.polynomials import up_add
     f = (1, 0, 1)        # X^2 + 1 over F_2 = (X+1)^2
     g = (1, 1)           # X + 1
-    d, u, v = up_ext_euclid(F2, f, g)
-    assert d == (1, 1)
-    assert up_add(F2, up_mul(F2, u, f), up_mul(F2, v, g)) == d
+    d, v = up_ext_euclid(F2, f, g)
+    assert d == (1, 1) == up_gcd(F2, f, g)
+    # v*g - d is u*f for a polynomial u
+    assert up_divmod(F2, up_sub(F2, up_mul(F2, v, g), d), f)[1] == ()
     # coprime case ends in 1
-    d, u, v = up_ext_euclid(F3, (1, 0, 1), (2, 1))
-    assert d == (1,)
-    assert up_add(F3, up_mul(F3, u, (1, 0, 1)), up_mul(F3, v, (2, 1))) == (1,)
+    d, v = up_ext_euclid(F3, (1, 0, 1), (2, 1))
+    assert d == (1,) == up_gcd(F3, (1, 0, 1), (2, 1))
+    assert up_divmod(F3, up_sub(F3, up_mul(F3, v, (2, 1)), (1,)),
+                     (1, 0, 1))[1] == ()
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from(["2", "3", "5", "9"]), data=st.data())
+def test_gcd_divides_both_and_matches_the_bezout_solve(q, data):
+    fq = parse_field(q)
+    poly = st.lists(st.integers(0, fq.q - 1), min_size=1, max_size=7)
+    common, a, b = (up_trim(data.draw(poly)) for _ in range(3))
+    a, b = up_mul(fq, common, a), up_mul(fq, common, b)
+    assume(a)
+    g = up_gcd(fq, a, b)
+    d, v = up_ext_euclid(fq, a, b)
+    assert g == d == up_monic(fq, g)
+    assert up_divmod(fq, a, g)[1] == () and up_divmod(fq, b, g)[1] == ()
+    assert up_divmod(fq, up_sub(fq, up_mul(fq, v, b), g), a)[1] == ()
+    assert up_divmod(fq, g, common)[1] == ()
 
 
 def test_monic_enumeration_counter_order():
