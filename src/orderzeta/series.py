@@ -17,6 +17,7 @@ elimination in lattices.py).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress, count
 from operator import getitem
 
@@ -82,8 +83,10 @@ def ser_mul(fq, a, b, n=None):
             out[k] = add[out[k]][row[b[j]]]
     return tuple(out)
 
+@lru_cache(maxsize=512)
 def ser_unit_inv(fq, a):
-    """Inverse of a unit series (nonzero constant term), same precision."""
+    """Inverse of a unit series (nonzero constant term), same precision.
+    The digits must be a tuple: results are cached per (fq, a)."""
     if not a or a[0] == 0:
         raise ZeroDivisionError("series is not a unit")
     n = len(a)

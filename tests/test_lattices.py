@@ -19,7 +19,8 @@ from orderzeta.errors import (CeilingExceeded, PrecisionExhausted,
                               RankDeficient)
 from orderzeta.fq import Fq
 from orderzeta.lattices import (LatticeHNF, _action_on_lattice,
-                                _nonzero_entries, _relative_action,
+                                _dual_basis, _nonzero_entries,
+                                _relative_action,
                                 class_count_mod_lambda,
                                 colon_lattice, compose_lattice,
                                 element_scaled_lattice, enumeration_ceiling,
@@ -541,6 +542,31 @@ def test_dual_negates_relative_lengths():
     d2 = trace_dual_lattice(m2, order.trace_gram_columns, order.precision)
     assert relative_length(m2, m1) == 1
     assert relative_length(d1, d2) == 1
+
+
+@pytest.mark.parametrize("q,f", [
+    ("2", "X^2+t^2*X+t^3"), ("2", "X^2+t^3*X+t^5"), ("2", "X^3-t^4"),
+    ("3", "X^2-t^3"), ("3", "X^2-t^5"), ("2^2:u^2+u+1", "X^2+t*X"),
+    ("5", "X^2-t^3"), ("5", "(X-t)*(X-t^3)"), ("9", "X^2-t^3")])
+def test_trace_dual_commutes_with_scaling_and_its_cache(q, f):
+    """The dual basis is cached per shape, Gram matrix and precision,
+    without the scale: on the per-class golden orders, the dual of t^k M
+    computed from an empty cache is t^-k times the dual of M read from
+    a warm one, and the cached generators are immutable tuples."""
+    fq = parse_field(q)
+    order = build_order(fq, parse_xpoly(fq, f))
+    gram, prec = order.trace_gram_columns, order.precision
+    for m in (order.r_lattice, order.o_e_lattice, order.conductor_lattice,
+              *sandwich_representatives(order)):
+        trace_dual_lattice(m, gram, prec)
+        warm = trace_dual_lattice(m, gram, prec)
+        for k in range(-2, 4):
+            _dual_basis.cache_clear()
+            assert trace_dual_lattice(m.shifted(k), gram, prec) == \
+                warm.shifted(-k)
+        tcols, _ = _dual_basis(fq, m.diag, m.off, gram, prec)
+        assert type(tcols) is tuple
+        assert all(type(e) is tuple for col in tcols for e in (col, *col))
 
 
 def test_colon_lattice_split_components():

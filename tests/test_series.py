@@ -1,6 +1,8 @@
 """Truncated series kernels, and the Laurent series oracle, against
 naive references."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -225,9 +227,27 @@ def test_ser_unit_inv_matches_digitwise_solve(data):
     assert ser_mul(fq, a, inv) == (1,) + (0,) * (len(a) - 1)
 
 
-@pytest.mark.parametrize("q", sorted(KERNEL_FIELDS))
+@settings(max_examples=100, deadline=None)
+@given(fq=st.sampled_from([F3, *KERNEL_FIELDS.values()]),
+       n=st.integers(1, 400), density=st.sampled_from((0.02, 0.2, 1.0)),
+       seed=st.integers(0, 2 ** 32))
+def test_ser_unit_inv_at_wide_windows(fq, n, density, seed):
+    """Units up to 400 digits: the inverse is exact to the full window,
+    and a repeated call returns the cached tuple itself."""
+    rng = random.Random(seed)
+    a = tuple([rng.randrange(1, fq.q)] +
+              [rng.randrange(1, fq.q) if rng.random() < density else 0
+               for _ in range(n - 1)])
+    inv = ser_unit_inv(fq, a)
+    assert type(inv) is tuple
+    assert ser_mul(fq, a, inv) == (1,) + (0,) * (n - 1)
+    assert ser_unit_inv(fq, a) is inv
+
+
+@pytest.mark.parametrize("q", sorted(KERNEL_FIELDS) + ["3"])
 def test_ser_unit_inv_rejects_non_units(q):
-    fq = KERNEL_FIELDS[q]
+    fq = parse_field(q)
     for a in ((), (0,), (0, 1, 1)):
-        with pytest.raises(ZeroDivisionError):
-            ser_unit_inv(fq, a)
+        for _ in range(2):      # the cache keeps no exception: raised again
+            with pytest.raises(ZeroDivisionError):
+                ser_unit_inv(fq, a)
